@@ -3,9 +3,22 @@
 Values are keyed by partition content, so duplicated partitions in an
 ensemble cost nothing extra.  Each partition index is mapped once to a
 small integer content id; lookups are then dictionary hits on id pairs
-and numpy gathers.  Batch methods compute missing pairs with vectorized
-contingency tables.  Entries are deterministic, so concurrent
+and numpy gathers.  Entries are deterministic, so concurrent
 (duplicated) computation can never produce inconsistent values.
+
+Missing H_mod pairs are computed in batches at the content level.  The
+cache holds one label row per distinct content, in the narrowest
+unsigned dtype that fits the largest community count, a table of
+x log2 x for the integers 0..N, and per content the sum a log2 a over
+its community sizes a.  With t the contingency table of sample q
+against mode m and a_k = sum_l t_kl the sizes of the mode's
+communities,
+
+    H(q | m) = -sum_kl t_kl log2(t_kl / a_k) / N
+             = (sum_k a_k log2 a_k - sum_kl t_kl log2 t_kl) / N,
+
+so a batch needs one ``bincount`` over joint label codes and a table
+lookup per count: no division, logarithm or mask over float tables.
 """
 
 from __future__ import annotations
@@ -38,6 +51,17 @@ class PairCache:
         self.n_cid = len(reps)
         self._ncomm = np.array([pset.partitions[r].n for r in reps])
         self._entropy = np.full(len(reps), np.nan)
+        # content-level kernel tables (see the module docstring)
+        width = int(self._ncomm.max())
+        self._labels = np.stack([pset.partitions[r].labels for r in reps]).astype(
+            np.min_scalar_type(width))
+        x = np.arange(pset.N + 1, dtype=np.float64)
+        x[0] = 1.0                          # 0 log 0 = 0
+        self._xlogx = np.arange(pset.N + 1) * np.log2(x)
+        offsets = (np.arange(len(reps)) * width)[:, None]
+        sizes = np.bincount((self._labels + offsets).ravel(),
+                            minlength=len(reps) * width)
+        self._size_xlogx = self._xlogx[sizes].reshape(len(reps), width).sum(axis=1)
         # H_mod values live in dense per-content rows so batch lookups
         # are contiguous numpy gathers: one dict keyed by the fixed mode
         # content (row over sample contents) and one keyed by the fixed
@@ -112,8 +136,8 @@ class PairCache:
         unset = np.isnan(vals)
         if unset.any():
             missing = np.unique(q_cids[unset])
-            row[missing] = self._compute_block([m_idx] * len(missing),
-                                               list(self.rep[missing]),
+            row[missing] = self._compute_block(np.full(missing.size, m_idx),
+                                               self.rep[missing],
                                                fixed="mode")
             vals = row[q_cids]
         return vals
@@ -130,8 +154,8 @@ class PairCache:
         unset = np.isnan(vals)
         if unset.any():
             missing = np.unique(m_cids[unset])
-            row[missing] = self._compute_block(list(self.rep[missing]),
-                                               [q_idx] * len(missing),
+            row[missing] = self._compute_block(self.rep[missing],
+                                               np.full(missing.size, q_idx),
                                                fixed="q")
             vals = row[m_cids]
         return vals
@@ -141,30 +165,19 @@ class PairCache:
     def _compute_block(self, m_indices, q_indices, fixed: str) -> np.ndarray:
         """Vectorized H_mod for pairs where one side is a single fixed
         partition (``fixed`` names which side varies' counterpart)."""
-        P = self.pset
-        N = P.N
-        mat = P.matrix()
-        parts = P.partitions
-        if fixed == "mode":
-            m = parts[m_indices[0]]
-            mode_lab = m.labels[None, :]              # (1, N)
-            samp_lab = mat[q_indices]                 # (c, N)
-            n_mode = m.n
-            samp_width = int(self._ncomm[self.cid[q_indices]].max())
-        else:
-            q = parts[q_indices[0]]
-            samp_lab = q.labels[None, :]
-            mode_lab = mat[m_indices]
-            n_mode = int(self._ncomm[self.cid[m_indices]].max())
-            samp_width = q.n
-        c = max(len(m_indices), len(q_indices))
-        codes = mode_lab * samp_width + samp_lab      # (c, N)
-        width = n_mode * samp_width
-        offsets = (np.arange(c) * width)[:, None]
-        t = np.bincount((codes + offsets).ravel(), minlength=c * width)
-        t = t.reshape(c, n_mode, samp_width)
-        a = t.sum(axis=2, keepdims=True)              # mode community sizes
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term = np.where(t > 0, t * np.log2(t / a), 0.0)
-        hcond = np.maximum(0.0, -term.sum(axis=(1, 2)) / N)
+        m_cids = self.cid[m_indices]
+        q_cids = self.cid[q_indices]
+        fixed_cid, var_cids = ((m_cids[0], q_cids) if fixed == "mode"
+                               else (q_cids[0], m_cids))
+        # t_kl sums over joint codes, so the layout of the (fixed, varying)
+        # label pair is free: code = pair * width + fixed * var_width + var
+        var_width = int(self._ncomm[var_cids].max())
+        width = int(self._ncomm[fixed_cid]) * var_width
+        codes = (np.arange(var_cids.size) * width)[:, None] \
+            + self._labels[fixed_cid].astype(np.int64) * var_width
+        codes += self._labels[var_cids]
+        t = np.bincount(codes.ravel(), minlength=var_cids.size * width)
+        joint = self._xlogx[t].reshape(var_cids.size, width).sum(axis=1)
+        N = self.pset.N
+        hcond = np.maximum(0.0, (self._size_xlogx[m_cids] - joint) / N)
         return hcond + self._omega_block(m_indices, q_indices) / N

@@ -19,15 +19,14 @@ from .partitions import PartitionSet, canonicalize, contingency_table
 from .tables import DEFAULT_MAX_COST
 
 
-def _write_json_atomic(data: dict, path: str) -> None:
-    """Serialize fully before touching the target, so a failure never
-    leaves a partial file behind."""
-    text = json.dumps(data, indent=2)
+def _write_text_atomic(text: str, path: str) -> None:
+    """Write ``text`` to a temporary file beside ``path`` and rename it
+    over the target, so a failure never leaves a partial file behind."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -88,7 +87,7 @@ def cmd_cluster(args) -> int:
     result = run(pset, params)
     data = result.to_json_dict()
     if args.out:
-        _write_json_atomic(data, args.out)
+        _write_text_atomic(json.dumps(data, indent=2) + "\n", args.out)
     if args.format == "json":
         print(json.dumps(data, indent=2))
     else:
@@ -97,16 +96,15 @@ def cmd_cluster(args) -> int:
         print("description length = %.4f bits" % result.breakdown.total)
     if args.modes_out:
         for k, mode in enumerate(result.modes):
-            with open("%s.mode%d.txt" % (args.modes_out, k), "w") as fh:
-                fh.write(" ".join(str(int(x)) for x in mode.labels) + "\n")
+            _write_text_atomic(" ".join(str(int(x)) for x in mode.labels) + "\n",
+                               "%s.mode%d.txt" % (args.modes_out, k))
     if args.agreement_out:
         agree = _agreement_table(pset, result.clustering)
         header = "node\t" + "\t".join("mode%d" % k for k in range(result.clustering.K))
         lines = [header]
         for i in range(pset.N):
             lines.append("%d\t%s" % (i, "\t".join("%.4f" % a for a in agree[i])))
-        with open(args.agreement_out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_text_atomic("\n".join(lines) + "\n", args.agreement_out)
     return 0
 
 
@@ -122,7 +120,7 @@ def cmd_describe(args) -> int:
         stored = canonicalize(data["modes"][k])
         if stored != pset.partitions[m]:
             raise ValueError("mode %d does not match the ensemble" % k)
-    lam = float(data.get("lambda", args.lam))
+    lam = args.lam if args.lam is not None else float(data.get("lambda", 1.0))
     breakdown = description_length(pset, clustering, lam=lam)
     exact = full_description_length(pset, clustering)
     print(json.dumps({"objective": breakdown.to_json_dict(),
@@ -191,7 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
     desc.add_argument("--partitions", required=True)
     desc.add_argument("--clustering", required=True, help="result JSON from "
                                                           "'cluster'")
-    desc.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    desc.add_argument("--lambda", dest="lam", type=float, default=None,
+                      help="penalty per cluster (default: the value stored "
+                           "in the clustering JSON)")
     desc.set_defaults(func=cmd_describe)
     return parser
 

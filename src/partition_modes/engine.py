@@ -155,11 +155,12 @@ def find_mode_sampled(cluster_members, pset: PartitionSet, sample_size: int,
     # on the margin signatures and is shared across candidates; suffix
     # sums of these bound the not-yet-added part of each score
     sample_ent = cache.entropies(sample_reps)
+    gap = np.maximum(0.0, sample_ent[None, :] - ent[:, None])
+    table = cache._omega_block(np.repeat(arr, n_terms),
+                               np.tile(sample_reps, arr.size))
+    table = table.reshape(arr.size, n_terms) / pset.N
     suffix = np.zeros((len(reps), n_terms + 1))
-    for j, rep_q in enumerate(sample_reps):
-        gap = np.maximum(0.0, sample_ent[j] - ent)
-        table = cache._omega_block(arr, np.full(arr.size, rep_q)) / pset.N
-        suffix[:, j] = weights[j] * (gap + table)
+    suffix[:, :n_terms] = weights * (gap + table)
     suffix = np.cumsum(suffix[:, ::-1], axis=1)[:, ::-1]
     alive = np.arange(len(reps))
     for j, rep_q in enumerate(sample_reps):

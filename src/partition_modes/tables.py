@@ -65,6 +65,19 @@ def _cost_estimate(rows, cols) -> float:
     return _state_estimate(cols) * float(branch)
 
 
+def _exact_orientation(rows, cols, max_cost: float):
+    """Orient cleaned margins for the exact recursion, or return None
+    when its estimated work exceeds ``max_cost`` either way round.
+
+    The count is transpose-symmetric, so the orientation with the
+    cheaper state space is taken."""
+    if _cost_estimate(cols, rows) < _cost_estimate(rows, cols):
+        rows, cols = cols, rows
+    if _cost_estimate(rows, cols) > max_cost:
+        return None
+    return rows, cols
+
+
 def _count_exact_int(rows, cols) -> int:
     """Exact count by row-by-row recursion over remaining column sums,
     memoized on (row index, sorted remaining columns)."""
@@ -118,14 +131,10 @@ def count_tables_exact(row_sums, col_sums, max_cost: float = DEFAULT_MAX_COST) -
     Raises ValueError if the margins disagree or the estimated work of
     the memoized recursion would exceed ``max_cost``.
     """
-    rows, cols = _clean_margins(row_sums, col_sums)
-    # the count is transpose-symmetric: orient the cheaper margin as the
-    # recursion's state space
-    if _cost_estimate(cols, rows) < _cost_estimate(rows, cols):
-        rows, cols = cols, rows
-    if _cost_estimate(rows, cols) > max_cost:
+    oriented = _exact_orientation(*_clean_margins(row_sums, col_sums), max_cost)
+    if oriented is None:
         raise ValueError("table too large for exact count")
-    return _log2_int(_count_exact_int(rows, cols))
+    return _log2_int(_count_exact_int(*oriented))
 
 
 def _composition_dp(a: int, caps: np.ndarray) -> np.ndarray:
@@ -237,11 +246,9 @@ def log2_omega(row_sums, col_sums, max_cost: float = DEFAULT_MAX_COST) -> float:
     hit = _omega_cache.get(key)
     if hit is not None:
         return hit
-    try:
-        val = count_tables_exact(rows, cols, max_cost=max_cost)
-    except ValueError as err:
-        if "too large" not in str(err):
-            raise
+    if _exact_orientation(rows, cols, max_cost) is None:
         val = count_tables_gaussian(rows, cols)
+    else:
+        val = count_tables_exact(rows, cols, max_cost=max_cost)
     _omega_cache[key] = val
     return val

@@ -164,3 +164,43 @@ def test_describe_inconsistent_inputs(tmp_path, capsys):
                "--clustering", str(result_path)])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_describe_lambda_flag_overrides_stored_value(tmp_path, capsys):
+    path = tmp_path / "p.txt"
+    _write_identical_ensemble(path)
+    result_path = tmp_path / "result.json"
+    main(["cluster", "--partitions", str(path), "--seed", "0",
+          "--lambda", "1.0", "--out", str(result_path)])
+    capsys.readouterr()
+    penalties = []
+    for extra in ([], ["--lambda", "3.5"]):
+        rc = main(["describe", "--partitions", str(path),
+                   "--clustering", str(result_path)] + extra)
+        assert rc == 0
+        penalties.append(json.loads(capsys.readouterr().out)
+                         ["objective"]["penalty"])
+    K = json.loads(result_path.read_text())["K"]
+    assert penalties == [pytest.approx(1.0 * K), pytest.approx(3.5 * K)]
+
+
+@pytest.mark.parametrize("flag,target", [("--out", "result.json"),
+                                         ("--modes-out", "m"),
+                                         ("--agreement-out", "agree.tsv")])
+def test_cluster_outputs_leave_nothing_when_rename_fails(tmp_path, capsys,
+                                                         monkeypatch, flag,
+                                                         target):
+    path = tmp_path / "p.txt"
+    _write_identical_ensemble(path)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+
+    def failing_replace(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr("partition_modes.cli.os.replace", failing_replace)
+    rc = main(["cluster", "--partitions", str(path), "--seed", "0",
+               flag, str(out_dir / target)])
+    assert rc == 1
+    assert "rename refused" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
