@@ -71,7 +71,8 @@ class PairCache:
         self._by_sample: dict[int, np.ndarray] = {}
         # many contents share one community-size vector, and the table
         # count depends only on the margins: give each content a margin
-        # signature so omega is computed once per distinct margin pair
+        # signature so omega is computed once per unordered pair of
+        # distinct margins
         sig_to_id: dict[tuple, int] = {}
         margin = np.empty(len(reps), dtype=np.int64)
         self._margins: list[tuple] = []
@@ -89,16 +90,19 @@ class PairCache:
 
     def _omega_block(self, m_indices, q_indices) -> np.ndarray:
         """log2 table counts for index pairs, deduplicated by margin
-        signature."""
+        signature.  The count is symmetric under transposition, so each
+        missing unordered signature pair is counted once and fills both
+        ``_omega[a, b]`` and ``_omega[b, a]``."""
         ms = self._margin_id[self.cid[np.asarray(m_indices, dtype=np.int64)]]
         qs = self._margin_id[self.cid[np.asarray(q_indices, dtype=np.int64)]]
         vals = self._omega[ms, qs]
         missing = np.flatnonzero(np.isnan(vals))
         if missing.size:
-            for a, b in set(zip(ms[missing], qs[missing])):
-                self._omega[a, b] = log2_omega(self._margins[a],
-                                               self._margins[b],
-                                               max_cost=self.max_cost)
+            lo = np.minimum(ms[missing], qs[missing])
+            hi = np.maximum(ms[missing], qs[missing])
+            for a, b in set(zip(lo.tolist(), hi.tolist())):
+                self._omega[a, b] = self._omega[b, a] = log2_omega(
+                    self._margins[a], self._margins[b], max_cost=self.max_cost)
             vals = self._omega[ms, qs]
         return vals
 

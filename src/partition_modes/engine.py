@@ -10,6 +10,7 @@ rejections.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,8 +49,9 @@ class _Cluster:
     mode_entropy: float
     cond_sum: float     # sum over members of H_mod(member | mode)
 
-    def member_set(self) -> set:
-        return set(self.members)
+    def __contains__(self, p: int) -> bool:
+        i = bisect_left(self.members, p)
+        return i < len(self.members) and self.members[i] == p
 
 
 class EngineState:
@@ -75,12 +77,6 @@ class EngineState:
         label_term = cluster_label_entropy(sizes, S)
         return mode_term + label_term + cond_term + self.params.lam * self.K
 
-    def cluster_of(self, p: int) -> int:
-        for k, c in enumerate(self.clusters):
-            if p in c.member_set():
-                return k
-        raise ValueError("partition not assigned")
-
     def to_clustering(self) -> Clustering:
         assignment = np.empty(self.pset.S, dtype=np.int64)
         for k, c in enumerate(self.clusters):
@@ -93,32 +89,35 @@ class EngineState:
         return EngineState(self.pset, self.cache, self.params, new_clusters)
 
 
-def _distinct_candidates(members, cache):
-    """Deduplicate sorted members by partition content.  Returns the
-    lowest member index of each distinct content (in order of first
+def _sorted_members(cluster_members) -> np.ndarray:
+    members = np.sort(np.asarray(cluster_members, dtype=np.int64))
+    if not members.size:
+        raise ValueError("empty cluster")
+    return members
+
+
+def _distinct_candidates(members: np.ndarray, cache):
+    """Deduplicate a sorted member array by partition content.  Returns
+    the lowest member index of each distinct content (in order of first
     appearance) and the content multiplicities.  Candidates of equal
     content always score identically, so argmin over representatives
     with this ordering reproduces the lowest-index tie-break over the
     full member list."""
-    cids = cache.cid[members]
-    _, first, counts = np.unique(cids, return_index=True, return_counts=True)
+    _, first, counts = np.unique(cache.cid[members], return_index=True,
+                                 return_counts=True)
     order = np.argsort(first)
-    first, counts = first[order], counts[order]
-    reps = [members[i] for i in first]
-    return reps, counts
+    return members[first[order]], counts[order]
 
 
 def find_mode_exact(cluster_members, pset: PartitionSet, cache: PairCache) -> int:
     """Member partition minimizing H(p) + sum_q H_mod(q | p) over the
     whole cluster; ties broken by lowest partition index."""
-    members = sorted(int(i) for i in cluster_members)
-    if not members:
-        raise ValueError("empty cluster")
+    members = _sorted_members(cluster_members)
     reps, counts = _distinct_candidates(members, cache)
     scores = cache.entropies(reps)
     for rep_q, cnt in zip(reps, counts):
         scores += cnt * cache.hmod_against_modes(rep_q, reps)
-    return reps[int(np.argmin(scores))]
+    return int(reps[int(np.argmin(scores))])
 
 
 def find_mode_sampled(cluster_members, pset: PartitionSet, sample_size: int,
@@ -134,18 +133,14 @@ def find_mode_sampled(cluster_members, pset: PartitionSet, sample_size: int,
     gives an upper bound on the minimum.  This never changes the argmin
     (a small slack protects exact score ties) but skips most of the
     pairwise entropy evaluations in large clusters."""
-    members = sorted(int(i) for i in cluster_members)
-    if not members:
-        raise ValueError("empty cluster")
-    c_k = len(members)
+    members = _sorted_members(cluster_members)
+    c_k = members.size
     if c_k <= sample_size:
         return find_mode_exact(members, pset, cache)
-    sample = rng.choice(np.array(members), size=sample_size, replace=False)
-    reps, _ = _distinct_candidates(members, cache)
-    sample_reps, sample_counts = _distinct_candidates(sorted(map(int, sample)),
-                                                      cache)
-    arr = np.array(reps)
-    ent = cache.entropies(reps)
+    sample = rng.choice(members, size=sample_size, replace=False)
+    arr, _ = _distinct_candidates(members, cache)
+    sample_reps, sample_counts = _distinct_candidates(np.sort(sample), cache)
+    ent = cache.entropies(arr)
     scores = ent.copy()
     scale = c_k / sample_size
     weights = scale * np.asarray(sample_counts, dtype=np.float64)
@@ -159,10 +154,10 @@ def find_mode_sampled(cluster_members, pset: PartitionSet, sample_size: int,
     table = cache._omega_block(np.repeat(arr, n_terms),
                                np.tile(sample_reps, arr.size))
     table = table.reshape(arr.size, n_terms) / pset.N
-    suffix = np.zeros((len(reps), n_terms + 1))
+    suffix = np.zeros((arr.size, n_terms + 1))
     suffix[:, :n_terms] = weights * (gap + table)
     suffix = np.cumsum(suffix[:, ::-1], axis=1)[:, ::-1]
-    alive = np.arange(len(reps))
+    alive = np.arange(arr.size)
     for j, rep_q in enumerate(sample_reps):
         scores[alive] += weights[j] * cache.hmod_against_modes(rep_q, arr[alive])
         if j + 1 < n_terms and alive.size > 1:
@@ -171,7 +166,7 @@ def find_mode_sampled(cluster_members, pset: PartitionSet, sample_size: int,
             rest = cache.hmod_given_mode(sample_reps[j + 1:], int(arr[leader]))
             bound = float(scores[leader] + weights[j + 1:] @ rest)
             alive = alive[low <= bound + 1e-9]
-    # reps are in increasing partition-index order, so argmin over the
+    # candidates are in increasing partition-index order, so argmin over the
     # surviving candidates keeps the lowest-index tie-break
     winner = alive[int(np.argmin(scores[alive]))]
     return int(arr[winner])
@@ -202,7 +197,7 @@ def propose_reassign(state: EngineState, rng: np.random.Generator) -> EngineStat
     modes = [c.mode for c in state.clusters]
     dists = cache.hmod_against_modes(p, modes)
     k_to = int(np.argmin(dists))
-    k_from = next(k for k, c in enumerate(state.clusters) if p in c.member_set())
+    k_from = next(k for k, c in enumerate(state.clusters) if p in c)
     if k_to == k_from:
         return state
     new = list(state.clusters)

@@ -2,6 +2,11 @@
 
 All public functions return the base-2 logarithm of the count, since the
 raw counts overflow floating point at trivially small margins.
+
+``log2_omega`` memoizes its results process-wide in ``_omega_cache``,
+keyed by the unordered pair of sorted margins and the cost budget: the
+count is the same for a table and its transpose, so each unordered
+margin pair is counted once.
 """
 
 from __future__ import annotations
@@ -78,23 +83,54 @@ def _exact_orientation(rows, cols, max_cost: float):
     return rows, cols
 
 
+def _bounded_compositions(a: int, caps: tuple) -> int:
+    """Number of ways to write ``a`` as an ordered sum of one non-negative
+    entry per cap, each entry at most its cap.
+
+    Inclusion-exclusion over the entries forced above their caps: with k
+    positive caps, sum over subsets T of (-1)^|T| C(a - sum_T (c+1) + k-1,
+    k-1).  Equal caps are grouped, so a term chooses how many of each
+    value exceed, and a subset whose excess passes ``a`` adds nothing."""
+    groups = sorted(Counter(c for c in caps if c > 0).items())
+    k1 = sum(m for _, m in groups) - 1
+
+    def terms(g: int, rem: int, coef: int) -> int:
+        total = coef * math.comb(rem + k1, k1)
+        for h in range(g, len(groups)):
+            value, mult = groups[h]
+            if value + 1 > rem:
+                break
+            for s in range(1, min(mult, rem // (value + 1)) + 1):
+                total += terms(h + 1, rem - s * (value + 1),
+                               (-1) ** s * coef * math.comb(mult, s))
+        return total
+
+    return terms(0, a, 1)
+
+
 def _count_exact_int(rows, cols) -> int:
     """Exact count by row-by-row recursion over remaining column sums,
-    memoized on (row index, sorted remaining columns)."""
+    memoized on (row index, sorted remaining columns).
+
+    Rows are taken in ascending order.  The last row is forced by the
+    remaining column sums, and the second-to-last is counted in closed
+    form by ``_bounded_compositions`` under the remaining column caps,
+    so the two largest rows, whose compositions are the most numerous,
+    are never enumerated; only the small rows branch."""
     if len(rows) <= 1 or len(cols) <= 1:
         return 1
-    rows = sorted(rows, reverse=True)
+    rows = sorted(rows)
     n_rows = len(rows)
     memo: dict = {}
 
     def rec(i: int, cols_t: tuple) -> int:
-        if i == n_rows - 1:
-            return 1  # last row is forced by the remaining column sums
         key = (i, cols_t)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        a = rows[i]
+        if i == n_rows - 2:
+            memo[key] = total = _bounded_compositions(rows[i], cols_t)
+            return total
         cols_l = list(cols_t)
         k = len(cols_l)
         suffix = [0] * (k + 1)
@@ -117,7 +153,7 @@ def _count_exact_int(rows, cols) -> int:
                 distribute(j + 1, rem - t)
                 cols_l[j] += t
 
-        distribute(0, a)
+        distribute(0, rows[i])
         memo[key] = total
         return total
 
@@ -238,17 +274,23 @@ def log2_omega(row_sums, col_sums, max_cost: float = DEFAULT_MAX_COST) -> float:
     """log2 of the number of contingency tables with the given margins:
     exact when the cost guard allows, the analytic estimate otherwise.
 
-    Results are cached by sorted margins; concurrent use is safe because
-    entries are deterministic and written atomically.
+    Results are cached by the unordered pair of sorted margins, since the
+    count is symmetric under transposition: ``log2_omega(r, c)`` and
+    ``log2_omega(c, r)`` share one entry and return the same float.
+    Concurrent use is safe because entries are deterministic and written
+    atomically.
     """
     rows, cols = _clean_margins(row_sums, col_sums)
-    key = (tuple(sorted(rows)), tuple(sorted(cols)), max_cost)
+    small, large = sorted((tuple(sorted(rows)), tuple(sorted(cols))))
+    key = (small, large, max_cost)
     hit = _omega_cache.get(key)
     if hit is not None:
         return hit
-    if _exact_orientation(rows, cols, max_cost) is None:
-        val = count_tables_gaussian(rows, cols)
+    # computed from the key's margins, so the value does not depend on
+    # which orientation or margin order reached the memo first
+    if _exact_orientation(small, large, max_cost) is None:
+        val = count_tables_gaussian(small, large)
     else:
-        val = count_tables_exact(rows, cols, max_cost=max_cost)
+        val = count_tables_exact(small, large, max_cost=max_cost)
     _omega_cache[key] = val
     return val

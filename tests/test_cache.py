@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partition_modes import (PairCache, PartitionSet, canonicalize, entropy,
-                             modified_conditional_entropy)
+from partition_modes import (EngineParams, PairCache, PartitionSet,
+                             canonicalize, entropy, modified_conditional_entropy,
+                             run)
+from partition_modes.tables import _exact_orientation
 
 from conftest import random_partition
 
@@ -111,3 +113,19 @@ def test_kernel_matches_reference_in_both_directions(pset):
     ent = cache.entropies(idx)
     assert np.allclose(given_mode - given_mode.T, ent[:, None] - ent[None, :],
                        rtol=0, atol=1e-10)
+
+
+def test_omega_matrix_symmetric_after_run():
+    # a low budget sends the larger margin pairs to the estimate, so both
+    # counting paths fill the matrix
+    budget = 1e4
+    pset = _random_set(60, 16, 2)
+    cache = PairCache(pset, max_cost=budget)
+    run(pset, EngineParams(seed=0, k0=3, omega_max_cost=budget), cache=cache)
+    omega = cache._omega
+    is_set = ~np.isnan(omega)
+    assert np.array_equal(is_set, is_set.T)
+    assert np.array_equal(omega[is_set], omega.T[is_set])
+    exact = [_exact_orientation(cache._margins[a], cache._margins[b], budget)
+             is not None for a, b in zip(*np.nonzero(is_set))]
+    assert any(exact) and not all(exact)

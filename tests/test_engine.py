@@ -3,7 +3,7 @@ import pytest
 
 from partition_modes import (EngineParams, PairCache, PartitionSet,
                              canonicalize, description_length, find_mode_exact,
-                             find_mode_sampled, log2_omega, run)
+                             find_mode_sampled, log2_omega, run, tables)
 from partition_modes.engine import (EngineState, _make_cluster,
                                     propose_merge, propose_reassign,
                                     propose_split)
@@ -224,3 +224,29 @@ def test_result_json_schema():
     assert data["lambda"] == 2.0
     assert len(data["assignment"]) == 5
     assert data["modes"][0] == [0, 0, 1, 1]
+
+
+def test_run_independent_of_cache_state():
+    # the budget splits the margin pairs between the exact count and the
+    # estimate, and clusters above 30 members take the sampled mode search
+    budget = 1e4
+    rng = np.random.default_rng(4)
+    pset = PartitionSet.from_partitions(
+        [random_partition(16, 5, rng) for _ in range(80)])
+    params = EngineParams(seed=4, k0=2, omega_max_cost=budget)
+
+    def result(cache):
+        return run(pset, params, cache=cache).to_json_dict()
+
+    tables._omega_cache.clear()
+    cold = result(PairCache(pset, max_cost=budget))
+    warm_cache = PairCache(pset, max_cost=budget)
+    warm = result(warm_cache)
+    reused = result(warm_cache)
+    # a memo filled first by direct calls, transposed and in label order
+    tables._omega_cache.clear()
+    for p in pset.partitions:
+        for q in pset.partitions[:10]:
+            log2_omega(q.counts, p.counts, max_cost=budget)
+    transposed = result(PairCache(pset, max_cost=budget))
+    assert cold == warm == reused == transposed

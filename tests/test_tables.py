@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from partition_modes import (count_tables_exact, count_tables_estimate,
-                             count_tables_gaussian, log2_omega)
-from partition_modes.tables import DEFAULT_MAX_COST, _cost_estimate
+                             count_tables_gaussian, log2_omega, tables)
+from partition_modes.tables import (DEFAULT_MAX_COST, _clean_margins,
+                                    _cost_estimate, _count_exact_int,
+                                    _exact_orientation, _log2_int)
 
-from conftest import brute_force_table_count, margin_vectors
+from conftest import (brute_force_table_count, margin_vectors,
+                      reference_count_exact)
 
 
 def test_exact_trivial_and_worked_examples():
@@ -131,3 +136,45 @@ def test_log2_omega_margin_order_invariance():
     a = log2_omega([3, 5, 2], [4, 4, 2])
     b = log2_omega([2, 5, 3], [2, 4, 4])
     assert a == pytest.approx(b)
+
+
+@st.composite
+def _margin_pairs(draw):
+    """Two margins of one total N <= 100, with 1 to 7 entries each, in
+    composition order; entries may be zero."""
+    N = draw(st.integers(0, 100))
+
+    def margin():
+        k = draw(st.integers(1, 7))
+        cuts = sorted(draw(st.lists(st.integers(0, N), min_size=k - 1,
+                                    max_size=k - 1)))
+        return [b - a for a, b in zip([0] + cuts, cuts + [N])]
+
+    return margin(), margin()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_margin_pairs(), st.integers(0, 2))
+@example(([6, 12, 12, 18], [6, 6, 18, 18]), 0)
+@example(([12, 12, 12, 12], [6, 6, 12, 24]), 1)
+@example(([14, 10, 9, 3, 20, 12, 13], [37, 13, 31]), 0)
+@example(([10], [3, 0, 3, 4]), 2)
+@example(([0, 0], [0]), 1)
+def test_exact_counter_matches_reference(margins, pad):
+    r, c = margins
+    oriented = _exact_orientation(*_clean_margins(r, c), DEFAULT_MAX_COST)
+    assume(oriented is not None)
+    rows, cols = oriented
+    expect = reference_count_exact(rows, cols)
+    # zero rows and columns pass through the recursion unchanged
+    assert _count_exact_int(rows + [0] * pad, [0] * pad + cols) == expect
+    # log2_omega is exactly transpose-symmetric on both paths, even when
+    # each orientation is computed afresh from margins in a new order
+    assert _exact_orientation(*_clean_margins(r, c), 0) is None
+    for max_cost in (DEFAULT_MAX_COST, 0):
+        tables._omega_cache.clear()
+        val = log2_omega(r, c, max_cost=max_cost)
+        tables._omega_cache.clear()
+        assert log2_omega(c[::-1], r, max_cost=max_cost) == val
+        if max_cost:
+            assert val == _log2_int(expect)
