@@ -139,7 +139,7 @@ class PairCache:
         vals = row[q_cids]
         unset = np.isnan(vals)
         if unset.any():
-            missing = np.unique(q_cids[unset])
+            missing = np.flatnonzero(np.bincount(q_cids[unset], minlength=self.n_cid))
             row[missing] = self._compute_block(np.full(missing.size, m_idx),
                                                self.rep[missing],
                                                fixed="mode")
@@ -157,7 +157,7 @@ class PairCache:
         vals = row[m_cids]
         unset = np.isnan(vals)
         if unset.any():
-            missing = np.unique(m_cids[unset])
+            missing = np.flatnonzero(np.bincount(m_cids[unset], minlength=self.n_cid))
             row[missing] = self._compute_block(self.rep[missing],
                                                np.full(missing.size, q_idx),
                                                fixed="q")

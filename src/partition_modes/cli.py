@@ -6,32 +6,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 
 import numpy as np
 
 from . import graphs, sampler
 from .engine import EngineParams, run
+from .fileio import atomic_text_file
 from .objective import Clustering, description_length, full_description_length
 from .partitions import PartitionSet, canonicalize, contingency_table
 from .tables import DEFAULT_MAX_COST
-
-
-def _write_text_atomic(text: str, path: str) -> None:
-    """Write ``text`` to a temporary file beside ``path`` and rename it
-    over the target, so a failure never leaves a partial file behind."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def cmd_generate(args) -> int:
@@ -45,7 +29,7 @@ def cmd_generate(args) -> int:
     else:
         graph, truth = graphs.ring_of_cliques(args.cliques, args.size)
     graphs.write_edge_list(graph, args.out + ".edges")
-    with open(args.out + ".truth", "w") as fh:
+    with atomic_text_file(args.out + ".truth") as fh:
         fh.write(" ".join(str(int(x)) for x in truth.labels) + "\n")
     print("nodes %d edges %d" % (graph.N, graph.num_edges))
     return 0
@@ -87,7 +71,8 @@ def cmd_cluster(args) -> int:
     result = run(pset, params)
     data = result.to_json_dict()
     if args.out:
-        _write_text_atomic(json.dumps(data, indent=2) + "\n", args.out)
+        with atomic_text_file(args.out) as fh:
+            fh.write(json.dumps(data, indent=2) + "\n")
     if args.format == "json":
         print(json.dumps(data, indent=2))
     else:
@@ -96,15 +81,16 @@ def cmd_cluster(args) -> int:
         print("description length = %.4f bits" % result.breakdown.total)
     if args.modes_out:
         for k, mode in enumerate(result.modes):
-            _write_text_atomic(" ".join(str(int(x)) for x in mode.labels) + "\n",
-                               "%s.mode%d.txt" % (args.modes_out, k))
+            with atomic_text_file("%s.mode%d.txt" % (args.modes_out, k)) as fh:
+                fh.write(" ".join(str(int(x)) for x in mode.labels) + "\n")
     if args.agreement_out:
         agree = _agreement_table(pset, result.clustering)
         header = "node\t" + "\t".join("mode%d" % k for k in range(result.clustering.K))
         lines = [header]
         for i in range(pset.N):
             lines.append("%d\t%s" % (i, "\t".join("%.4f" % a for a in agree[i])))
-        _write_text_atomic("\n".join(lines) + "\n", args.agreement_out)
+        with atomic_text_file(args.agreement_out) as fh:
+            fh.write("\n".join(lines) + "\n")
     return 0
 
 

@@ -6,11 +6,18 @@ cluster k-means style, or merge immediately followed by a split),
 accepting a proposal only if it strictly decreases the penalized
 description length.  Stops after a fixed number of consecutive
 rejections.
+
+Each cluster holds its members as a sorted int64 array.  While the
+state does not change, the search keeps proposing moves that rebuild
+the same clusters (at K=2 every merge proposal forms the same merged
+cluster), so each run keeps a memo from a member set, keyed by a digest
+of its sorted indices, to the mode the sampled search returned for it.
+The memo is emptied on every accepted move and never outlives a run.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,27 +49,27 @@ class EngineParams:
             raise ValueError("invalid engine parameters")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Cluster:
-    members: tuple      # sorted partition indices
+    members: np.ndarray  # sorted int64 partition indices
     mode: int
     mode_entropy: float
-    cond_sum: float     # sum over members of H_mod(member | mode)
-
-    def __contains__(self, p: int) -> bool:
-        i = bisect_left(self.members, p)
-        return i < len(self.members) and self.members[i] == p
+    cond_sum: float      # sum over members of H_mod(member | mode)
 
 
 class EngineState:
-    """One clustering configuration plus its cached objective pieces."""
+    """One clustering configuration plus its cached objective pieces.
+
+    ``mode_memo`` maps a member-set digest to the mode the sampled
+    search found for it; states derived by ``replaced`` share it."""
 
     def __init__(self, pset: PartitionSet, cache: PairCache, params: EngineParams,
-                 clusters: list[_Cluster]):
+                 clusters: list[_Cluster], mode_memo: dict | None = None):
         self.pset = pset
         self.cache = cache
         self.params = params
         self.clusters = clusters
+        self.mode_memo = {} if mode_memo is None else mode_memo
 
     @property
     def K(self) -> int:
@@ -71,7 +78,7 @@ class EngineState:
     @property
     def total(self) -> float:
         N, S = self.pset.N, self.pset.S
-        sizes = [len(c.members) for c in self.clusters]
+        sizes = [c.members.size for c in self.clusters]
         mode_term = N / S * sum(c.mode_entropy for c in self.clusters)
         cond_term = N / S * sum(c.cond_sum for c in self.clusters)
         label_term = cluster_label_entropy(sizes, S)
@@ -80,13 +87,14 @@ class EngineState:
     def to_clustering(self) -> Clustering:
         assignment = np.empty(self.pset.S, dtype=np.int64)
         for k, c in enumerate(self.clusters):
-            assignment[list(c.members)] = k
+            assignment[c.members] = k
         return Clustering(assignment=assignment,
                           mode_index=[c.mode for c in self.clusters],
                           K=self.K)
 
     def replaced(self, new_clusters: list[_Cluster]) -> "EngineState":
-        return EngineState(self.pset, self.cache, self.params, new_clusters)
+        return EngineState(self.pset, self.cache, self.params, new_clusters,
+                           self.mode_memo)
 
 
 def _sorted_members(cluster_members) -> np.ndarray:
@@ -132,7 +140,10 @@ def find_mode_sampled(cluster_members, pset: PartitionSet, sample_size: int,
     its final score, and completing the current front-runner's score
     gives an upper bound on the minimum.  This never changes the argmin
     (a small slack protects exact score ties) but skips most of the
-    pairwise entropy evaluations in large clusters."""
+    pairwise entropy evaluations in large clusters.
+
+    The function keeps no state; the engine memoizes its result per
+    member set within a run (see ``_find_mode``)."""
     members = _sorted_members(cluster_members)
     c_k = members.size
     if c_k <= sample_size:
@@ -172,16 +183,32 @@ def find_mode_sampled(cluster_members, pset: PartitionSet, sample_size: int,
     return int(arr[winner])
 
 
-def _find_mode(members, pset, cache, params, rng) -> int:
-    if len(members) <= params.exact_mode_threshold:
+def _find_mode(members: np.ndarray, pset, cache, params, rng, memo=None) -> int:
+    """Mode of a sorted int64 member array: the exact search up to
+    ``params.exact_mode_threshold`` members, the sampled search above.
+
+    With a ``memo``, a member set that was searched before gets back the
+    mode stored for it.  The hit still draws the sample the search would
+    have drawn, so the random stream stays aligned with a memo-free run."""
+    if members.size <= params.exact_mode_threshold:
         return find_mode_exact(members, pset, cache)
-    return find_mode_sampled(members, pset, params.mode_sample_size, rng, cache)
-
-
-def _make_cluster(members, pset, cache, params, rng, mode: int | None = None) -> _Cluster:
-    members = tuple(sorted(int(i) for i in members))
+    if memo is None:
+        return find_mode_sampled(members, pset, params.mode_sample_size, rng, cache)
+    key = hashlib.blake2b(members.tobytes(), digest_size=16).digest()
+    mode = memo.get(key)
     if mode is None:
-        mode = _find_mode(members, pset, cache, params, rng)
+        mode = memo[key] = find_mode_sampled(members, pset, params.mode_sample_size,
+                                             rng, cache)
+    elif members.size > params.mode_sample_size:
+        rng.choice(members.size, size=params.mode_sample_size, replace=False)
+    return mode
+
+
+def _make_cluster(members, pset, cache, params, rng, mode: int | None = None,
+                  *, memo: dict | None = None) -> _Cluster:
+    members = _sorted_members(members)
+    if mode is None:
+        mode = _find_mode(members, pset, cache, params, rng, memo)
     cond = float(cache.hmod_given_mode(members, mode).sum())
     return _Cluster(members=members, mode=mode,
                     mode_entropy=cache.entropy(mode), cond_sum=cond)
@@ -197,15 +224,20 @@ def propose_reassign(state: EngineState, rng: np.random.Generator) -> EngineStat
     modes = [c.mode for c in state.clusters]
     dists = cache.hmod_against_modes(p, modes)
     k_to = int(np.argmin(dists))
-    k_from = next(k for k, c in enumerate(state.clusters) if p in c)
+    k_from = next(k for k, c in enumerate(state.clusters)
+                  if (i := np.searchsorted(c.members, p)) < c.members.size
+                  and c.members[i] == p)
     if k_to == k_from:
         return state
+    memo = state.mode_memo
     new = list(state.clusters)
     target = state.clusters[k_to]
-    new[k_to] = _make_cluster(target.members + (p,), pset, cache, params, rng)
-    origin_members = tuple(i for i in state.clusters[k_from].members if i != p)
-    if origin_members:
-        new[k_from] = _make_cluster(origin_members, pset, cache, params, rng)
+    new[k_to] = _make_cluster(np.append(target.members, p), pset, cache, params, rng,
+                              memo=memo)
+    origin = state.clusters[k_from].members
+    if origin.size > 1:
+        new[k_from] = _make_cluster(origin[origin != p], pset, cache, params, rng,
+                                    memo=memo)
     else:
         del new[k_from]
     return state.replaced(new)
@@ -216,26 +248,27 @@ def propose_merge(state: EngineState, rng: np.random.Generator) -> EngineState |
     if state.K < 2:
         return None
     k1, k2 = sorted(int(k) for k in rng.choice(state.K, size=2, replace=False))
-    merged = _make_cluster(state.clusters[k1].members + state.clusters[k2].members,
-                           state.pset, state.cache, state.params, rng)
+    merged = _make_cluster(np.concatenate((state.clusters[k1].members,
+                                           state.clusters[k2].members)),
+                           state.pset, state.cache, state.params, rng,
+                           memo=state.mode_memo)
     new = list(state.clusters)
     new[k1] = merged
     del new[k2]
     return state.replaced(new)
 
 
-def _kmeans_split(members, pset, cache, params, rng):
+def _kmeans_split(members, pset, cache, params, rng, memo):
     """Two-way k-means-style split: two random members seed the parts,
     each member goes to the closer mode, modes are recomputed, repeated
     until the assignment stabilizes or the iteration cap is hit."""
-    members = tuple(sorted(int(i) for i in members))
-    idx = rng.choice(len(members), size=2, replace=False)
-    m1, m2 = members[int(idx[0])], members[int(idx[1])]
-    arr = np.array(members)
+    arr = _sorted_members(members)
+    idx = rng.choice(arr.size, size=2, replace=False)
+    m1, m2 = int(arr[idx[0]]), int(arr[idx[1]])
     assign = None
     for _ in range(params.max_kmeans_iters):
-        d1 = cache.hmod_given_mode(members, m1)
-        d2 = cache.hmod_given_mode(members, m2)
+        d1 = cache.hmod_given_mode(arr, m1)
+        d2 = cache.hmod_given_mode(arr, m2)
         # exact distance ties (common when the cluster holds duplicated
         # partitions) are broken by fresh coin flips each iteration:
         # breaking them all one way collapses the split to a singleton,
@@ -249,24 +282,20 @@ def _kmeans_split(members, pset, cache, params, rng):
         if assign is not None and np.array_equal(side, assign):
             break
         assign = side
-        part1 = tuple(arr[side])
-        part2 = tuple(arr[~side])
-        m1 = _find_mode(part1, pset, cache, params, rng)
-        m2 = _find_mode(part2, pset, cache, params, rng)
-    part1 = tuple(arr[assign])
-    part2 = tuple(arr[~assign])
-    c1 = _make_cluster(part1, pset, cache, params, rng, mode=m1)
-    c2 = _make_cluster(part2, pset, cache, params, rng, mode=m2)
+        m1 = _find_mode(arr[side], pset, cache, params, rng, memo)
+        m2 = _find_mode(arr[~side], pset, cache, params, rng, memo)
+    c1 = _make_cluster(arr[assign], pset, cache, params, rng, mode=m1)
+    c2 = _make_cluster(arr[~assign], pset, cache, params, rng, mode=m2)
     return c1, c2
 
 
 def propose_split(state: EngineState, rng: np.random.Generator) -> EngineState | None:
     """Move 3: split one random cluster into two."""
     k = int(rng.integers(state.K))
-    if len(state.clusters[k].members) < 2:
+    if state.clusters[k].members.size < 2:
         return None
     c1, c2 = _kmeans_split(state.clusters[k].members, state.pset, state.cache,
-                           state.params, rng)
+                           state.params, rng, state.mode_memo)
     new = list(state.clusters)
     new[k] = c1
     new.append(c2)
@@ -279,8 +308,9 @@ def propose_merge_split(state: EngineState, rng: np.random.Generator) -> EngineS
     if state.K < 2:
         return None
     k1, k2 = sorted(int(k) for k in rng.choice(state.K, size=2, replace=False))
-    merged = state.clusters[k1].members + state.clusters[k2].members
-    c1, c2 = _kmeans_split(merged, state.pset, state.cache, state.params, rng)
+    merged = np.concatenate((state.clusters[k1].members, state.clusters[k2].members))
+    c1, c2 = _kmeans_split(merged, state.pset, state.cache, state.params, rng,
+                           state.mode_memo)
     new = list(state.clusters)
     new[k1] = c1
     del new[k2]
@@ -328,6 +358,7 @@ def _initial_state(pset, cache, params, rng) -> EngineState:
 
 
 def _run_once(pset, cache, params, rng, keep_states=False):
+    # each run starts from a new state, and so with an empty mode memo
     state = _initial_state(pset, cache, params, rng)
     trace = []
     accepted_states = []
@@ -339,6 +370,7 @@ def _run_once(pset, cache, params, rng, keep_states=False):
         accepted = candidate is not None and candidate.total < state.total
         if accepted:
             state = candidate
+            state.mode_memo.clear()
             rejections = 0
             if keep_states:
                 accepted_states.append((state.to_clustering(), state.total))

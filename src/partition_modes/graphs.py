@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import atomic_text_file
 from .partitions import Partition, canonicalize
 
 
@@ -100,8 +101,9 @@ def ring_of_cliques(num_cliques: int, clique_size: int) -> tuple[Graph, Partitio
 
 
 def write_edge_list(graph: Graph, path) -> None:
-    """Canonical text output: one 'u v' pair per line, sorted, u < v."""
-    with open(path, "w") as fh:
+    """Canonical text output: one 'u v' pair per line, sorted, u < v.
+    Written atomically: a failure leaves no partial file."""
+    with atomic_text_file(path) as fh:
         fh.write("# %d nodes, %d edges\n" % (graph.N, graph.num_edges))
         for u, v in sorted(graph.edges):
             fh.write("%d %d\n" % (u, v))

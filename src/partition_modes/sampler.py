@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import atomic_text_file
 from .graphs import Graph
 from .partitions import Partition, PartitionSet, canonicalize
 
@@ -39,7 +40,9 @@ def load_partitions(path, expected_N: int | None = None) -> PartitionSet:
 
 
 def write_partitions(pset: PartitionSet, path) -> None:
-    with open(path, "w") as fh:
+    """Write one partition per line, atomically: a failure leaves no
+    partial file."""
+    with atomic_text_file(path) as fh:
         for p in pset.partitions:
             fh.write(" ".join(str(int(x)) for x in p.labels) + "\n")
 

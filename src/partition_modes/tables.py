@@ -19,10 +19,15 @@ from scipy.special import gammaln
 
 _LN2 = math.log(2.0)
 
-# Exact counting is attempted only when the estimated work of the
-# memoized recursion (symmetry-reduced states times per-state branching)
-# stays below this budget; beyond it an estimate takes over.
+# Exact counting is attempted only when ``_cost_estimate`` (memo states
+# times the branching of the widest row) stays below this budget; beyond
+# it an estimate takes over.
 DEFAULT_MAX_COST = 10_000_000
+
+# Work of one inclusion-exclusion term of the closed-form row, in
+# enumerated compositions: fitted on both orientations of 300 timed
+# random margin pairs.
+_CLOSED_FORM_WEIGHT = 64
 
 DEFAULT_ESTIMATOR_SAMPLES = 1000
 
@@ -62,24 +67,47 @@ def _state_estimate(cols) -> float:
 
 
 def _cost_estimate(rows, cols) -> float:
-    """Crude upper bound on elementary recursion steps: states times the
-    branching of the widest row."""
+    """The exact-count budget measure: states times the branching of the
+    widest row.  It models an earlier recursion that enumerated every row
+    but the last, and stays the budget so that each margin pair keeps its
+    exact or estimated path; ``_recursion_cost`` models the current one."""
     if len(rows) <= 1 or len(cols) <= 1:
         return 1.0
     branch = math.comb(max(rows) + len(cols) - 1, len(cols) - 1)
     return _state_estimate(cols) * float(branch)
 
 
+def _recursion_cost(rows, cols) -> float:
+    """Estimated work of ``_count_exact_int``: the compositions
+    enumerated for every row but the two largest, with the states of
+    each level capped by ``_state_estimate``, plus the
+    inclusion-exclusion terms of the closed-form second-to-last row at
+    every state that reaches it."""
+    if len(rows) <= 1 or len(cols) <= 1:
+        return 1.0
+    rows = sorted(rows)
+    k = len(cols)
+    cap = _state_estimate(cols)
+    states, cost = 1.0, 0.0
+    for r in rows[:-2]:
+        branch = math.comb(r + k - 1, k - 1)
+        cost += states * branch
+        states = min(states * branch, cap)
+    terms = math.prod(min(mult, rows[-2] // (value + 1)) + 1
+                      for value, mult in Counter(cols).items())
+    return cost + _CLOSED_FORM_WEIGHT * states * terms
+
+
 def _exact_orientation(rows, cols, max_cost: float):
     """Orient cleaned margins for the exact recursion, or return None
-    when its estimated work exceeds ``max_cost`` either way round.
+    when ``_cost_estimate`` exceeds ``max_cost`` either way round.
 
-    The count is transpose-symmetric, so the orientation with the
-    cheaper state space is taken."""
-    if _cost_estimate(cols, rows) < _cost_estimate(rows, cols):
-        rows, cols = cols, rows
-    if _cost_estimate(rows, cols) > max_cost:
+    The count is transpose-symmetric, so the orientation for which
+    ``_recursion_cost`` predicts less work is taken."""
+    if min(_cost_estimate(rows, cols), _cost_estimate(cols, rows)) > max_cost:
         return None
+    if _recursion_cost(cols, rows) < _recursion_cost(rows, cols):
+        rows, cols = cols, rows
     return rows, cols
 
 

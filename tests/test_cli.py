@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -198,9 +200,46 @@ def test_cluster_outputs_leave_nothing_when_rename_fails(tmp_path, capsys,
     def failing_replace(src, dst):
         raise OSError("rename refused")
 
-    monkeypatch.setattr("partition_modes.cli.os.replace", failing_replace)
+    monkeypatch.setattr("partition_modes.fileio.os.replace", failing_replace)
     rc = main(["cluster", "--partitions", str(path), "--seed", "0",
                flag, str(out_dir / target)])
     assert rc == 1
     assert "rename refused" in capsys.readouterr().err
     assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["generate", "sample"])
+def test_generate_and_sample_leave_nothing_when_rename_fails(tmp_path, capsys,
+                                                             monkeypatch,
+                                                             command):
+    ring = tmp_path / "ring"
+    assert main(["generate", "cliques", "--cliques", "4", "--size", "3",
+                 "--out", str(ring)]) == 0
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = {"generate": ["generate", "cliques", "--cliques", "4", "--size", "3",
+                         "--out", str(out_dir / "ring")],
+            "sample": ["sample", "--graph", str(ring) + ".edges", "--s", "5",
+                       "--out", str(out_dir / "s.txt")]}[command]
+
+    def failing_replace(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr("partition_modes.fileio.os.replace", failing_replace)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert "rename refused" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
+
+
+def test_outputs_get_the_mode_a_plain_open_gives(tmp_path, capsys):
+    ring = tmp_path / "ring"
+    assert main(["generate", "cliques", "--cliques", "4", "--size", "3",
+                 "--out", str(ring)]) == 0
+    (tmp_path / "plain").write_text("")
+
+    def mode(p):
+        return stat.S_IMODE(os.stat(p).st_mode)
+
+    assert mode(str(ring) + ".edges") == mode(str(ring) + ".truth") \
+        == mode(tmp_path / "plain")

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partition_modes import (EngineParams, PairCache, PartitionSet,
                              canonicalize, description_length, find_mode_exact,
                              find_mode_sampled, log2_omega, run, tables)
-from partition_modes.engine import (EngineState, _make_cluster,
+from partition_modes.engine import (_MOVES, EngineState, _find_mode,
+                                    _initial_state, _make_cluster,
                                     propose_merge, propose_reassign,
                                     propose_split)
 from partition_modes.sampler import PerturbationSpec, perturb_ensemble
@@ -250,3 +253,67 @@ def test_run_independent_of_cache_state():
             log2_omega(q.counts, p.counts, max_cost=budget)
     transposed = result(PairCache(pset, max_cost=budget))
     assert cold == warm == reused == transposed
+
+
+def test_mode_memo_hit_returns_stored_mode_and_keeps_rng_aligned():
+    rng = np.random.default_rng(6)
+    pset = PartitionSet.from_partitions(
+        [random_partition(20, 4, rng) for _ in range(50)])
+    cache = PairCache(pset)
+    params = EngineParams()
+    members = np.arange(3, 50, dtype=np.int64)   # above both thresholds
+    fresh_rng = np.random.default_rng(11)
+    fresh = find_mode_sampled(members, pset, params.mode_sample_size, fresh_rng,
+                              cache)
+    memo = {}
+    assert _find_mode(members, pset, cache, params, np.random.default_rng(11),
+                      memo) == fresh
+    assert list(memo.values()) == [fresh]
+    # a hit hands back whatever was stored and draws what the search draws
+    (key,) = memo
+    memo[key] = 7
+    hit_rng = np.random.default_rng(11)
+    assert _find_mode(members, pset, cache, params, hit_rng, memo) == 7
+    assert hit_rng.bit_generator.state == fresh_rng.bit_generator.state
+    # exact searches are not memoized
+    _find_mode(members[:params.exact_mode_threshold], pset, cache, params,
+               hit_rng, memo)
+    assert len(memo) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_proposals_keep_members_sorted_and_total_consistent(data):
+    # a small pool of distinct partitions, so contents repeat, and low
+    # thresholds, so clusters of a few members take the sampled (and
+    # memoized) mode search
+    N = data.draw(st.integers(2, 10), label="N")
+    S = data.draw(st.integers(2, 30), label="S")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    pool = [random_partition(N, 4, rng) for _ in range(data.draw(st.integers(1, 8)))]
+    pset = PartitionSet.from_partitions(
+        [pool[i] for i in rng.integers(len(pool), size=S)])
+    params = EngineParams(lam=data.draw(st.sampled_from([0.0, 1.0])),
+                          k0=data.draw(st.integers(1, 4)),
+                          mode_sample_size=data.draw(st.integers(1, 4)),
+                          exact_mode_threshold=data.draw(st.integers(0, 3)))
+    cache = PairCache(pset)
+    state = _initial_state(pset, cache, params, rng)
+    moves = data.draw(st.lists(st.integers(0, len(_MOVES) - 1), min_size=1,
+                               max_size=12), label="moves")
+    for move in moves:
+        candidate = _MOVES[move](state, rng)
+        if candidate is None:
+            continue
+        for c in candidate.clusters:
+            assert c.members.dtype == np.int64
+            assert np.all(np.diff(c.members) > 0)
+            assert c.mode in c.members
+        assert np.array_equal(np.sort(np.concatenate(
+            [c.members for c in candidate.clusters])), np.arange(S))
+        fresh = description_length(pset, candidate.to_clustering(), lam=params.lam)
+        assert candidate.total == pytest.approx(fresh.total, abs=1e-9)
+        # walk through every proposal, emptying the memo as an accepted
+        # move does
+        state = candidate
+        state.mode_memo.clear()

@@ -9,7 +9,8 @@ from partition_modes import (count_tables_exact, count_tables_estimate,
                              count_tables_gaussian, log2_omega, tables)
 from partition_modes.tables import (DEFAULT_MAX_COST, _clean_margins,
                                     _cost_estimate, _count_exact_int,
-                                    _exact_orientation, _log2_int)
+                                    _exact_orientation, _log2_int,
+                                    _recursion_cost)
 
 from conftest import (brute_force_table_count, margin_vectors,
                       reference_count_exact)
@@ -178,3 +179,25 @@ def test_exact_counter_matches_reference(margins, pad):
         assert log2_omega(c[::-1], r, max_cost=max_cost) == val
         if max_cost:
             assert val == _log2_int(expect)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_margin_pairs(), st.sampled_from([0, 1e3, 1e5, DEFAULT_MAX_COST]))
+def test_exact_orientation_keeps_budget_and_takes_cheaper_recursion(margins,
+                                                                    max_cost):
+    rows, cols = _clean_margins(*margins)
+    oriented = _exact_orientation(rows, cols, max_cost)
+    # the budget decision is the cost estimate's, whichever way round
+    within = min(_cost_estimate(rows, cols), _cost_estimate(cols, rows)) <= max_cost
+    assert (oriented is not None) == within
+    if oriented is not None:
+        assert oriented in ((rows, cols), (cols, rows))
+        assert _recursion_cost(*oriented) <= _recursion_cost(*oriented[::-1])
+
+
+def test_exact_orientation_enumerates_the_small_rows():
+    # counted this way round, the two enumerated rows are the 6s; the
+    # other way round they are two 12s over four columns, about 16x slower
+    rows, cols = _exact_orientation([12, 12, 12, 12], [6, 6, 12, 24],
+                                    DEFAULT_MAX_COST)
+    assert sorted(rows) == [6, 6, 12, 24]
