@@ -7,6 +7,11 @@ accepting a proposal only if it strictly decreases the penalized
 description length.  Stops after a fixed number of consecutive
 rejections.
 
+The k-means split works on the distinct contents of a cluster: its two
+seeds differ in content, every copy of a partition goes to the same
+part, and each part keeps its mode's content, so the two modes never
+coincide.  A cluster of one content is not split at all.
+
 Each cluster holds its members as a sorted int64 array.  While the
 state does not change, the search keeps proposing moves that rebuild
 the same clusters (at K=2 every merge proposal forms the same merged
@@ -45,7 +50,8 @@ class EngineParams:
 
     def __post_init__(self):
         if self.lam < 0 or self.k0 < 1 or self.mode_sample_size < 1 \
-                or self.patience < 1 or self.restarts < 1:
+                or self.patience < 1 or self.restarts < 1 \
+                or self.max_kmeans_iters < 1 or self.exact_mode_threshold < 0:
             raise ValueError("invalid engine parameters")
 
 
@@ -259,45 +265,63 @@ def propose_merge(state: EngineState, rng: np.random.Generator) -> EngineState |
 
 
 def _kmeans_split(members, pset, cache, params, rng, memo):
-    """Two-way k-means-style split: two random members seed the parts,
-    each member goes to the closer mode, modes are recomputed, repeated
-    until the assignment stabilizes or the iteration cap is hit."""
+    """Two-way k-means-style split over the distinct contents of a
+    cluster, or None when the cluster holds a single content: two equal
+    modes cannot lower the description length, since the label entropy,
+    the mode entropy and the penalty all grow.
+
+    Two random members seed the parts; when they share a content, the
+    second seed is redrawn among the members of the other contents.
+    Each iteration sends every content, with all its copies, to the
+    part with the closer mode.  An exact distance tie gets one coin per
+    content: with the modes fixed the label entropy is concave in how
+    the copies are divided, so keeping them together is never worse
+    than dividing them.  Each mode's content stays in its own part, the
+    modes are recomputed, and the loop ends when the content assignment
+    repeats or after ``params.max_kmeans_iters`` iterations.
+
+    The two parts never share a content and each mode is a member of
+    its part, so the two modes never coincide: the loop cannot stall on
+    two halves of one content that both pick it as their mode."""
     arr = _sorted_members(members)
-    idx = rng.choice(arr.size, size=2, replace=False)
-    m1, m2 = int(arr[idx[0]]), int(arr[idx[1]])
+    contents, inverse = np.unique(cache.cid[arr], return_inverse=True)
+    if contents.size == 1:
+        return None
+    reps = cache.rep[contents]
+    i1, i2 = (int(i) for i in rng.choice(arr.size, size=2, replace=False))
+    if inverse[i1] == inverse[i2]:
+        others = np.flatnonzero(inverse != inverse[i1])
+        i2 = int(others[rng.integers(others.size)])
+    m1, m2 = int(arr[i1]), int(arr[i2])
     assign = None
     for _ in range(params.max_kmeans_iters):
-        d1 = cache.hmod_given_mode(arr, m1)
-        d2 = cache.hmod_given_mode(arr, m2)
-        # exact distance ties (common when the cluster holds duplicated
-        # partitions) are broken by fresh coin flips each iteration:
-        # breaking them all one way collapses the split to a singleton,
-        # and a frozen choice can freeze a mixed half-and-half split
-        # when the two provisional modes are equal as partitions
+        d1 = cache.hmod_given_mode(reps, m1)
+        d2 = cache.hmod_given_mode(reps, m2)
         side = d1 < d2
         ties = d1 == d2
         side[ties] = rng.random(int(ties.sum())) < 0.5
-        side[arr == m1] = True   # modes stay in their own part
-        side[arr == m2] = False
+        side[np.searchsorted(contents, cache.cid[m1])] = True
+        side[np.searchsorted(contents, cache.cid[m2])] = False
         if assign is not None and np.array_equal(side, assign):
             break
         assign = side
-        m1 = _find_mode(arr[side], pset, cache, params, rng, memo)
-        m2 = _find_mode(arr[~side], pset, cache, params, rng, memo)
-    c1 = _make_cluster(arr[assign], pset, cache, params, rng, mode=m1)
-    c2 = _make_cluster(arr[~assign], pset, cache, params, rng, mode=m2)
+        part = assign[inverse]
+        m1 = _find_mode(arr[part], pset, cache, params, rng, memo)
+        m2 = _find_mode(arr[~part], pset, cache, params, rng, memo)
+    c1 = _make_cluster(arr[part], pset, cache, params, rng, mode=m1)
+    c2 = _make_cluster(arr[~part], pset, cache, params, rng, mode=m2)
     return c1, c2
 
 
 def propose_split(state: EngineState, rng: np.random.Generator) -> EngineState | None:
     """Move 3: split one random cluster into two."""
     k = int(rng.integers(state.K))
-    if state.clusters[k].members.size < 2:
+    parts = _kmeans_split(state.clusters[k].members, state.pset, state.cache,
+                          state.params, rng, state.mode_memo)
+    if parts is None:
         return None
-    c1, c2 = _kmeans_split(state.clusters[k].members, state.pset, state.cache,
-                           state.params, rng, state.mode_memo)
     new = list(state.clusters)
-    new[k] = c1
+    new[k], c2 = parts
     new.append(c2)
     return state.replaced(new)
 
@@ -309,10 +333,12 @@ def propose_merge_split(state: EngineState, rng: np.random.Generator) -> EngineS
         return None
     k1, k2 = sorted(int(k) for k in rng.choice(state.K, size=2, replace=False))
     merged = np.concatenate((state.clusters[k1].members, state.clusters[k2].members))
-    c1, c2 = _kmeans_split(merged, state.pset, state.cache, state.params, rng,
-                           state.mode_memo)
+    parts = _kmeans_split(merged, state.pset, state.cache, state.params, rng,
+                          state.mode_memo)
+    if parts is None:
+        return None
     new = list(state.clusters)
-    new[k1] = c1
+    new[k1], c2 = parts
     del new[k2]
     new.append(c2)
     return state.replaced(new)

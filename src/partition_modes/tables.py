@@ -57,12 +57,21 @@ def _clean_margins(row_sums, col_sums):
     return rows, cols
 
 
+def _saturating_float(x: int) -> float:
+    """float(x) for a non-negative integer, or inf past the float range,
+    so that a cost too large to represent exceeds every budget."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
 def _state_estimate(cols) -> float:
     """Upper bound on memo states: product of (b_j + 1), with equal columns
     collapsed to sorted multisets."""
     est = 1.0
     for value, mult in Counter(cols).items():
-        est *= math.comb(value + mult, mult)
+        est *= _saturating_float(math.comb(value + mult, mult))
     return est
 
 
@@ -74,7 +83,7 @@ def _cost_estimate(rows, cols) -> float:
     if len(rows) <= 1 or len(cols) <= 1:
         return 1.0
     branch = math.comb(max(rows) + len(cols) - 1, len(cols) - 1)
-    return _state_estimate(cols) * float(branch)
+    return _state_estimate(cols) * _saturating_float(branch)
 
 
 def _recursion_cost(rows, cols) -> float:
@@ -90,12 +99,12 @@ def _recursion_cost(rows, cols) -> float:
     cap = _state_estimate(cols)
     states, cost = 1.0, 0.0
     for r in rows[:-2]:
-        branch = math.comb(r + k - 1, k - 1)
+        branch = _saturating_float(math.comb(r + k - 1, k - 1))
         cost += states * branch
         states = min(states * branch, cap)
     terms = math.prod(min(mult, rows[-2] // (value + 1)) + 1
                       for value, mult in Counter(cols).items())
-    return cost + _CLOSED_FORM_WEIGHT * states * terms
+    return cost + _CLOSED_FORM_WEIGHT * states * _saturating_float(terms)
 
 
 def _exact_orientation(rows, cols, max_cost: float):
@@ -144,9 +153,20 @@ def _count_exact_int(rows, cols) -> int:
     remaining column sums, and the second-to-last is counted in closed
     form by ``_bounded_compositions`` under the remaining column caps,
     so the two largest rows, whose compositions are the most numerous,
-    are never enumerated; only the small rows branch."""
+    are never enumerated; only the small rows branch.
+
+    When every row (or column) sum is 1, each unit row picks the column
+    of its one entry, and the count is the multinomial coefficient
+    N! / prod(c!) over the other margin."""
     if len(rows) <= 1 or len(cols) <= 1:
         return 1
+    if max(cols) == 1:
+        rows, cols = cols, rows
+    if max(rows) == 1:
+        count = math.factorial(sum(rows))
+        for c in cols:
+            count //= math.factorial(c)
+        return count
     rows = sorted(rows)
     n_rows = len(rows)
     memo: dict = {}

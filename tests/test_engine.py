@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partition_modes import (EngineParams, PairCache, PartitionSet,
-                             canonicalize, description_length, find_mode_exact,
-                             find_mode_sampled, log2_omega, run, tables)
+                             canonicalize, description_length, engine,
+                             find_mode_exact, find_mode_sampled, log2_omega,
+                             run, tables)
 from partition_modes.engine import (_MOVES, EngineState, _find_mode,
-                                    _initial_state, _make_cluster,
-                                    propose_merge, propose_reassign,
-                                    propose_split)
+                                    _initial_state, _kmeans_split,
+                                    _make_cluster, propose_merge,
+                                    propose_reassign, propose_split)
 from partition_modes.sampler import PerturbationSpec, perturb_ensemble
 
 from conftest import random_partition
@@ -31,6 +32,11 @@ def test_engine_params_validation():
         EngineParams(k0=0)
     with pytest.raises(ValueError):
         EngineParams(patience=0)
+    with pytest.raises(ValueError):
+        EngineParams(max_kmeans_iters=0)
+    with pytest.raises(ValueError):
+        EngineParams(exact_mode_threshold=-1)
+    EngineParams(max_kmeans_iters=1, exact_mode_threshold=0)
 
 
 def test_find_mode_singleton_and_ties():
@@ -113,10 +119,13 @@ def test_propose_split_identical_cluster_rejected():
     params = EngineParams(lam=1.0)
     cache = PairCache(pset)
     state = _state_from_assignment(pset, cache, params, [0] * 10)
-    candidate = propose_split(state, np.random.default_rng(0))
-    assert candidate.K == 2
-    # conditional cost unchanged, penalty and label entropy grow
-    assert candidate.total > state.total
+    # a cluster of one content is not split at all ...
+    assert propose_split(state, np.random.default_rng(0)) is None
+    # ... since any such split costs more: conditional cost unchanged,
+    # penalty and label entropy grow
+    halves = _state_from_assignment(pset, cache, params, [0] * 5 + [1] * 5)
+    assert halves.total > state.total
+    assert run(pset, params).clustering.K == 1
 
 
 def test_propose_split_skips_singleton():
@@ -317,3 +326,64 @@ def test_proposals_keep_members_sorted_and_total_consistent(data):
         # move does
         state = candidate
         state.mode_memo.clear()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kmeans_split_keeps_every_content_on_one_side(data):
+    N = data.draw(st.integers(2, 10), label="N")
+    S = data.draw(st.integers(1, 30), label="S")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    pool = [random_partition(N, 4, rng) for _ in range(data.draw(st.integers(1, 6)))]
+    pset = PartitionSet.from_partitions(
+        [pool[i] for i in rng.integers(len(pool), size=S)])
+    params = EngineParams(mode_sample_size=data.draw(st.integers(1, 4)),
+                          exact_mode_threshold=data.draw(st.integers(0, 3)),
+                          max_kmeans_iters=data.draw(st.integers(1, 4)))
+    cache = PairCache(pset)
+    members = np.sort(rng.choice(S, size=data.draw(st.integers(1, S)), replace=False))
+    parts = _kmeans_split(members, pset, cache, params, rng, {})
+    if len(set(cache.cid[members].tolist())) == 1:
+        assert parts is None
+        return
+    for c in parts:
+        assert c.members.size > 0
+        assert c.mode in c.members
+    c1, c2 = parts
+    assert np.array_equal(np.sort(np.concatenate((c1.members, c2.members))), members)
+    assert not set(cache.cid[c1.members].tolist()) & set(cache.cid[c2.members].tolist())
+
+
+def test_kmeans_split_modes_never_coincide(monkeypatch):
+    # one base, lightly perturbed and repeated: a few contents with many
+    # copies each, so both seeds often land on the dominant content
+    base = canonicalize(np.repeat(np.arange(4), 5))
+    spec = PerturbationSpec(bases=[(base, 1.0)], node_flip_rate=0.05, S=50, seed=3)
+    pset_once, _ = perturb_ensemble(spec)
+    pset = PartitionSet.from_partitions(pset_once.partitions * 4)
+    cache = PairCache(pset)
+    # every part takes the sampled search, and without a memo every
+    # iteration searches both parts, so the searches come in pairs
+    params = EngineParams(exact_mode_threshold=0, mode_sample_size=5)
+    searches = []
+
+    def counting(members, pset, sample_size, rng, cache):
+        mode = find_mode_sampled(members, pset, sample_size, rng, cache)
+        searches.append(mode)
+        return mode
+
+    monkeypatch.setattr(engine, "find_mode_sampled", counting)
+    members = np.arange(pset.S)
+    shared_seeds = 0
+    for seed in range(20):
+        i, j = np.random.default_rng(seed).choice(pset.S, size=2, replace=False)
+        shared_seeds += cache.cid[i] == cache.cid[j]
+        searches.clear()
+        c1, c2 = _kmeans_split(members, pset, cache, params,
+                               np.random.default_rng(seed), None)
+        assert len(searches) % 2 == 0
+        pairs = list(zip(searches[::2], searches[1::2]))
+        assert all(cache.cid[a] != cache.cid[b] for a, b in pairs)
+        assert len(pairs) < params.max_kmeans_iters
+        assert (c1.mode, c2.mode) == pairs[-1]
+    assert shared_seeds > 0

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from partition_modes import (count_tables_exact, count_tables_estimate,
-                             count_tables_gaussian, log2_omega, tables)
+from partition_modes import (EngineParams, PartitionSet, canonicalize,
+                             count_tables_exact, count_tables_estimate,
+                             count_tables_gaussian, log2_omega, run, tables)
 from partition_modes.tables import (DEFAULT_MAX_COST, _clean_margins,
                                     _cost_estimate, _count_exact_int,
                                     _exact_orientation, _log2_int,
@@ -131,6 +132,38 @@ def test_log2_omega_dispatch():
     assert val == pytest.approx(count_tables_gaussian(big, big))
     # cached result is stable
     assert log2_omega(big, big) == val
+
+
+def test_exact_unit_margins_are_multinomial():
+    # a margin of unit sums is counted in closed form, either way round
+    # and with zero rows and columns passing through
+    for rows, cols in (([1] * 7, [3, 2, 2]), ([1] * 5, [1] * 5), ([4, 1], [1] * 5)):
+        expect = reference_count_exact(rows, cols)
+        assert _count_exact_int(rows, cols) == expect
+        assert _count_exact_int(cols + [0], [0] + rows) == expect
+    # far beyond what the row-by-row recursion could reach
+    assert count_tables_exact([1] * 1000, [1] * 1000) == pytest.approx(
+        math.log2(math.factorial(1000)))
+
+
+def test_log2_omega_saturates_costs_past_the_float_range():
+    # the composition count of a row of 500 over 1000 columns passes the
+    # float range: that orientation's cost saturates to inf, and the
+    # transposed one is within budget, so the count stays exact
+    assert _cost_estimate([500, 500], [1] * 1000) == math.inf
+    assert log2_omega([500, 500], [1] * 1000) == pytest.approx(
+        math.log2(math.comb(1000, 500)))
+    # both orientations saturate: the pair takes the estimate
+    wide = [600] + [1] * 600
+    assert _cost_estimate(wide, wide) == math.inf
+    assert log2_omega(wide, wide) == count_tables_gaussian(wide, wide)
+
+
+def test_run_completes_on_singletons_and_halves():
+    singletons = canonicalize(np.arange(1000))
+    halves = canonicalize(np.arange(1000) // 500)
+    res = run(PartitionSet.from_partitions([singletons, halves]), EngineParams())
+    assert np.isfinite(res.breakdown.total)
 
 
 def test_log2_omega_margin_order_invariance():
