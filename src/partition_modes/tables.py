@@ -129,6 +129,8 @@ def _bounded_compositions(a: int, caps: tuple) -> int:
     k-1).  Equal caps are grouped, so a term chooses how many of each
     value exceed, and a subset whose excess passes ``a`` adds nothing."""
     groups = sorted(Counter(c for c in caps if c > 0).items())
+    if not groups:
+        return int(a == 0)
     k1 = sum(m for _, m in groups) - 1
 
     def terms(g: int, rem: int, coef: int) -> int:

@@ -194,6 +194,7 @@ def _margin_pairs(draw):
 @example(([14, 10, 9, 3, 20, 12, 13], [37, 13, 31]), 0)
 @example(([10], [3, 0, 3, 4]), 2)
 @example(([0, 0], [0]), 1)
+@example(([0], [0]), 2)
 def test_exact_counter_matches_reference(margins, pad):
     r, c = margins
     oriented = _exact_orientation(*_clean_margins(r, c), DEFAULT_MAX_COST)
