@@ -130,41 +130,34 @@ class PairCache:
 
     def hmod_given_mode(self, q_indices, m_idx: int) -> np.ndarray:
         """H_mod(q | m) for many q against one fixed mode m."""
-        m_cid = int(self.cid[m_idx])
-        q_cids = self.cid[np.asarray(q_indices, dtype=np.int64)]
-        row = self._by_mode.get(m_cid)
-        if row is None:
-            row = np.full(self.n_cid, np.nan)
-            self._by_mode[m_cid] = row
-        vals = row[q_cids]
-        unset = np.isnan(vals)
-        if unset.any():
-            missing = np.flatnonzero(np.bincount(q_cids[unset], minlength=self.n_cid))
-            row[missing] = self._compute_block(np.full(missing.size, m_idx),
-                                               self.rep[missing],
-                                               fixed="mode")
-            vals = row[q_cids]
-        return vals
+        return self._row_lookup(self._by_mode, m_idx, q_indices, "mode")
 
     def hmod_against_modes(self, q_idx: int, m_indices) -> np.ndarray:
         """H_mod(q | m) for one fixed q against many candidate modes m."""
-        q_cid = int(self.cid[q_idx])
-        m_cids = self.cid[np.asarray(m_indices, dtype=np.int64)]
-        row = self._by_sample.get(q_cid)
-        if row is None:
-            row = np.full(self.n_cid, np.nan)
-            self._by_sample[q_cid] = row
-        vals = row[m_cids]
-        unset = np.isnan(vals)
-        if unset.any():
-            missing = np.flatnonzero(np.bincount(m_cids[unset], minlength=self.n_cid))
-            row[missing] = self._compute_block(self.rep[missing],
-                                               np.full(missing.size, q_idx),
-                                               fixed="q")
-            vals = row[m_cids]
-        return vals
+        return self._row_lookup(self._by_sample, q_idx, m_indices, "q")
 
     # -- internals ---------------------------------------------------------
+
+    def _row_lookup(self, rows: dict, fixed_idx: int, var_indices,
+                    fixed: str) -> np.ndarray:
+        """Cells of the fixed partition's row in ``rows`` at the varying
+        partitions; the unset cells are computed in one batch, each
+        distinct content once."""
+        fixed_cid = int(self.cid[fixed_idx])
+        var_cids = self.cid[np.asarray(var_indices, dtype=np.int64)]
+        row = rows.get(fixed_cid)
+        if row is None:
+            row = rows[fixed_cid] = np.full(self.n_cid, np.nan)
+        vals = row[var_cids]
+        unset = np.isnan(vals)
+        if unset.any():
+            missing = np.flatnonzero(np.bincount(var_cids[unset], minlength=self.n_cid))
+            pinned = np.full(missing.size, fixed_idx)
+            varying = self.rep[missing]
+            row[missing] = (self._compute_block(pinned, varying, fixed) if fixed == "mode"
+                            else self._compute_block(varying, pinned, fixed))
+            vals = row[var_cids]
+        return vals
 
     def _compute_block(self, m_indices, q_indices, fixed: str) -> np.ndarray:
         """Vectorized H_mod for pairs where one side is a single fixed

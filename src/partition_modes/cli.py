@@ -11,6 +11,7 @@ import sys
 import numpy as np
 
 from . import graphs, sampler
+from .cache import PairCache
 from .engine import EngineParams, run
 from .fileio import atomic_text_file
 from .objective import Clustering, description_length, full_description_length
@@ -107,8 +108,11 @@ def cmd_describe(args) -> int:
         if stored != pset.partitions[m]:
             raise ValueError("mode %d does not match the ensemble" % k)
     lam = args.lam if args.lam is not None else float(data.get("lambda", 1.0))
-    breakdown = description_length(pset, clustering, lam=lam)
-    exact = full_description_length(pset, clustering)
+    # the Omega budget the clustering was scored with
+    max_cost = float(data.get("omega_max_cost", DEFAULT_MAX_COST))
+    breakdown = description_length(pset, clustering, lam=lam,
+                                   cache=PairCache(pset, max_cost=max_cost))
+    exact = full_description_length(pset, clustering, max_cost=max_cost)
     print(json.dumps({"objective": breakdown.to_json_dict(),
                       "exact_encoding": exact}, indent=2))
     return 0

@@ -43,7 +43,6 @@ class EngineParams:
     mode_sample_size: int = 30
     patience: int = 100
     seed: int = 0
-    exact_mode_threshold: int = 30
     max_kmeans_iters: int = 30
     restarts: int = 1
     omega_max_cost: float = DEFAULT_MAX_COST
@@ -51,7 +50,7 @@ class EngineParams:
     def __post_init__(self):
         if self.lam < 0 or self.k0 < 1 or self.mode_sample_size < 1 \
                 or self.patience < 1 or self.restarts < 1 \
-                or self.max_kmeans_iters < 1 or self.exact_mode_threshold < 0:
+                or self.max_kmeans_iters < 1:
             raise ValueError("invalid engine parameters")
 
 
@@ -123,80 +122,54 @@ def _distinct_candidates(members: np.ndarray, cache):
     return members[first[order]], counts[order]
 
 
+def _weighted_argmin(candidates: np.ndarray, terms: np.ndarray, weights,
+                     cache: PairCache) -> int:
+    """The candidate p minimizing H(p) + sum_j weights[j] H_mod(terms[j] | p),
+    with one ``hmod_against_modes`` row per term.  Candidates come in
+    increasing partition-index order, so argmin keeps the lowest-index
+    tie-break."""
+    scores = cache.entropies(candidates)
+    for q, w in zip(terms, weights):
+        scores += w * cache.hmod_against_modes(q, candidates)
+    return int(candidates[int(np.argmin(scores))])
+
+
 def find_mode_exact(cluster_members, pset: PartitionSet, cache: PairCache) -> int:
     """Member partition minimizing H(p) + sum_q H_mod(q | p) over the
-    whole cluster; ties broken by lowest partition index."""
-    members = _sorted_members(cluster_members)
-    reps, counts = _distinct_candidates(members, cache)
-    scores = cache.entropies(reps)
-    for rep_q, cnt in zip(reps, counts):
-        scores += cnt * cache.hmod_against_modes(rep_q, reps)
-    return int(reps[int(np.argmin(scores))])
+    whole cluster; ties broken by lowest partition index.  Each distinct
+    content is scored once and weighs as many times as it occurs."""
+    reps, counts = _distinct_candidates(_sorted_members(cluster_members), cache)
+    return _weighted_argmin(reps, reps, counts, cache)
 
 
 def find_mode_sampled(cluster_members, pset: PartitionSet, sample_size: int,
                       rng: np.random.Generator, cache: PairCache) -> int:
-    """Monte Carlo mode estimate: score candidates against a random
+    """Monte Carlo mode estimate: score every member against a random
     sample X of cluster members (without replacement), scaled by the
-    cluster size.  Falls back to the exact search when the cluster fits
-    inside the sample.
-
-    Candidates are eliminated early by branch and bound: each H_mod term
-    is non-negative, so a candidate's partial sum is a lower bound on
-    its final score, and completing the current front-runner's score
-    gives an upper bound on the minimum.  This never changes the argmin
-    (a small slack protects exact score ties) but skips most of the
-    pairwise entropy evaluations in large clusters.
+    cluster size: the argmin of H(p) + |C|/|X| sum_{q in X} H_mod(q | p).
+    Falls back to the exact search when the cluster fits inside the
+    sample.
 
     The function keeps no state; the engine memoizes its result per
     member set within a run (see ``_find_mode``)."""
     members = _sorted_members(cluster_members)
-    c_k = members.size
-    if c_k <= sample_size:
+    if members.size <= sample_size:
         return find_mode_exact(members, pset, cache)
     sample = rng.choice(members, size=sample_size, replace=False)
-    arr, _ = _distinct_candidates(members, cache)
-    sample_reps, sample_counts = _distinct_candidates(np.sort(sample), cache)
-    ent = cache.entropies(arr)
-    scores = ent.copy()
-    scale = c_k / sample_size
-    weights = scale * np.asarray(sample_counts, dtype=np.float64)
-    n_terms = len(sample_reps)
-    # per-candidate lower bound on every sample term: H_mod(q | p) is at
-    # least (H(q) - H(p))+ plus the table-count cost, which depends only
-    # on the margin signatures and is shared across candidates; suffix
-    # sums of these bound the not-yet-added part of each score
-    sample_ent = cache.entropies(sample_reps)
-    gap = np.maximum(0.0, sample_ent[None, :] - ent[:, None])
-    table = cache._omega_block(np.repeat(arr, n_terms),
-                               np.tile(sample_reps, arr.size))
-    table = table.reshape(arr.size, n_terms) / pset.N
-    suffix = np.zeros((arr.size, n_terms + 1))
-    suffix[:, :n_terms] = weights * (gap + table)
-    suffix = np.cumsum(suffix[:, ::-1], axis=1)[:, ::-1]
-    alive = np.arange(arr.size)
-    for j, rep_q in enumerate(sample_reps):
-        scores[alive] += weights[j] * cache.hmod_against_modes(rep_q, arr[alive])
-        if j + 1 < n_terms and alive.size > 1:
-            low = scores[alive] + suffix[alive, j + 1]
-            leader = alive[int(np.argmin(low))]
-            rest = cache.hmod_given_mode(sample_reps[j + 1:], int(arr[leader]))
-            bound = float(scores[leader] + weights[j + 1:] @ rest)
-            alive = alive[low <= bound + 1e-9]
-    # candidates are in increasing partition-index order, so argmin over the
-    # surviving candidates keeps the lowest-index tie-break
-    winner = alive[int(np.argmin(scores[alive]))]
-    return int(arr[winner])
+    candidates, _ = _distinct_candidates(members, cache)
+    terms, counts = _distinct_candidates(np.sort(sample), cache)
+    weights = members.size / sample_size * np.asarray(counts, dtype=np.float64)
+    return _weighted_argmin(candidates, terms, weights, cache)
 
 
 def _find_mode(members: np.ndarray, pset, cache, params, rng, memo=None) -> int:
     """Mode of a sorted int64 member array: the exact search up to
-    ``params.exact_mode_threshold`` members, the sampled search above.
+    ``params.mode_sample_size`` members, the sampled search above.
 
     With a ``memo``, a member set that was searched before gets back the
     mode stored for it.  The hit still draws the sample the search would
     have drawn, so the random stream stays aligned with a memo-free run."""
-    if members.size <= params.exact_mode_threshold:
+    if members.size <= params.mode_sample_size:
         return find_mode_exact(members, pset, cache)
     if memo is None:
         return find_mode_sampled(members, pset, params.mode_sample_size, rng, cache)
@@ -205,7 +178,7 @@ def _find_mode(members: np.ndarray, pset, cache, params, rng, memo=None) -> int:
     if mode is None:
         mode = memo[key] = find_mode_sampled(members, pset, params.mode_sample_size,
                                              rng, cache)
-    elif members.size > params.mode_sample_size:
+    else:
         rng.choice(members.size, size=params.mode_sample_size, replace=False)
     return mode
 
@@ -358,11 +331,13 @@ class ClusteringResult:
     trace: list
     lam: float
     accepted_states: list = field(default_factory=list)
+    omega_max_cost: float = DEFAULT_MAX_COST
 
     def to_json_dict(self) -> dict:
         return {
             "K": self.clustering.K,
             "lambda": self.lam,
+            "omega_max_cost": float(self.omega_max_cost),
             "weights": [float(w) for w in self.weights],
             "modes": [[int(x) for x in m.labels] for m in self.modes],
             "assignment": [int(a) for a in self.clustering.assignment],
@@ -436,4 +411,5 @@ def run(pset: PartitionSet, params: EngineParams | None = None,
         trace=trace,
         lam=params.lam,
         accepted_states=accepted,
+        omega_max_cost=cache.max_cost,
     )

@@ -53,7 +53,6 @@ class PartitionSet:
 
     partitions: list[Partition]
     N: int
-    _matrix: np.ndarray | None = field(default=None, repr=False)
     _keys: list[bytes] | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -72,12 +71,6 @@ class PartitionSet:
     @property
     def S(self) -> int:
         return len(self.partitions)
-
-    def matrix(self) -> np.ndarray:
-        """All label vectors stacked as an (S, N) array."""
-        if self._matrix is None:
-            self._matrix = np.stack([p.labels for p in self.partitions])
-        return self._matrix
 
     def key(self, i: int) -> bytes:
         if self._keys is None:

@@ -147,15 +147,53 @@ def _bounded_compositions(a: int, caps: tuple) -> int:
     return terms(0, a, 1)
 
 
+def _row_remainders(a: int, cols: tuple):
+    """Yield, as a sorted tuple, the column sums left after each way of
+    taking a row of sum ``a`` from ``cols`` (entry j at most cols[j]).
+
+    The compositions are enumerated in lexicographic order by an
+    odometer over the entries, with no recursion, so the depth does not
+    grow with the number of columns."""
+    k = len(cols)
+    suffix = [0] * (k + 1)
+    for j in range(k - 1, -1, -1):
+        suffix[j] = suffix[j + 1] + cols[j]
+    left = list(cols)       # column sums left after the current entries
+    rem = [0] * k           # rem[j]: the part of ``a`` for entries j..k-1
+    rem[0] = a
+    j = 0
+    while True:
+        # entries j..k-2 take the least that still lets the later ones
+        # hold the rest; the last entry takes what remains
+        for i in range(j, k - 1):
+            t = max(0, rem[i] - suffix[i + 1])
+            left[i] = cols[i] - t
+            rem[i + 1] = rem[i] - t
+        left[k - 1] = cols[k - 1] - rem[k - 1]
+        yield tuple(sorted(left))
+        # raise the rightmost entry that can grow: below its column sum
+        # with some of the row left for the entries after it
+        j = k - 2
+        while j >= 0 and (left[j] == 0 or rem[j + 1] == 0):
+            j -= 1
+        if j < 0:
+            return
+        left[j] -= 1
+        rem[j + 1] -= 1
+        j += 1
+
+
 def _count_exact_int(rows, cols) -> int:
-    """Exact count by row-by-row recursion over remaining column sums,
-    memoized on (row index, sorted remaining columns).
+    """Exact count by taking rows one at a time from the remaining column
+    sums, level by level, with the ways to reach each state keyed by
+    (row index, sorted remaining columns).
 
     Rows are taken in ascending order.  The last row is forced by the
     remaining column sums, and the second-to-last is counted in closed
     form by ``_bounded_compositions`` under the remaining column caps,
     so the two largest rows, whose compositions are the most numerous,
-    are never enumerated; only the small rows branch.
+    are never enumerated; only the small rows branch.  Nothing recurses
+    per row or per column, so wide and tall tables are counted too.
 
     When every row (or column) sum is 1, each unit row picks the column
     of its one entry, and the count is the multinomial coefficient
@@ -170,44 +208,17 @@ def _count_exact_int(rows, cols) -> int:
             count //= math.factorial(c)
         return count
     rows = sorted(rows)
-    n_rows = len(rows)
-    memo: dict = {}
-
-    def rec(i: int, cols_t: tuple) -> int:
-        key = (i, cols_t)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if i == n_rows - 2:
-            memo[key] = total = _bounded_compositions(rows[i], cols_t)
-            return total
-        cols_l = list(cols_t)
-        k = len(cols_l)
-        suffix = [0] * (k + 1)
-        for j in range(k - 1, -1, -1):
-            suffix[j] = suffix[j + 1] + cols_l[j]
-        total = 0
-
-        def distribute(j: int, rem: int):
-            nonlocal total
-            if j == k - 1:
-                if rem <= cols_l[j]:
-                    cols_l[j] -= rem
-                    total += rec(i + 1, tuple(sorted(cols_l)))
-                    cols_l[j] += rem
-                return
-            lo = max(0, rem - suffix[j + 1])
-            hi = min(cols_l[j], rem)
-            for t in range(lo, hi + 1):
-                cols_l[j] -= t
-                distribute(j + 1, rem - t)
-                cols_l[j] += t
-
-        distribute(0, rows[i])
-        memo[key] = total
-        return total
-
-    return rec(0, tuple(sorted(cols)))
+    # ways[cols_t]: the number of ways the rows before the current one
+    # leave the sorted remaining columns cols_t
+    ways = {tuple(sorted(cols)): 1}
+    for r in rows[:-2]:
+        nxt: dict = {}
+        for cols_t, n in ways.items():
+            for rest in _row_remainders(r, cols_t):
+                nxt[rest] = nxt.get(rest, 0) + n
+        ways = nxt
+    return sum(n * _bounded_compositions(rows[-2], cols_t)
+               for cols_t, n in ways.items())
 
 
 def count_tables_exact(row_sums, col_sums, max_cost: float = DEFAULT_MAX_COST) -> float:

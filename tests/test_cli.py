@@ -5,7 +5,8 @@ import stat
 import numpy as np
 import pytest
 
-from partition_modes import canonicalize
+from partition_modes import (Clustering, canonicalize,
+                             full_description_length)
 from partition_modes.cli import main
 from partition_modes.sampler import (PerturbationSpec, perturb_ensemble,
                                      write_partitions)
@@ -151,6 +152,32 @@ def test_describe_round_trip(tmp_path, capsys):
         obj["mode_entropy"] + obj["cluster_labels"] + obj["conditional"]
         + obj["penalty"])
     assert set(desc["exact_encoding"]) == {"L1", "L2", "L3", "L4", "total"}
+
+
+def test_describe_uses_the_clustering_omega_budget(tmp_path, capsys):
+    # with a zero budget every table count of the clustering is estimated;
+    # describe must score it the same way, not at the default budget
+    spec = PerturbationSpec(bases=[(canonicalize(np.arange(12) // 3), 1.0)],
+                            node_flip_rate=0.2, S=40, seed=5)
+    pset, _ = perturb_ensemble(spec)
+    path = tmp_path / "p.txt"
+    write_partitions(pset, path)
+    result_path = tmp_path / "result.json"
+    main(["cluster", "--partitions", str(path), "--seed", "0",
+          "--exact-omega-threshold", "0", "--out", str(result_path)])
+    capsys.readouterr()
+    data = json.loads(result_path.read_text())
+    assert data["omega_max_cost"] == 0.0
+    assert main(["describe", "--partitions", str(path),
+                 "--clustering", str(result_path)]) == 0
+    desc = json.loads(capsys.readouterr().out)
+    assert desc["objective"]["total"] == pytest.approx(data["objective"]["total"],
+                                                       abs=1e-9)
+    clustering = Clustering(assignment=np.array(data["assignment"]),
+                            mode_index=data["mode_index"], K=data["K"])
+    assert desc["exact_encoding"] == full_description_length(pset, clustering,
+                                                             max_cost=0.0)
+    assert desc["exact_encoding"] != full_description_length(pset, clustering)
 
 
 def test_describe_inconsistent_inputs(tmp_path, capsys):

@@ -4,14 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partition_modes import (EngineParams, PairCache, PartitionSet,
-                             canonicalize, description_length, engine,
+                             canonicalize, description_length, engine, entropy,
                              find_mode_exact, find_mode_sampled, log2_omega,
-                             run, tables)
+                             modified_conditional_entropy, run, tables)
 from partition_modes.engine import (_MOVES, EngineState, _find_mode,
                                     _initial_state, _kmeans_split,
                                     _make_cluster, propose_merge,
                                     propose_reassign, propose_split)
 from partition_modes.sampler import PerturbationSpec, perturb_ensemble
+from partition_modes.tables import DEFAULT_MAX_COST
 
 from conftest import random_partition
 
@@ -35,8 +36,8 @@ def test_engine_params_validation():
     with pytest.raises(ValueError):
         EngineParams(max_kmeans_iters=0)
     with pytest.raises(ValueError):
-        EngineParams(exact_mode_threshold=-1)
-    EngineParams(max_kmeans_iters=1, exact_mode_threshold=0)
+        EngineParams(mode_sample_size=0)
+    EngineParams(max_kmeans_iters=1, mode_sample_size=1)
 
 
 def test_find_mode_singleton_and_ties():
@@ -86,6 +87,33 @@ def test_find_mode_sampled_finds_dominant_base():
         if idx < 200:
             hits += 1
     assert hits >= 19
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_find_mode_sampled_is_lowest_index_argmin_of_sample_score(data):
+    # the sampled search scores every member p by
+    # H(p) + (|C| / n) * sum over the sample X of H_mod(q | p), with X the
+    # draw of an identically seeded generator from the sorted members
+    N = data.draw(st.integers(2, 10), label="N")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    pool = [random_partition(N, 4, rng) for _ in range(data.draw(st.integers(1, 8)))]
+    S = data.draw(st.integers(3, 30), label="S")
+    pset = PartitionSet.from_partitions(
+        [pool[i] for i in rng.integers(len(pool), size=S)])
+    members = np.sort(rng.choice(S, size=data.draw(st.integers(2, S)), replace=False))
+    n = data.draw(st.integers(1, members.size - 1), label="sample size")
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    mode = find_mode_sampled(members[::-1].tolist(), pset, n,
+                             np.random.default_rng(seed), PairCache(pset))
+    sample = np.random.default_rng(seed).choice(members, size=n, replace=False)
+    parts = pset.partitions
+    score = {int(p): entropy(parts[p]) + members.size / n * sum(
+        modified_conditional_entropy(parts[q], parts[p]) for q in sample)
+        for p in members}
+    assert score[mode] <= min(score.values()) + 1e-9
+    # equal contents score equally, so the lowest index of each one wins
+    assert mode == min(int(p) for p in members if parts[p] == parts[mode])
 
 
 def test_propose_reassign_single_cluster_is_noop():
@@ -230,10 +258,11 @@ def test_result_json_schema():
     pset = PartitionSet.from_partitions([p] * 5)
     res = run(pset, EngineParams(seed=0, lam=2.0))
     data = res.to_json_dict()
-    assert set(data) == {"K", "lambda", "weights", "modes", "assignment",
-                         "mode_index", "objective", "trace"}
+    assert set(data) == {"K", "lambda", "omega_max_cost", "weights", "modes",
+                         "assignment", "mode_index", "objective", "trace"}
     assert data["K"] == 1
     assert data["lambda"] == 2.0
+    assert data["omega_max_cost"] == DEFAULT_MAX_COST
     assert len(data["assignment"]) == 5
     assert data["modes"][0] == [0, 0, 1, 1]
 
@@ -270,7 +299,7 @@ def test_mode_memo_hit_returns_stored_mode_and_keeps_rng_aligned():
         [random_partition(20, 4, rng) for _ in range(50)])
     cache = PairCache(pset)
     params = EngineParams()
-    members = np.arange(3, 50, dtype=np.int64)   # above both thresholds
+    members = np.arange(3, 50, dtype=np.int64)   # above the sample size
     fresh_rng = np.random.default_rng(11)
     fresh = find_mode_sampled(members, pset, params.mode_sample_size, fresh_rng,
                               cache)
@@ -285,7 +314,7 @@ def test_mode_memo_hit_returns_stored_mode_and_keeps_rng_aligned():
     assert _find_mode(members, pset, cache, params, hit_rng, memo) == 7
     assert hit_rng.bit_generator.state == fresh_rng.bit_generator.state
     # exact searches are not memoized
-    _find_mode(members[:params.exact_mode_threshold], pset, cache, params,
+    _find_mode(members[:params.mode_sample_size], pset, cache, params,
                hit_rng, memo)
     assert len(memo) == 1
 
@@ -293,8 +322,8 @@ def test_mode_memo_hit_returns_stored_mode_and_keeps_rng_aligned():
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_proposals_keep_members_sorted_and_total_consistent(data):
-    # a small pool of distinct partitions, so contents repeat, and low
-    # thresholds, so clusters of a few members take the sampled (and
+    # a small pool of distinct partitions, so contents repeat, and a
+    # small sample, so clusters of a few members take the sampled (and
     # memoized) mode search
     N = data.draw(st.integers(2, 10), label="N")
     S = data.draw(st.integers(2, 30), label="S")
@@ -304,8 +333,7 @@ def test_proposals_keep_members_sorted_and_total_consistent(data):
         [pool[i] for i in rng.integers(len(pool), size=S)])
     params = EngineParams(lam=data.draw(st.sampled_from([0.0, 1.0])),
                           k0=data.draw(st.integers(1, 4)),
-                          mode_sample_size=data.draw(st.integers(1, 4)),
-                          exact_mode_threshold=data.draw(st.integers(0, 3)))
+                          mode_sample_size=data.draw(st.integers(1, 4)))
     cache = PairCache(pset)
     state = _initial_state(pset, cache, params, rng)
     moves = data.draw(st.lists(st.integers(0, len(_MOVES) - 1), min_size=1,
@@ -338,7 +366,6 @@ def test_kmeans_split_keeps_every_content_on_one_side(data):
     pset = PartitionSet.from_partitions(
         [pool[i] for i in rng.integers(len(pool), size=S)])
     params = EngineParams(mode_sample_size=data.draw(st.integers(1, 4)),
-                          exact_mode_threshold=data.draw(st.integers(0, 3)),
                           max_kmeans_iters=data.draw(st.integers(1, 4)))
     cache = PairCache(pset)
     members = np.sort(rng.choice(S, size=data.draw(st.integers(1, S)), replace=False))
@@ -362,17 +389,21 @@ def test_kmeans_split_modes_never_coincide(monkeypatch):
     pset_once, _ = perturb_ensemble(spec)
     pset = PartitionSet.from_partitions(pset_once.partitions * 4)
     cache = PairCache(pset)
-    # every part takes the sampled search, and without a memo every
-    # iteration searches both parts, so the searches come in pairs
-    params = EngineParams(exact_mode_threshold=0, mode_sample_size=5)
+    # parts up to the sample size take the exact search and larger ones
+    # the sampled search; without a memo every iteration searches both
+    # parts, so the searches of either kind come in pairs
+    params = EngineParams(mode_sample_size=5)
     searches = []
 
-    def counting(members, pset, sample_size, rng, cache):
-        mode = find_mode_sampled(members, pset, sample_size, rng, cache)
-        searches.append(mode)
-        return mode
+    def counting(search):
+        def counted(members, *args):
+            mode = search(members, *args)
+            searches.append(mode)
+            return mode
+        return counted
 
-    monkeypatch.setattr(engine, "find_mode_sampled", counting)
+    monkeypatch.setattr(engine, "find_mode_exact", counting(find_mode_exact))
+    monkeypatch.setattr(engine, "find_mode_sampled", counting(find_mode_sampled))
     members = np.arange(pset.S)
     shared_seeds = 0
     for seed in range(20):

@@ -64,7 +64,6 @@ def test_partition_set_validation():
         PartitionSet.from_partitions([])
     pset = PartitionSet.from_partitions([a, a])
     assert pset.S == 2 and pset.N == 3
-    assert pset.matrix().shape == (2, 3)
 
 
 def test_entropy_examples():

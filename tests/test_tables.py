@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -144,6 +145,29 @@ def test_exact_unit_margins_are_multinomial():
     # far beyond what the row-by-row recursion could reach
     assert count_tables_exact([1] * 1000, [1] * 1000) == pytest.approx(
         math.log2(math.factorial(1000)))
+
+
+def _a000681(n: int) -> int:
+    """OEIS A000681: n x n matrices of non-negative integers with every
+    row and column summing to 2,
+    (n!)^2 / 4^n * sum_k 2^k (2n - 2k)! / (k! ((n - k)!)^2)."""
+    total = sum(Fraction(2 ** k * math.factorial(2 * n - 2 * k),
+                         math.factorial(k) * math.factorial(n - k) ** 2)
+                for k in range(n + 1))
+    count = total * math.factorial(n) ** 2 / 4 ** n
+    assert count.denominator == 1
+    return count.numerator
+
+
+def test_exact_counter_on_rows_and_columns_of_two():
+    assert [_a000681(n) for n in range(1, 6)] == [1, 3, 21, 282, 6210]
+    for n in range(2, 21):
+        assert _count_exact_int([2] * n, [2] * n) == _a000681(n)
+    # 60 columns of 2 are within the budget, and the count must not nest
+    # a stack frame per column
+    assert _cost_estimate([2] * 60, [2] * 60) < DEFAULT_MAX_COST
+    assert log2_omega([2] * 60, [2] * 60) == pytest.approx(
+        _log2_int(_a000681(60)), rel=1e-12)
 
 
 def test_log2_omega_saturates_costs_past_the_float_range():
