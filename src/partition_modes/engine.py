@@ -12,12 +12,27 @@ seeds differ in content, every copy of a partition goes to the same
 part, and each part keeps its mode's content, so the two modes never
 coincide.  A cluster of one content is not split at all.
 
-Each cluster holds its members as a sorted int64 array.  While the
-state does not change, the search keeps proposing moves that rebuild
-the same clusters (at K=2 every merge proposal forms the same merged
-cluster), so each run keeps a memo from a member set, keyed by a digest
-of its sorted indices, to the mode the sampled search returned for it.
-The memo is emptied on every accepted move and never outlives a run.
+The sampled mode search is coordinated across clusters.  Each run
+first draws one priority per partition, iid uniform, and a cluster's
+sample is its ``mode_sample_size`` members of lowest priority.  For a
+fixed cluster every ordering of its members by priority is equally
+likely, so this is a uniform sample without replacement, as the paper's
+Monte Carlo estimate asks for.  Across clusters the samples are
+coordinated (permanent random numbers: Ohlsson 1995; bottom-k sketches:
+Cohen & Kaplan 2007): clusters that share most of their members share
+most of their sample.  The k-means iterations of one split, repeated
+proposals on an unchanged cluster and the two clusters of a reassign
+therefore score against the same terms, and their H_mod rows are cache
+hits.
+
+Each cluster holds its members as a sorted int64 array.  With the
+priorities fixed, the mode of a member set is fixed for the run, and
+the search keeps proposing moves that rebuild the same clusters (at K=2
+every merge proposal forms the same merged cluster).  So each run keeps
+a memo from a member set, keyed by a digest of its sorted indices, to
+the mode the sampled search returned for it.  A hit returns exactly what
+the search would; the memo is emptied on every accepted move only to
+bound its size, and never outlives a run.
 """
 
 from __future__ import annotations
@@ -65,14 +80,17 @@ class _Cluster:
 class EngineState:
     """One clustering configuration plus its cached objective pieces.
 
-    ``mode_memo`` maps a member-set digest to the mode the sampled
-    search found for it; states derived by ``replaced`` share it."""
+    ``priority`` holds the run's sampling priority of every partition,
+    and ``mode_memo`` maps a member-set digest to the mode the sampled
+    search found for it; states derived by ``replaced`` share both."""
 
     def __init__(self, pset: PartitionSet, cache: PairCache, params: EngineParams,
-                 clusters: list[_Cluster], mode_memo: dict | None = None):
+                 priority: np.ndarray, clusters: list[_Cluster],
+                 mode_memo: dict | None = None):
         self.pset = pset
         self.cache = cache
         self.params = params
+        self.priority = priority
         self.clusters = clusters
         self.mode_memo = {} if mode_memo is None else mode_memo
 
@@ -98,8 +116,8 @@ class EngineState:
                           K=self.K)
 
     def replaced(self, new_clusters: list[_Cluster]) -> "EngineState":
-        return EngineState(self.pset, self.cache, self.params, new_clusters,
-                           self.mode_memo)
+        return EngineState(self.pset, self.cache, self.params, self.priority,
+                           new_clusters, self.mode_memo)
 
 
 def _sorted_members(cluster_members) -> np.ndarray:
@@ -143,51 +161,53 @@ def find_mode_exact(cluster_members, pset: PartitionSet, cache: PairCache) -> in
 
 
 def find_mode_sampled(cluster_members, pset: PartitionSet, sample_size: int,
-                      rng: np.random.Generator, cache: PairCache) -> int:
-    """Monte Carlo mode estimate: score every member against a random
-    sample X of cluster members (without replacement), scaled by the
-    cluster size: the argmin of H(p) + |C|/|X| sum_{q in X} H_mod(q | p).
-    Falls back to the exact search when the cluster fits inside the
-    sample.
+                      priority: np.ndarray, cache: PairCache) -> int:
+    """Monte Carlo mode estimate: score every member against a sample X
+    of cluster members, scaled by the cluster size: the argmin of
+    H(p) + |C|/|X| sum_{q in X} H_mod(q | p).  Falls back to the exact
+    search when the cluster fits inside the sample.
+
+    X is the ``sample_size`` members of lowest ``priority``, an array
+    over all partition indices.  With iid continuous priorities every
+    ordering of a fixed cluster's members is equally likely, so X is a
+    uniform sample without replacement; clusters that share members
+    share the part of X those members take.
 
     The function keeps no state; the engine memoizes its result per
     member set within a run (see ``_find_mode``)."""
     members = _sorted_members(cluster_members)
     if members.size <= sample_size:
         return find_mode_exact(members, pset, cache)
-    sample = rng.choice(members, size=sample_size, replace=False)
+    sample = members[np.argpartition(priority[members], sample_size - 1)[:sample_size]]
     candidates, _ = _distinct_candidates(members, cache)
     terms, counts = _distinct_candidates(np.sort(sample), cache)
     weights = members.size / sample_size * np.asarray(counts, dtype=np.float64)
     return _weighted_argmin(candidates, terms, weights, cache)
 
 
-def _find_mode(members: np.ndarray, pset, cache, params, rng, memo=None) -> int:
+def _find_mode(members: np.ndarray, state: EngineState) -> int:
     """Mode of a sorted int64 member array: the exact search up to
     ``params.mode_sample_size`` members, the sampled search above.
 
-    With a ``memo``, a member set that was searched before gets back the
-    mode stored for it.  The hit still draws the sample the search would
-    have drawn, so the random stream stays aligned with a memo-free run."""
+    A sampled search depends only on the member set and the run's
+    priorities, so a member set searched before in the run gets back
+    the mode stored for it in ``state.mode_memo``."""
+    pset, cache, params = state.pset, state.cache, state.params
     if members.size <= params.mode_sample_size:
         return find_mode_exact(members, pset, cache)
-    if memo is None:
-        return find_mode_sampled(members, pset, params.mode_sample_size, rng, cache)
     key = hashlib.blake2b(members.tobytes(), digest_size=16).digest()
-    mode = memo.get(key)
+    mode = state.mode_memo.get(key)
     if mode is None:
-        mode = memo[key] = find_mode_sampled(members, pset, params.mode_sample_size,
-                                             rng, cache)
-    else:
-        rng.choice(members.size, size=params.mode_sample_size, replace=False)
+        mode = state.mode_memo[key] = find_mode_sampled(
+            members, pset, params.mode_sample_size, state.priority, cache)
     return mode
 
 
-def _make_cluster(members, pset, cache, params, rng, mode: int | None = None,
-                  *, memo: dict | None = None) -> _Cluster:
+def _make_cluster(members, state: EngineState, mode: int | None = None) -> _Cluster:
     members = _sorted_members(members)
     if mode is None:
-        mode = _find_mode(members, pset, cache, params, rng, memo)
+        mode = _find_mode(members, state)
+    cache = state.cache
     cond = float(cache.hmod_given_mode(members, mode).sum())
     return _Cluster(members=members, mode=mode,
                     mode_entropy=cache.entropy(mode), cond_sum=cond)
@@ -198,8 +218,8 @@ def _make_cluster(members, pset, cache, params, rng, mode: int | None = None,
 def propose_reassign(state: EngineState, rng: np.random.Generator) -> EngineState:
     """Move 1: move one random partition to the cluster with the nearest
     mode (by modified conditional entropy)."""
-    pset, cache, params = state.pset, state.cache, state.params
-    p = int(rng.integers(pset.S))
+    cache = state.cache
+    p = int(rng.integers(state.pset.S))
     modes = [c.mode for c in state.clusters]
     dists = cache.hmod_against_modes(p, modes)
     k_to = int(np.argmin(dists))
@@ -208,15 +228,11 @@ def propose_reassign(state: EngineState, rng: np.random.Generator) -> EngineStat
                   and c.members[i] == p)
     if k_to == k_from:
         return state
-    memo = state.mode_memo
     new = list(state.clusters)
-    target = state.clusters[k_to]
-    new[k_to] = _make_cluster(np.append(target.members, p), pset, cache, params, rng,
-                              memo=memo)
+    new[k_to] = _make_cluster(np.append(state.clusters[k_to].members, p), state)
     origin = state.clusters[k_from].members
     if origin.size > 1:
-        new[k_from] = _make_cluster(origin[origin != p], pset, cache, params, rng,
-                                    memo=memo)
+        new[k_from] = _make_cluster(origin[origin != p], state)
     else:
         del new[k_from]
     return state.replaced(new)
@@ -228,16 +244,14 @@ def propose_merge(state: EngineState, rng: np.random.Generator) -> EngineState |
         return None
     k1, k2 = sorted(int(k) for k in rng.choice(state.K, size=2, replace=False))
     merged = _make_cluster(np.concatenate((state.clusters[k1].members,
-                                           state.clusters[k2].members)),
-                           state.pset, state.cache, state.params, rng,
-                           memo=state.mode_memo)
+                                           state.clusters[k2].members)), state)
     new = list(state.clusters)
     new[k1] = merged
     del new[k2]
     return state.replaced(new)
 
 
-def _kmeans_split(members, pset, cache, params, rng, memo):
+def _kmeans_split(members, state: EngineState, rng: np.random.Generator):
     """Two-way k-means-style split over the distinct contents of a
     cluster, or None when the cluster holds a single content: two equal
     modes cannot lower the description length, since the label entropy,
@@ -256,6 +270,7 @@ def _kmeans_split(members, pset, cache, params, rng, memo):
     The two parts never share a content and each mode is a member of
     its part, so the two modes never coincide: the loop cannot stall on
     two halves of one content that both pick it as their mode."""
+    cache, params = state.cache, state.params
     arr = _sorted_members(members)
     contents, inverse = np.unique(cache.cid[arr], return_inverse=True)
     if contents.size == 1:
@@ -279,18 +294,17 @@ def _kmeans_split(members, pset, cache, params, rng, memo):
             break
         assign = side
         part = assign[inverse]
-        m1 = _find_mode(arr[part], pset, cache, params, rng, memo)
-        m2 = _find_mode(arr[~part], pset, cache, params, rng, memo)
-    c1 = _make_cluster(arr[part], pset, cache, params, rng, mode=m1)
-    c2 = _make_cluster(arr[~part], pset, cache, params, rng, mode=m2)
+        m1 = _find_mode(arr[part], state)
+        m2 = _find_mode(arr[~part], state)
+    c1 = _make_cluster(arr[part], state, mode=m1)
+    c2 = _make_cluster(arr[~part], state, mode=m2)
     return c1, c2
 
 
 def propose_split(state: EngineState, rng: np.random.Generator) -> EngineState | None:
     """Move 3: split one random cluster into two."""
     k = int(rng.integers(state.K))
-    parts = _kmeans_split(state.clusters[k].members, state.pset, state.cache,
-                          state.params, rng, state.mode_memo)
+    parts = _kmeans_split(state.clusters[k].members, state, rng)
     if parts is None:
         return None
     new = list(state.clusters)
@@ -306,8 +320,7 @@ def propose_merge_split(state: EngineState, rng: np.random.Generator) -> EngineS
         return None
     k1, k2 = sorted(int(k) for k in rng.choice(state.K, size=2, replace=False))
     merged = np.concatenate((state.clusters[k1].members, state.clusters[k2].members))
-    parts = _kmeans_split(merged, state.pset, state.cache, state.params, rng,
-                          state.mode_memo)
+    parts = _kmeans_split(merged, state, rng)
     if parts is None:
         return None
     new = list(state.clusters)
@@ -348,19 +361,21 @@ class ClusteringResult:
         }
 
 
-def _initial_state(pset, cache, params, rng) -> EngineState:
+def _initial_state(pset, cache, params, rng, priority) -> EngineState:
+    state = EngineState(pset, cache, params, priority, [])
     assignment = rng.integers(params.k0, size=pset.S)
-    clusters = []
     for k in range(params.k0):
         members = np.flatnonzero(assignment == k)
         if members.size:
-            clusters.append(_make_cluster(members, pset, cache, params, rng))
-    return EngineState(pset, cache, params, clusters)
+            state.clusters.append(_make_cluster(members, state))
+    return state
 
 
 def _run_once(pset, cache, params, rng, keep_states=False):
-    # each run starts from a new state, and so with an empty mode memo
-    state = _initial_state(pset, cache, params, rng)
+    # each run draws its own sampling priorities first and starts from a
+    # new state, and so with an empty mode memo
+    priority = rng.random(pset.S)
+    state = _initial_state(pset, cache, params, rng, priority)
     trace = []
     accepted_states = []
     rejections = 0

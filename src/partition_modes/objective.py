@@ -40,6 +40,8 @@ class Clustering:
         if self.assignment.min() < 0 or self.assignment.max() >= self.K:
             raise ValueError("cluster id out of range")
         for k, m in enumerate(self.mode_index):
+            if not 0 <= m < S:
+                raise ValueError("mode index %d out of range" % m)
             if self.assignment[m] != k:
                 raise ValueError("mode %d is not a member of cluster %d" % (m, k))
 

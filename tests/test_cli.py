@@ -195,6 +195,27 @@ def test_describe_inconsistent_inputs(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode_index", [4, -1])
+def test_describe_rejects_mode_index_out_of_range(tmp_path, capsys, mode_index):
+    # 4 is past the end of a 4-partition ensemble; -1 would otherwise
+    # index its last partition
+    path = tmp_path / "p.txt"
+    _write_identical_ensemble(path, S=4)
+    result_path = tmp_path / "result.json"
+    main(["cluster", "--partitions", str(path), "--seed", "0",
+          "--out", str(result_path)])
+    capsys.readouterr()
+    data = json.loads(result_path.read_text())
+    assert data["K"] == 1
+    data["mode_index"] = [mode_index]
+    result_path.write_text(json.dumps(data))
+    rc = main(["describe", "--partitions", str(path),
+               "--clustering", str(result_path)])
+    assert rc == 1
+    assert ("error: mode index %d out of range" % mode_index
+            in capsys.readouterr().err)
+
+
 def test_describe_lambda_flag_overrides_stored_value(tmp_path, capsys):
     path = tmp_path / "p.txt"
     _write_identical_ensemble(path)

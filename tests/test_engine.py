@@ -18,12 +18,12 @@ from conftest import random_partition
 
 
 def _state_from_assignment(pset, cache, params, assignment):
-    rng = np.random.default_rng(0)
-    clusters = []
+    priority = np.random.default_rng(0).random(pset.S)
+    state = EngineState(pset, cache, params, priority, [])
     for k in sorted(set(assignment)):
         members = [i for i, a in enumerate(assignment) if a == k]
-        clusters.append(_make_cluster(members, pset, cache, params, rng))
-    return EngineState(pset, cache, params, clusters)
+        state.clusters.append(_make_cluster(members, state))
+    return state
 
 
 def test_engine_params_validation():
@@ -65,7 +65,8 @@ def test_find_mode_sampled_matches_exact_for_small_clusters():
     cache = PairCache(pset)
     members = list(range(20))
     exact = find_mode_exact(members, pset, cache)
-    sampled = find_mode_sampled(members, pset, 30, np.random.default_rng(5), cache)
+    sampled = find_mode_sampled(members, pset, 30,
+                                np.random.default_rng(5).random(pset.S), cache)
     assert sampled == exact
 
 
@@ -82,7 +83,7 @@ def test_find_mode_sampled_finds_dominant_base():
     hits = 0
     for seed in range(20):
         idx = find_mode_sampled(members, pset, 30,
-                                np.random.default_rng(seed), cache)
+                                np.random.default_rng(seed).random(pset.S), cache)
         # the winner must come from the dominant perturbation family
         if idx < 200:
             hits += 1
@@ -94,7 +95,7 @@ def test_find_mode_sampled_finds_dominant_base():
 def test_find_mode_sampled_is_lowest_index_argmin_of_sample_score(data):
     # the sampled search scores every member p by
     # H(p) + (|C| / n) * sum over the sample X of H_mod(q | p), with X the
-    # draw of an identically seeded generator from the sorted members
+    # n members of lowest priority
     N = data.draw(st.integers(2, 10), label="N")
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     pool = [random_partition(N, 4, rng) for _ in range(data.draw(st.integers(1, 8)))]
@@ -103,10 +104,10 @@ def test_find_mode_sampled_is_lowest_index_argmin_of_sample_score(data):
         [pool[i] for i in rng.integers(len(pool), size=S)])
     members = np.sort(rng.choice(S, size=data.draw(st.integers(2, S)), replace=False))
     n = data.draw(st.integers(1, members.size - 1), label="sample size")
-    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
-    mode = find_mode_sampled(members[::-1].tolist(), pset, n,
-                             np.random.default_rng(seed), PairCache(pset))
-    sample = np.random.default_rng(seed).choice(members, size=n, replace=False)
+    priority = rng.random(S)
+    mode = find_mode_sampled(members[::-1].tolist(), pset, n, priority,
+                             PairCache(pset))
+    sample = sorted(members, key=lambda p: priority[p])[:n]
     parts = pset.partitions
     score = {int(p): entropy(parts[p]) + members.size / n * sum(
         modified_conditional_entropy(parts[q], parts[p]) for q in sample)
@@ -114,6 +115,39 @@ def test_find_mode_sampled_is_lowest_index_argmin_of_sample_score(data):
     assert score[mode] <= min(score.values()) + 1e-9
     # equal contents score equally, so the lowest index of each one wins
     assert mode == min(int(p) for p in members if parts[p] == parts[mode])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_find_mode_sampled_keeps_its_terms_when_an_unsampled_member_leaves(data):
+    # the sample is the lowest-priority members, so a member outside it
+    # can leave the cluster without changing the terms scored against
+    N = data.draw(st.integers(2, 10), label="N")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    pool = [random_partition(N, 4, rng) for _ in range(data.draw(st.integers(1, 8)))]
+    S = data.draw(st.integers(3, 30), label="S")
+    pset = PartitionSet.from_partitions(
+        [pool[i] for i in rng.integers(len(pool), size=S)])
+    members = np.sort(rng.choice(S, size=data.draw(st.integers(3, S)), replace=False))
+    n = data.draw(st.integers(1, members.size - 2), label="sample size")
+    priority = rng.random(S)
+    cache = PairCache(pset)
+    terms = []
+    lookup = cache.hmod_against_modes
+
+    def spy(q_idx, m_indices):
+        terms.append(int(q_idx))
+        return lookup(q_idx, m_indices)
+
+    cache.hmod_against_modes = spy
+    find_mode_sampled(members, pset, n, priority, cache)
+    before = set(terms)
+    assert before
+    outside = members[np.argsort(priority[members])[n:]]
+    leaving = data.draw(st.sampled_from(outside.tolist()), label="leaving")
+    terms.clear()
+    find_mode_sampled(members[members != leaving], pset, n, priority, cache)
+    assert set(terms) == before
 
 
 def test_propose_reassign_single_cluster_is_noop():
@@ -293,30 +327,44 @@ def test_run_independent_of_cache_state():
     assert cold == warm == reused == transposed
 
 
-def test_mode_memo_hit_returns_stored_mode_and_keeps_rng_aligned():
+def test_mode_memo_hit_returns_stored_mode_and_keeps_rng_aligned(monkeypatch):
     rng = np.random.default_rng(6)
     pset = PartitionSet.from_partitions(
         [random_partition(20, 4, rng) for _ in range(50)])
     cache = PairCache(pset)
-    params = EngineParams()
+    params = EngineParams(mode_sample_size=10)
+    state = EngineState(pset, cache, params, rng.random(pset.S), [])
     members = np.arange(3, 50, dtype=np.int64)   # above the sample size
-    fresh_rng = np.random.default_rng(11)
-    fresh = find_mode_sampled(members, pset, params.mode_sample_size, fresh_rng,
-                              cache)
-    memo = {}
-    assert _find_mode(members, pset, cache, params, np.random.default_rng(11),
-                      memo) == fresh
-    assert list(memo.values()) == [fresh]
-    # a hit hands back whatever was stored and draws what the search draws
-    (key,) = memo
-    memo[key] = 7
-    hit_rng = np.random.default_rng(11)
-    assert _find_mode(members, pset, cache, params, hit_rng, memo) == 7
-    assert hit_rng.bit_generator.state == fresh_rng.bit_generator.state
+    fresh = find_mode_sampled(members, pset, params.mode_sample_size,
+                              state.priority, cache)
+    assert _find_mode(members, state) == fresh
+    assert list(state.mode_memo.values()) == [fresh]
+    # a hit hands back whatever was stored
+    (key,) = state.mode_memo
+    state.mode_memo[key] = 7
+    assert _find_mode(members, state) == 7
     # exact searches are not memoized
-    _find_mode(members[:params.mode_sample_size], pset, cache, params,
-               hit_rng, memo)
-    assert len(memo) == 1
+    _find_mode(members[:params.mode_sample_size], state)
+    assert len(state.mode_memo) == 1
+    # a split replayed on the filled memo searches nothing, returns the
+    # same parts and leaves its rng where the first split left it
+    state.mode_memo.clear()
+    searches = []
+
+    def counted(*args):
+        searches.append(args)
+        return find_mode_sampled(*args)
+
+    monkeypatch.setattr(engine, "find_mode_sampled", counted)
+    first_rng, replay_rng = np.random.default_rng(11), np.random.default_rng(11)
+    first = _kmeans_split(members, state, first_rng)
+    assert searches
+    searches.clear()
+    replay = _kmeans_split(members, state, replay_rng)
+    assert not searches
+    assert [(c.mode, c.members.tolist()) for c in replay] == \
+        [(c.mode, c.members.tolist()) for c in first]
+    assert replay_rng.bit_generator.state == first_rng.bit_generator.state
 
 
 @settings(max_examples=40, deadline=None)
@@ -335,7 +383,7 @@ def test_proposals_keep_members_sorted_and_total_consistent(data):
                           k0=data.draw(st.integers(1, 4)),
                           mode_sample_size=data.draw(st.integers(1, 4)))
     cache = PairCache(pset)
-    state = _initial_state(pset, cache, params, rng)
+    state = _initial_state(pset, cache, params, rng, rng.random(S))
     moves = data.draw(st.lists(st.integers(0, len(_MOVES) - 1), min_size=1,
                                max_size=12), label="moves")
     for move in moves:
@@ -369,7 +417,8 @@ def test_kmeans_split_keeps_every_content_on_one_side(data):
                           max_kmeans_iters=data.draw(st.integers(1, 4)))
     cache = PairCache(pset)
     members = np.sort(rng.choice(S, size=data.draw(st.integers(1, S)), replace=False))
-    parts = _kmeans_split(members, pset, cache, params, rng, {})
+    state = EngineState(pset, cache, params, rng.random(S), [])
+    parts = _kmeans_split(members, state, rng)
     if len(set(cache.cid[members].tolist())) == 1:
         assert parts is None
         return
@@ -390,28 +439,26 @@ def test_kmeans_split_modes_never_coincide(monkeypatch):
     pset = PartitionSet.from_partitions(pset_once.partitions * 4)
     cache = PairCache(pset)
     # parts up to the sample size take the exact search and larger ones
-    # the sampled search; without a memo every iteration searches both
-    # parts, so the searches of either kind come in pairs
+    # the sampled search or its memo; every iteration asks for the modes
+    # of both parts, so the mode queries come in pairs
     params = EngineParams(mode_sample_size=5)
+    state = EngineState(pset, cache, params, np.random.default_rng(0).random(pset.S),
+                        [])
     searches = []
 
-    def counting(search):
-        def counted(members, *args):
-            mode = search(members, *args)
-            searches.append(mode)
-            return mode
-        return counted
+    def counted(members, *args):
+        mode = _find_mode(members, *args)
+        searches.append(mode)
+        return mode
 
-    monkeypatch.setattr(engine, "find_mode_exact", counting(find_mode_exact))
-    monkeypatch.setattr(engine, "find_mode_sampled", counting(find_mode_sampled))
+    monkeypatch.setattr(engine, "_find_mode", counted)
     members = np.arange(pset.S)
     shared_seeds = 0
     for seed in range(20):
         i, j = np.random.default_rng(seed).choice(pset.S, size=2, replace=False)
         shared_seeds += cache.cid[i] == cache.cid[j]
         searches.clear()
-        c1, c2 = _kmeans_split(members, pset, cache, params,
-                               np.random.default_rng(seed), None)
+        c1, c2 = _kmeans_split(members, state, np.random.default_rng(seed))
         assert len(searches) % 2 == 0
         pairs = list(zip(searches[::2], searches[1::2]))
         assert all(cache.cid[a] != cache.cid[b] for a, b in pairs)
