@@ -1,4 +1,5 @@
-"""Shared memoization of entropies and modified conditional entropies.
+"""Shared memoization of entropies, table counts and modified
+conditional entropies.
 
 Values are keyed by partition content, so duplicated partitions in an
 ensemble cost nothing extra.  Each partition index is mapped once to a
@@ -19,18 +20,21 @@ communities,
 
 so a batch needs one ``bincount`` over joint label codes and a table
 lookup per count: no division, logarithm or mask over float tables.
+The entropy of every content comes from the same sums when the cache is
+built, as H(p) = log2 N - sum_k a_k log2 a_k / N.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .partitions import PartitionSet, entropy
+from .partitions import PartitionSet
 from .tables import DEFAULT_MAX_COST, log2_omega
 
 
 class PairCache:
-    """Memoizes H(p) and H_mod(q | m) for partitions of one PartitionSet."""
+    """Memoizes H(p), log2 Omega and H_mod(q | m) for partitions of one
+    PartitionSet, with ``max_cost`` the budget of exact table counts."""
 
     def __init__(self, pset: PartitionSet, max_cost: float = DEFAULT_MAX_COST):
         self.pset = pset
@@ -50,7 +54,6 @@ class PairCache:
         self.rep = np.array(reps)           # lowest partition index per id
         self.n_cid = len(reps)
         self._ncomm = np.array([pset.partitions[r].n for r in reps])
-        self._entropy = np.full(len(reps), np.nan)
         # content-level kernel tables (see the module docstring)
         width = int(self._ncomm.max())
         self._labels = np.stack([pset.partitions[r].labels for r in reps]).astype(
@@ -62,6 +65,7 @@ class PairCache:
         sizes = np.bincount((self._labels + offsets).ravel(),
                             minlength=len(reps) * width)
         self._size_xlogx = self._xlogx[sizes].reshape(len(reps), width).sum(axis=1)
+        self._entropy = np.maximum(0.0, np.log2(pset.N) - self._size_xlogx / pset.N)
         # H_mod values live in dense per-content rows so batch lookups
         # are contiguous numpy gathers: one dict keyed by the fixed mode
         # content (row over sample contents) and one keyed by the fixed
@@ -88,7 +92,7 @@ class PairCache:
         n_sig = len(self._margins)
         self._omega = np.full((n_sig, n_sig), np.nan)
 
-    def _omega_block(self, m_indices, q_indices) -> np.ndarray:
+    def omega_block(self, m_indices, q_indices) -> np.ndarray:
         """log2 table counts for index pairs, deduplicated by margin
         signature.  The count is symmetric under transposition, so each
         missing unordered signature pair is counted once and fills both
@@ -109,18 +113,10 @@ class PairCache:
     # -- entropies ---------------------------------------------------------
 
     def entropy(self, i: int) -> float:
-        c = int(self.cid[i])
-        val = self._entropy[c]
-        if np.isnan(val):
-            val = entropy(self.pset.partitions[i])
-            self._entropy[c] = val
-        return float(val)
+        return float(self._entropy[self.cid[i]])
 
     def entropies(self, indices) -> np.ndarray:
-        cs = self.cid[np.asarray(indices, dtype=np.int64)]
-        for c in np.unique(cs[np.isnan(self._entropy[cs])]):
-            self._entropy[c] = entropy(self.pset.partitions[self.rep[c]])
-        return self._entropy[cs].copy()
+        return self._entropy[self.cid[np.asarray(indices, dtype=np.int64)]]
 
     # -- modified conditional entropies ------------------------------------
 
@@ -177,4 +173,4 @@ class PairCache:
         joint = self._xlogx[t].reshape(var_cids.size, width).sum(axis=1)
         N = self.pset.N
         hcond = np.maximum(0.0, (self._size_xlogx[m_cids] - joint) / N)
-        return hcond + self._omega_block(m_indices, q_indices) / N
+        return hcond + self.omega_block(m_indices, q_indices) / N

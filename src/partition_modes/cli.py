@@ -108,11 +108,11 @@ def cmd_describe(args) -> int:
         if stored != pset.partitions[m]:
             raise ValueError("mode %d does not match the ensemble" % k)
     lam = args.lam if args.lam is not None else float(data.get("lambda", 1.0))
-    # the Omega budget the clustering was scored with
+    # one cache at the Omega budget the clustering was scored with
     max_cost = float(data.get("omega_max_cost", DEFAULT_MAX_COST))
-    breakdown = description_length(pset, clustering, lam=lam,
-                                   cache=PairCache(pset, max_cost=max_cost))
-    exact = full_description_length(pset, clustering, max_cost=max_cost)
+    cache = PairCache(pset, max_cost=max_cost)
+    breakdown = description_length(pset, clustering, lam=lam, cache=cache)
+    exact = full_description_length(pset, clustering, cache=cache)
     print(json.dumps({"objective": breakdown.to_json_dict(),
                       "exact_encoding": exact}, indent=2))
     return 0
@@ -167,7 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     clu.add_argument("--restarts", type=int, default=1)
     clu.add_argument("--exact-omega-threshold", type=float,
                      default=DEFAULT_MAX_COST,
-                     help="state budget for exact contingency-table counts")
+                     help="work budget for exact contingency-table counts "
+                          "(memo states x branching of the widest row)")
     clu.add_argument("--out", help="write the full result JSON here")
     clu.add_argument("--format", choices=("json", "text"), default="text")
     clu.add_argument("--modes-out", help="prefix for per-mode partition files")

@@ -28,11 +28,6 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def edge_array(self) -> np.ndarray:
-        if not self.edges:
-            return np.empty((0, 2), dtype=np.int64)
-        return np.array(sorted(self.edges), dtype=np.int64)
-
     def to_json_dict(self) -> dict:
         return {"N": self.N, "edges": [[int(u), int(v)] for u, v in sorted(self.edges)]}
 

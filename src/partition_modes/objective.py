@@ -16,7 +16,7 @@ from scipy.special import gammaln
 
 from .cache import PairCache
 from .partitions import PartitionSet, contingency_table
-from .tables import DEFAULT_MAX_COST, log2_omega
+from .tables import _log2_binom
 
 _LN2 = math.log(2.0)
 
@@ -115,12 +115,8 @@ def _log2_factorial(x) -> np.ndarray:
     return gammaln(np.asarray(x, dtype=np.float64) + 1.0) / _LN2
 
 
-def _log2_binom(n: int, k: int) -> float:
-    return float(_log2_factorial(n) - _log2_factorial(k) - _log2_factorial(n - k))
-
-
 def full_description_length(pset: PartitionSet, clustering: Clustering,
-                            max_cost: float = DEFAULT_MAX_COST) -> dict:
+                            cache: PairCache | None = None) -> dict:
     """Exact (non-Stirling) encoding length in bits, split into its four
     stages: community-size vectors, mode label vectors, cluster
     assignments, and per-partition contingency tables plus labels.
@@ -128,9 +124,12 @@ def full_description_length(pset: PartitionSet, clustering: Clustering,
     The mode's own transmission cost is included in L4 (the self term
     changes the total only negligibly and simplifies bookkeeping).
     L1 does not depend on the clustering and is reported but never used
-    in optimization comparisons.
+    in optimization comparisons.  L4 takes its table counts from
+    ``cache``, at its budget; by default a fresh ``PairCache``.
     """
     clustering.validate(pset)
+    if cache is None:
+        cache = PairCache(pset)
     N, S, K = pset.N, pset.S, clustering.K
     sizes = clustering.cluster_sizes()
 
@@ -142,10 +141,11 @@ def full_description_length(pset: PartitionSet, clustering: Clustering,
     L4 = 0.0
     for k, m in enumerate(clustering.mode_index):
         mode = pset.partitions[m]
-        for p_idx in clustering.members(k):
-            p = pset.partitions[p_idx]
-            t = contingency_table(mode, p).t
+        members = clustering.members(k)
+        omegas = cache.omega_block(np.full(members.size, m), members)
+        for p_idx, omega in zip(members, omegas):
+            t = contingency_table(mode, pset.partitions[p_idx]).t
             L4 += float(_log2_factorial(mode.counts).sum() - _log2_factorial(t).sum())
-            L4 += log2_omega(mode.counts, p.counts, max_cost=max_cost)
+            L4 += float(omega)
     return {"L1": L1, "L2": L2, "L3": L3, "L4": L4,
             "total": L1 + L2 + L3 + L4}

@@ -3,10 +3,8 @@
 All public functions return the base-2 logarithm of the count, since the
 raw counts overflow floating point at trivially small margins.
 
-``log2_omega`` memoizes its results process-wide in ``_omega_cache``,
-keyed by the unordered pair of sorted margins and the cost budget: the
-count is the same for a table and its transpose, so each unordered
-margin pair is counted once.
+Nothing here keeps state between calls: ``PairCache`` memoizes the
+table counts of one ensemble, once per unordered pair of margins.
 """
 
 from __future__ import annotations
@@ -30,8 +28,6 @@ DEFAULT_MAX_COST = 10_000_000
 _CLOSED_FORM_WEIGHT = 64
 
 DEFAULT_ESTIMATOR_SAMPLES = 1000
-
-_omega_cache: dict = {}
 
 
 def _log2_int(x: int) -> float:
@@ -112,7 +108,10 @@ def _exact_orientation(rows, cols, max_cost: float):
     when ``_cost_estimate`` exceeds ``max_cost`` either way round.
 
     The count is transpose-symmetric, so the orientation for which
-    ``_recursion_cost`` predicts less work is taken."""
+    ``_recursion_cost`` predicts less work is taken.  A NaN budget,
+    which compares false with every cost, raises ValueError."""
+    if math.isnan(max_cost):
+        raise ValueError("Omega budget is NaN")
     if min(_cost_estimate(rows, cols), _cost_estimate(cols, rows)) > max_cost:
         return None
     if _recursion_cost(cols, rows) < _recursion_cost(rows, cols):
@@ -333,25 +332,15 @@ def count_tables_gaussian(row_sums, col_sums) -> float:
 
 def log2_omega(row_sums, col_sums, max_cost: float = DEFAULT_MAX_COST) -> float:
     """log2 of the number of contingency tables with the given margins:
-    exact when the cost guard allows, the analytic estimate otherwise.
+    exact when ``_cost_estimate`` stays within ``max_cost``, the
+    analytic estimate otherwise.  Nothing is memoized.
 
-    Results are cached by the unordered pair of sorted margins, since the
-    count is symmetric under transposition: ``log2_omega(r, c)`` and
-    ``log2_omega(c, r)`` share one entry and return the same float.
-    Concurrent use is safe because entries are deterministic and written
-    atomically.
+    The value is computed from the sorted margins in a canonical
+    (small, large) order, so ``log2_omega(r, c)`` and
+    ``log2_omega(c, r)`` return the same float.
     """
     rows, cols = _clean_margins(row_sums, col_sums)
     small, large = sorted((tuple(sorted(rows)), tuple(sorted(cols))))
-    key = (small, large, max_cost)
-    hit = _omega_cache.get(key)
-    if hit is not None:
-        return hit
-    # computed from the key's margins, so the value does not depend on
-    # which orientation or margin order reached the memo first
     if _exact_orientation(small, large, max_cost) is None:
-        val = count_tables_gaussian(small, large)
-    else:
-        val = count_tables_exact(small, large, max_cost=max_cost)
-    _omega_cache[key] = val
-    return val
+        return count_tables_gaussian(small, large)
+    return count_tables_exact(small, large, max_cost=max_cost)

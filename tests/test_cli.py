@@ -5,7 +5,7 @@ import stat
 import numpy as np
 import pytest
 
-from partition_modes import (Clustering, canonicalize,
+from partition_modes import (Clustering, PairCache, canonicalize,
                              full_description_length)
 from partition_modes.cli import main
 from partition_modes.sampler import (PerturbationSpec, perturb_ensemble,
@@ -131,6 +131,40 @@ def test_cluster_deterministic_across_runs(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_cluster_rejects_restarts_below_one(tmp_path, capsys):
+    path = tmp_path / "p.txt"
+    _write_identical_ensemble(path)
+    out = tmp_path / "r.json"
+    rc = main(["cluster", "--partitions", str(path), "--restarts", "0",
+               "--out", str(out)])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_nan_omega_budget_rejected(tmp_path, capsys):
+    path = tmp_path / "p.txt"
+    _write_identical_ensemble(path)
+    out = tmp_path / "r.json"
+    rc = main(["cluster", "--partitions", str(path),
+               "--exact-omega-threshold", "nan", "--out", str(out)])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+    # a stored clustering whose budget is NaN is not scored either
+    assert main(["cluster", "--partitions", str(path), "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    data["omega_max_cost"] = float("nan")
+    out.write_text(json.dumps(data))
+    capsys.readouterr()
+    rc = main(["describe", "--partitions", str(path), "--clustering", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert captured.out == ""
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["p.txt", "r.json"]
+
+
 def test_describe_round_trip(tmp_path, capsys):
     base_a = canonicalize([0, 0, 1, 1, 2, 2])
     spec = PerturbationSpec(bases=[(base_a, 1.0)], node_flip_rate=0.1,
@@ -175,8 +209,8 @@ def test_describe_uses_the_clustering_omega_budget(tmp_path, capsys):
                                                        abs=1e-9)
     clustering = Clustering(assignment=np.array(data["assignment"]),
                             mode_index=data["mode_index"], K=data["K"])
-    assert desc["exact_encoding"] == full_description_length(pset, clustering,
-                                                             max_cost=0.0)
+    assert desc["exact_encoding"] == full_description_length(
+        pset, clustering, cache=PairCache(pset, max_cost=0.0))
     assert desc["exact_encoding"] != full_description_length(pset, clustering)
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from partition_modes import (EngineParams, PairCache, PartitionSet,
                              canonicalize, description_length, engine, entropy,
                              find_mode_exact, find_mode_sampled, log2_omega,
-                             modified_conditional_entropy, run, tables)
+                             modified_conditional_entropy, run)
 from partition_modes.engine import (_MOVES, EngineState, _find_mode,
                                     _initial_state, _kmeans_split,
                                     _make_cluster, propose_merge,
@@ -37,6 +39,8 @@ def test_engine_params_validation():
         EngineParams(max_kmeans_iters=0)
     with pytest.raises(ValueError):
         EngineParams(mode_sample_size=0)
+    with pytest.raises(ValueError):
+        EngineParams(restarts=0)
     EngineParams(max_kmeans_iters=1, mode_sample_size=1)
 
 
@@ -301,6 +305,22 @@ def test_result_json_schema():
     assert data["modes"][0] == [0, 0, 1, 1]
 
 
+def test_restarts_keep_the_best_run_deterministically():
+    rng = np.random.default_rng(12)
+    pset = PartitionSet.from_partitions(
+        [random_partition(16, 4, rng) for _ in range(60)])
+
+    def result(restarts):
+        return run(pset, EngineParams(seed=5, k0=3, restarts=restarts))
+
+    single = result(1)
+    best = result(3)
+    # restart 0 is the single run, so the best of three is no worse
+    assert best.breakdown.total <= single.breakdown.total
+    assert (json.dumps(best.to_json_dict())
+            == json.dumps(result(3).to_json_dict()))
+
+
 def test_run_independent_of_cache_state():
     # the budget splits the margin pairs between the exact count and the
     # estimate, and clusters above 30 members take the sampled mode search
@@ -313,17 +333,16 @@ def test_run_independent_of_cache_state():
     def result(cache):
         return run(pset, params, cache=cache).to_json_dict()
 
-    tables._omega_cache.clear()
     cold = result(PairCache(pset, max_cost=budget))
     warm_cache = PairCache(pset, max_cost=budget)
     warm = result(warm_cache)
     reused = result(warm_cache)
-    # a memo filled first by direct calls, transposed and in label order
-    tables._omega_cache.clear()
-    for p in pset.partitions:
-        for q in pset.partitions[:10]:
-            log2_omega(q.counts, p.counts, max_cost=budget)
-    transposed = result(PairCache(pset, max_cost=budget))
+    # an Omega block filled first with the mode and sample sides swapped
+    transposed_cache = PairCache(pset, max_cost=budget)
+    for q in range(10):
+        transposed_cache.omega_block(np.arange(pset.S),
+                                     np.full(pset.S, q))
+    transposed = result(transposed_cache)
     assert cold == warm == reused == transposed
 
 

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from partition_modes import (Clustering, PartitionSet, canonicalize,
-                             cluster_label_entropy, description_length,
-                             full_description_length)
+from partition_modes import (Clustering, PairCache, PartitionSet, canonicalize,
+                             cluster_label_entropy, contingency_table,
+                             description_length, full_description_length,
+                             log2_omega)
+from partition_modes.tables import DEFAULT_MAX_COST
 from partition_modes.sampler import PerturbationSpec, perturb_ensemble
 
 from conftest import random_partition
@@ -110,6 +112,26 @@ def test_exact_encoding_duplicates():
     from partition_modes import log2_omega
     assert enc["L4"] == pytest.approx(20 * log2_omega(p.counts, p.counts))
     assert enc["L3"] == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("budget", [0, DEFAULT_MAX_COST])
+def test_exact_encoding_l4_takes_table_counts_at_the_cache_budget(budget):
+    rng = np.random.default_rng(8)
+    pset = PartitionSet.from_partitions(
+        [random_partition(12, 4, rng) for _ in range(15)])
+    assignment = np.arange(pset.S) % 3
+    clustering = Clustering(assignment, [0, 1, 2], 3)
+    enc = full_description_length(pset, clustering,
+                                  cache=PairCache(pset, max_cost=budget))
+    expect = 0.0
+    for i in range(pset.S):
+        mode = pset.partitions[clustering.mode_index[assignment[i]]]
+        p = pset.partitions[i]
+        t = contingency_table(mode, p).t
+        expect += (sum(math.log2(math.factorial(a)) for a in mode.counts)
+                   - sum(math.log2(math.factorial(x)) for x in t.ravel())
+                   + log2_omega(mode.counts, p.counts, max_cost=budget))
+    assert enc["L4"] == pytest.approx(expect, rel=1e-12)
 
 
 def test_per_sample_objective_tracks_exact_encoding():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from partition_modes import (EngineParams, PartitionSet, canonicalize,
                              count_tables_exact, count_tables_estimate,
-                             count_tables_gaussian, log2_omega, run, tables)
+                             count_tables_gaussian, log2_omega, run)
 from partition_modes.tables import (DEFAULT_MAX_COST, _clean_margins,
                                     _cost_estimate, _count_exact_int,
                                     _exact_orientation, _log2_int,
@@ -75,6 +75,18 @@ def test_exact_cost_guard():
     big = [40] * 12
     with pytest.raises(ValueError, match="table too large"):
         count_tables_exact(big, big, max_cost=1000)
+
+
+def test_nan_budget_rejected():
+    # every budget comparison is false for NaN, so it would count every
+    # table exactly however large
+    with pytest.raises(ValueError, match="NaN"):
+        log2_omega([2, 2], [2, 2], max_cost=math.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        log2_omega([13, 12, 12, 13, 10, 15, 12, 13],
+                   [9, 11, 10, 10, 10, 10, 10, 10, 10, 10], max_cost=math.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        count_tables_exact([1, 1], [1, 1], max_cost=math.nan)
 
 
 def test_estimate_worked_examples():
@@ -231,9 +243,7 @@ def test_exact_counter_matches_reference(margins, pad):
     # each orientation is computed afresh from margins in a new order
     assert _exact_orientation(*_clean_margins(r, c), 0) is None
     for max_cost in (DEFAULT_MAX_COST, 0):
-        tables._omega_cache.clear()
         val = log2_omega(r, c, max_cost=max_cost)
-        tables._omega_cache.clear()
         assert log2_omega(c[::-1], r, max_cost=max_cost) == val
         if max_cost:
             assert val == _log2_int(expect)
