@@ -103,6 +103,9 @@ def cmd_describe(args) -> int:
                             mode_index=[int(m) for m in data["mode_index"]],
                             K=int(data["K"]))
     clustering.validate(pset)
+    if len(data["modes"]) != clustering.K:
+        raise ValueError("the result lists %d modes for K = %d"
+                         % (len(data["modes"]), clustering.K))
     for k, m in enumerate(clustering.mode_index):
         stored = canonicalize(data["modes"][k])
         if stored != pset.partitions[m]:

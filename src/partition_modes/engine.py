@@ -38,6 +38,7 @@ bound its size, and never outlives a run.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,7 +64,8 @@ class EngineParams:
     omega_max_cost: float = DEFAULT_MAX_COST
 
     def __post_init__(self):
-        if self.lam < 0 or self.k0 < 1 or self.mode_sample_size < 1 \
+        if not math.isfinite(self.lam) or self.lam < 0 or self.k0 < 1 \
+                or self.mode_sample_size < 1 \
                 or self.patience < 1 or self.restarts < 1 \
                 or self.max_kmeans_iters < 1:
             raise ValueError("invalid engine parameters")

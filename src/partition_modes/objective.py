@@ -3,7 +3,8 @@
 Assembles the per-sample penalized objective (mode entropies, cluster
 label entropy, modified conditional entropies, and the per-cluster
 penalty) plus the exact four-part encoding length used for reporting
-and cross-checks.
+and cross-checks.  Log-factorials and log-binomials come from the
+standard library's ``math.lgamma``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .cache import PairCache
 from .partitions import PartitionSet, contingency_table
@@ -87,8 +87,8 @@ def description_length(pset: PartitionSet, clustering: Clustering,
     """Penalized per-sample description length of the ensemble under the
     given clustering, broken into its four terms."""
     clustering.validate(pset)
-    if lam < 0:
-        raise ValueError("penalty weight must be non-negative")
+    if not math.isfinite(lam) or lam < 0:
+        raise ValueError("penalty weight must be finite and non-negative")
     if cache is None:
         cache = PairCache(pset)
     N, S = pset.N, pset.S
@@ -111,8 +111,10 @@ def description_length(pset: PartitionSet, clustering: Clustering,
     )
 
 
-def _log2_factorial(x) -> np.ndarray:
-    return gammaln(np.asarray(x, dtype=np.float64) + 1.0) / _LN2
+def _log2_factorials(n: int) -> np.ndarray:
+    """log2 k! for k = 0..n, indexed by k."""
+    return np.fromiter((math.lgamma(k + 1.0) for k in range(n + 1)),
+                       dtype=np.float64, count=n + 1) / _LN2
 
 
 def full_description_length(pset: PartitionSet, clustering: Clustering,
@@ -132,12 +134,12 @@ def full_description_length(pset: PartitionSet, clustering: Clustering,
         cache = PairCache(pset)
     N, S, K = pset.N, pset.S, clustering.K
     sizes = clustering.cluster_sizes()
+    lf = _log2_factorials(max(N, S))
 
     L1 = float(sum(_log2_binom(N - 1, p.n - 1) for p in pset.partitions))
-    L2 = float(sum(_log2_factorial(N) - _log2_factorial(pset.partitions[m].counts).sum()
+    L2 = float(sum(lf[N] - lf[pset.partitions[m].counts].sum()
                    for m in clustering.mode_index))
-    L3 = _log2_binom(S - 1, K - 1) + float(_log2_factorial(S)
-                                           - _log2_factorial(sizes).sum())
+    L3 = _log2_binom(S - 1, K - 1) + float(lf[S] - lf[sizes].sum())
     L4 = 0.0
     for k, m in enumerate(clustering.mode_index):
         mode = pset.partitions[m]
@@ -145,7 +147,7 @@ def full_description_length(pset: PartitionSet, clustering: Clustering,
         omegas = cache.omega_block(np.full(members.size, m), members)
         for p_idx, omega in zip(members, omegas):
             t = contingency_table(mode, pset.partitions[p_idx]).t
-            L4 += float(_log2_factorial(mode.counts).sum() - _log2_factorial(t).sum())
+            L4 += float(lf[mode.counts].sum() - lf[t].sum())
             L4 += float(omega)
     return {"L1": L1, "L2": L2, "L3": L3, "L4": L4,
             "total": L1 + L2 + L3 + L4}

@@ -5,6 +5,7 @@ raw counts overflow floating point at trivially small margins.
 
 Nothing here keeps state between calls: ``PairCache`` memoizes the
 table counts of one ensemble, once per unordered pair of margins.
+Log-binomials come from the standard library's ``math.lgamma``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 from collections import Counter
 
 import numpy as np
-from scipy.special import gammaln
 
 _LN2 = math.log(2.0)
 
@@ -298,7 +298,9 @@ def count_tables_estimate(row_sums, col_sums,
 
 
 def _log2_binom(n: float, k: float) -> float:
-    return float(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)) / _LN2
+    """log2 C(n, k) from the standard library's log-gamma; n and k may
+    be real."""
+    return (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / _LN2
 
 
 def _gaussian_one_sided(rows: np.ndarray, cols: np.ndarray) -> float:

@@ -165,6 +165,48 @@ def test_nan_omega_budget_rejected(tmp_path, capsys):
     assert sorted(f.name for f in tmp_path.iterdir()) == ["p.txt", "r.json"]
 
 
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_non_finite_lambda_rejected(tmp_path, capsys, lam):
+    # every comparison with NaN is false, so no move could be accepted,
+    # and the result JSON would hold the invalid token NaN or Infinity
+    path = tmp_path / "p.txt"
+    _write_identical_ensemble(path)
+    out = tmp_path / "r.json"
+    rc = main(["cluster", "--partitions", str(path), "--lambda", lam,
+               "--out", str(out)])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["cluster", "--partitions", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    rc = main(["describe", "--partitions", str(path), "--clustering", str(out),
+               "--lambda", lam])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert captured.out == ""
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["p.txt", "r.json"]
+
+
+def test_describe_rejects_a_result_with_too_few_modes(tmp_path, capsys):
+    path = tmp_path / "p.txt"
+    _write_identical_ensemble(path)
+    result_path = tmp_path / "result.json"
+    main(["cluster", "--partitions", str(path), "--seed", "0",
+          "--out", str(result_path)])
+    capsys.readouterr()
+    data = json.loads(result_path.read_text())
+    assert data["K"] == 1
+    data["modes"] = []
+    result_path.write_text(json.dumps(data))
+    rc = main(["describe", "--partitions", str(path),
+               "--clustering", str(result_path)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "error: the result lists 0 modes for K = 1" in captured.err
+    assert captured.out == ""
+
+
 def test_describe_round_trip(tmp_path, capsys):
     base_a = canonicalize([0, 0, 1, 1, 2, 2])
     spec = PerturbationSpec(bases=[(base_a, 1.0)], node_flip_rate=0.1,

@@ -41,6 +41,9 @@ def test_engine_params_validation():
         EngineParams(mode_sample_size=0)
     with pytest.raises(ValueError):
         EngineParams(restarts=0)
+    for lam in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            EngineParams(lam=lam)
     EngineParams(max_kmeans_iters=1, mode_sample_size=1)
 
 
