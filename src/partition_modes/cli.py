@@ -95,13 +95,26 @@ def cmd_cluster(args) -> int:
     return 0
 
 
+def _int_list(data: dict, key: str) -> list[int]:
+    """``data[key]`` if it is a list of JSON integers: no float, string or bool."""
+    values = data[key]
+    if not isinstance(values, list) or not all(type(v) is int for v in values):
+        raise ValueError("%s must be a list of integers" % key)
+    return values
+
+
 def cmd_describe(args) -> int:
     pset = sampler.load_partitions(args.partitions)
     with open(args.clustering) as fh:
         data = json.load(fh)
-    clustering = Clustering(assignment=np.array(data["assignment"], dtype=np.int64),
-                            mode_index=[int(m) for m in data["mode_index"]],
-                            K=int(data["K"]))
+    if not isinstance(data, dict):
+        raise ValueError("the result JSON is not an object")
+    if type(data["K"]) is not int:
+        raise ValueError("K must be an integer")
+    clustering = Clustering(assignment=np.array(_int_list(data, "assignment"),
+                                                dtype=np.int64),
+                            mode_index=_int_list(data, "mode_index"),
+                            K=data["K"])
     clustering.validate(pset)
     if len(data["modes"]) != clustering.K:
         raise ValueError("the result lists %d modes for K = %d"

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,6 @@ class PartitionSet:
 
     partitions: list[Partition]
     N: int
-    _keys: list[bytes] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not self.partitions:
@@ -71,11 +70,6 @@ class PartitionSet:
     @property
     def S(self) -> int:
         return len(self.partitions)
-
-    def key(self, i: int) -> bytes:
-        if self._keys is None:
-            self._keys = [p.key() for p in self.partitions]
-        return self._keys[i]
 
 
 @dataclass

@@ -4,6 +4,7 @@ for self-contained demos."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,10 @@ def load_partitions(path, expected_N: int | None = None) -> PartitionSet:
             elif len(raw) != N:
                 raise ValueError("line %d: expected %d labels, got %d"
                                  % (lineno, N, len(raw)))
-            parts.append(canonicalize(raw))
+            try:
+                parts.append(canonicalize(raw))
+            except OverflowError:   # past the int64 labels canonicalize uses
+                raise ValueError("line %d: label out of range" % lineno) from None
     if not parts:
         raise ValueError("no partitions in %s" % path)
     return PartitionSet(partitions=parts, N=N)
@@ -114,7 +118,8 @@ def mcmc_sample(graph: Graph, S: int, sweeps_between: int = 1, beta: float = 1.0
         raise ValueError("need at least one sample")
     if graph.N < 1:
         raise ValueError("empty graph")
-    if sweeps_between < 1 or q_max < 1:
+    # NaN would reject every downhill move; inf is the zero-temperature limit
+    if sweeps_between < 1 or q_max < 1 or math.isnan(beta):
         raise ValueError("invalid sampler parameters")
     N = graph.N
     adj = [[] for _ in range(N)]

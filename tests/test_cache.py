@@ -101,9 +101,19 @@ def test_kernel_matches_reference_in_both_directions(pset):
     if max(p.n for p in pset.partitions) > 255:
         assert cache._labels.dtype == np.uint16
     idx = np.arange(pset.S)
-    # given[q, m] from rows over samples, against[q, m] from rows over modes
+    # given[q, m] from the row of m, against[q, m] from the row of q; the
+    # first pass fills every row, so the second computes no pair
     given_mode = np.stack([cache.hmod_given_mode(idx, m) for m in idx], axis=1)
+    computed = []
+    kernel = cache._compute_block
+
+    def spy(m_indices, *rest):
+        computed.append(len(m_indices))
+        return kernel(m_indices, *rest)
+
+    cache._compute_block = spy
     against = np.stack([cache.hmod_against_modes(q, idx) for q in idx])
+    assert computed == []
     ref = np.array([[modified_conditional_entropy(q, m, max_cost=_COST)
                      for m in pset.partitions] for q in pset.partitions])
     assert np.allclose(given_mode, ref, rtol=0, atol=1e-10)

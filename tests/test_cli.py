@@ -66,6 +66,24 @@ def test_sample_counts_and_determinism(tmp_path, capsys):
     assert len(p1.read_text().splitlines()) == 100
 
 
+def test_sample_rejects_nan_beta(tmp_path, capsys):
+    # no comparison with NaN is true, so every downhill move would be
+    # rejected and the sampler would silently turn greedy
+    ring = tmp_path / "ring"
+    main(["generate", "cliques", "--cliques", "3", "--size", "3",
+          "--out", str(ring)])
+    out = tmp_path / "s.txt"
+    rc = main(["sample", "--graph", str(ring) + ".edges", "--s", "5",
+               "--beta", "nan", "--out", str(out)])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+    # inf is the zero-temperature limit; warnings are errors in this suite
+    assert main(["sample", "--graph", str(ring) + ".edges", "--s", "5",
+                 "--beta", "inf", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 5
+
+
 def test_sample_missing_graph(tmp_path, capsys):
     rc = main(["sample", "--graph", str(tmp_path / "none.edges"), "--s", "5",
                "--out", str(tmp_path / "o.txt")])
@@ -271,10 +289,32 @@ def test_describe_inconsistent_inputs(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("mode_index", [4, -1])
-def test_describe_rejects_mode_index_out_of_range(tmp_path, capsys, mode_index):
+def _set(key, value):
+    def edit(data):
+        data[key] = value
+        return data
+    return edit
+
+
+@pytest.mark.parametrize("edit,message", [
     # 4 is past the end of a 4-partition ensemble; -1 would otherwise
     # index its last partition
+    (_set("mode_index", [4]), "mode index 4 out of range"),
+    (_set("mode_index", [-1]), "mode index -1 out of range"),
+    # non-integers must not be truncated or parsed into valid entries
+    (_set("mode_index", [0.6]), "mode_index must be a list of integers"),
+    (_set("mode_index", ["0"]), "mode_index must be a list of integers"),
+    (_set("mode_index", [True]), "mode_index must be a list of integers"),
+    (_set("assignment", [0.6] * 4), "assignment must be a list of integers"),
+    (_set("assignment", ["0"] * 4), "assignment must be a list of integers"),
+    (_set("assignment", 0), "assignment must be a list of integers"),
+    (_set("K", 1.7), "K must be an integer"),
+    (_set("K", True), "K must be an integer"),
+    (lambda data: [data], "the result JSON is not an object"),
+], ids=["mode_index=4", "mode_index=-1", "mode_index=0.6", "mode_index='0'",
+        "mode_index=true", "assignment=0.6", "assignment='0'", "assignment=0",
+        "K=1.7", "K=true", "list"])
+def test_describe_rejects_a_malformed_result(tmp_path, capsys, edit, message):
     path = tmp_path / "p.txt"
     _write_identical_ensemble(path, S=4)
     result_path = tmp_path / "result.json"
@@ -283,13 +323,13 @@ def test_describe_rejects_mode_index_out_of_range(tmp_path, capsys, mode_index):
     capsys.readouterr()
     data = json.loads(result_path.read_text())
     assert data["K"] == 1
-    data["mode_index"] = [mode_index]
-    result_path.write_text(json.dumps(data))
+    result_path.write_text(json.dumps(edit(data)))
     rc = main(["describe", "--partitions", str(path),
                "--clustering", str(result_path)])
     assert rc == 1
-    assert ("error: mode index %d out of range" % mode_index
-            in capsys.readouterr().err)
+    captured = capsys.readouterr()
+    assert "error: %s" % message in captured.err
+    assert captured.out == ""
 
 
 def test_describe_lambda_flag_overrides_stored_value(tmp_path, capsys):

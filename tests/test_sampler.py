@@ -20,6 +20,7 @@ def test_load_partitions_basic(tmp_path):
     ("", "no partitions"),
     ("0 0 1\n0 1\n", "line 2: expected 3 labels"),
     ("0 a 1\n", "line 1: non-integer"),
+    ("0 1 2\n0 1 -99999999999999999999\n", "line 2: label out of range"),
 ])
 def test_load_partitions_errors(tmp_path, text, msg):
     path = tmp_path / "p.txt"
