@@ -36,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from .partitions import PartitionSet
-from .tables import DEFAULT_MAX_COST, log2_omega
+from .tables import log2_omega
 
 
 def _intern(keys) -> tuple[np.ndarray, list]:
@@ -49,11 +49,10 @@ def _intern(keys) -> tuple[np.ndarray, list]:
 
 class PairCache:
     """Memoizes H(p), log2 Omega and H_mod(q | m) for partitions of one
-    PartitionSet, with ``max_cost`` the budget of exact table counts."""
+    PartitionSet."""
 
-    def __init__(self, pset: PartitionSet, max_cost: float = DEFAULT_MAX_COST):
+    def __init__(self, pset: PartitionSet):
         self.pset = pset
-        self.max_cost = max_cost
         self.cid, keys = _intern(p.key() for p in pset.partitions)
         self.rep = np.unique(self.cid, return_index=True)[1]  # lowest index per id
         self.n_cid = len(keys)
@@ -95,7 +94,7 @@ class PairCache:
             hi = np.maximum(ms[missing], qs[missing])
             for a, b in set(zip(lo.tolist(), hi.tolist())):
                 self._omega[a, b] = self._omega[b, a] = log2_omega(
-                    self._margins[a], self._margins[b], max_cost=self.max_cost)
+                    self._margins[a], self._margins[b])
             vals = self._omega[ms, qs]
         return vals
 

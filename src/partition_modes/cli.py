@@ -16,7 +16,6 @@ from .engine import EngineParams, run
 from .fileio import atomic_text_file
 from .objective import Clustering, description_length, full_description_length
 from .partitions import PartitionSet, canonicalize, contingency_table
-from .tables import DEFAULT_MAX_COST
 
 
 def cmd_generate(args) -> int:
@@ -67,8 +66,7 @@ def cmd_cluster(args) -> int:
     params = EngineParams(lam=args.lam, k0=args.k0,
                           mode_sample_size=args.sample_size,
                           patience=args.patience, seed=args.seed,
-                          restarts=args.restarts,
-                          omega_max_cost=args.exact_omega_threshold)
+                          restarts=args.restarts)
     result = run(pset, params)
     data = result.to_json_dict()
     if args.out:
@@ -124,9 +122,7 @@ def cmd_describe(args) -> int:
         if stored != pset.partitions[m]:
             raise ValueError("mode %d does not match the ensemble" % k)
     lam = args.lam if args.lam is not None else float(data.get("lambda", 1.0))
-    # one cache at the Omega budget the clustering was scored with
-    max_cost = float(data.get("omega_max_cost", DEFAULT_MAX_COST))
-    cache = PairCache(pset, max_cost=max_cost)
+    cache = PairCache(pset)
     breakdown = description_length(pset, clustering, lam=lam, cache=cache)
     exact = full_description_length(pset, clustering, cache=cache)
     print(json.dumps({"objective": breakdown.to_json_dict(),
@@ -181,10 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     clu.add_argument("--patience", type=int, default=100)
     clu.add_argument("--seed", type=int, default=0)
     clu.add_argument("--restarts", type=int, default=1)
-    clu.add_argument("--exact-omega-threshold", type=float,
-                     default=DEFAULT_MAX_COST,
-                     help="work budget for exact contingency-table counts "
-                          "(memo states x branching of the widest row)")
     clu.add_argument("--out", help="write the full result JSON here")
     clu.add_argument("--format", choices=("json", "text"), default="text")
     clu.add_argument("--modes-out", help="prefix for per-mode partition files")

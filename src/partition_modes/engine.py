@@ -47,9 +47,11 @@ from .cache import PairCache
 from .objective import (Clustering, ObjectiveBreakdown, cluster_label_entropy,
                         description_length)
 from .partitions import Partition, PartitionSet
-from .tables import DEFAULT_MAX_COST
 
 MOVE_NAMES = ("reassign", "merge", "split", "merge_split")
+
+# k-means iterations of one split before it stops without converging
+MAX_KMEANS_ITERS = 30
 
 
 @dataclass
@@ -59,15 +61,12 @@ class EngineParams:
     mode_sample_size: int = 30
     patience: int = 100
     seed: int = 0
-    max_kmeans_iters: int = 30
     restarts: int = 1
-    omega_max_cost: float = DEFAULT_MAX_COST
 
     def __post_init__(self):
         if not math.isfinite(self.lam) or self.lam < 0 or self.k0 < 1 \
                 or self.mode_sample_size < 1 \
-                or self.patience < 1 or self.restarts < 1 \
-                or self.max_kmeans_iters < 1:
+                or self.patience < 1 or self.restarts < 1:
             raise ValueError("invalid engine parameters")
 
 
@@ -267,12 +266,12 @@ def _kmeans_split(members, state: EngineState, rng: np.random.Generator):
     the copies are divided, so keeping them together is never worse
     than dividing them.  Each mode's content stays in its own part, the
     modes are recomputed, and the loop ends when the content assignment
-    repeats or after ``params.max_kmeans_iters`` iterations.
+    repeats or after ``MAX_KMEANS_ITERS`` iterations.
 
     The two parts never share a content and each mode is a member of
     its part, so the two modes never coincide: the loop cannot stall on
     two halves of one content that both pick it as their mode."""
-    cache, params = state.cache, state.params
+    cache = state.cache
     arr = _sorted_members(members)
     contents, inverse = np.unique(cache.cid[arr], return_inverse=True)
     if contents.size == 1:
@@ -284,7 +283,7 @@ def _kmeans_split(members, state: EngineState, rng: np.random.Generator):
         i2 = int(others[rng.integers(others.size)])
     m1, m2 = int(arr[i1]), int(arr[i2])
     assign = None
-    for _ in range(params.max_kmeans_iters):
+    for _ in range(MAX_KMEANS_ITERS):
         d1 = cache.hmod_given_mode(reps, m1)
         d2 = cache.hmod_given_mode(reps, m2)
         side = d1 < d2
@@ -346,13 +345,11 @@ class ClusteringResult:
     trace: list
     lam: float
     accepted_states: list = field(default_factory=list)
-    omega_max_cost: float = DEFAULT_MAX_COST
 
     def to_json_dict(self) -> dict:
         return {
             "K": self.clustering.K,
             "lambda": self.lam,
-            "omega_max_cost": float(self.omega_max_cost),
             "weights": [float(w) for w in self.weights],
             "modes": [[int(x) for x in m.labels] for m in self.modes],
             "assignment": [int(a) for a in self.clustering.assignment],
@@ -409,7 +406,7 @@ def run(pset: PartitionSet, params: EngineParams | None = None,
     if params is None:
         params = EngineParams()
     if cache is None:
-        cache = PairCache(pset, max_cost=params.omega_max_cost)
+        cache = PairCache(pset)
     best = None
     for r in range(params.restarts):
         rng = np.random.default_rng(params.seed + r)
@@ -428,5 +425,4 @@ def run(pset: PartitionSet, params: EngineParams | None = None,
         trace=trace,
         lam=params.lam,
         accepted_states=accepted,
-        omega_max_cost=cache.max_cost,
     )

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tables import DEFAULT_MAX_COST, log2_omega
+from .tables import log2_omega
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,11 +111,10 @@ def conditional_entropy(p: Partition, mode: Partition) -> float:
     return float(max(0.0, -term.sum() / p.N))
 
 
-def modified_conditional_entropy(p: Partition, mode: Partition,
-                                 max_cost: float = DEFAULT_MAX_COST) -> float:
+def modified_conditional_entropy(p: Partition, mode: Partition) -> float:
     """Conditional entropy plus the per-node cost of transmitting the
     contingency table between the two partitions."""
     if p.N != mode.N:
         raise ValueError("incompatible partitions")
-    omega = log2_omega(mode.counts, p.counts, max_cost=max_cost)
+    omega = log2_omega(mode.counts, p.counts)
     return conditional_entropy(p, mode) + omega / p.N

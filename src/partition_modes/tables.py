@@ -103,16 +103,13 @@ def _recursion_cost(rows, cols) -> float:
     return cost + _CLOSED_FORM_WEIGHT * states * _saturating_float(terms)
 
 
-def _exact_orientation(rows, cols, max_cost: float):
+def _exact_orientation(rows, cols):
     """Orient cleaned margins for the exact recursion, or return None
-    when ``_cost_estimate`` exceeds ``max_cost`` either way round.
+    when ``_cost_estimate`` exceeds ``DEFAULT_MAX_COST`` either way round.
 
     The count is transpose-symmetric, so the orientation for which
-    ``_recursion_cost`` predicts less work is taken.  A NaN budget,
-    which compares false with every cost, raises ValueError."""
-    if math.isnan(max_cost):
-        raise ValueError("Omega budget is NaN")
-    if min(_cost_estimate(rows, cols), _cost_estimate(cols, rows)) > max_cost:
+    ``_recursion_cost`` predicts less work is taken."""
+    if min(_cost_estimate(rows, cols), _cost_estimate(cols, rows)) > DEFAULT_MAX_COST:
         return None
     if _recursion_cost(cols, rows) < _recursion_cost(rows, cols):
         rows, cols = cols, rows
@@ -220,14 +217,14 @@ def _count_exact_int(rows, cols) -> int:
                for cols_t, n in ways.items())
 
 
-def count_tables_exact(row_sums, col_sums, max_cost: float = DEFAULT_MAX_COST) -> float:
+def count_tables_exact(row_sums, col_sums) -> float:
     """log2 of the exact number of non-negative integer matrices with the
     given margins.
 
     Raises ValueError if the margins disagree or the estimated work of
-    the memoized recursion would exceed ``max_cost``.
+    the memoized recursion would exceed ``DEFAULT_MAX_COST``.
     """
-    oriented = _exact_orientation(*_clean_margins(row_sums, col_sums), max_cost)
+    oriented = _exact_orientation(*_clean_margins(row_sums, col_sums))
     if oriented is None:
         raise ValueError("table too large for exact count")
     return _log2_int(_count_exact_int(*oriented))
@@ -332,9 +329,9 @@ def count_tables_gaussian(row_sums, col_sums) -> float:
     return max(0.0, est)
 
 
-def log2_omega(row_sums, col_sums, max_cost: float = DEFAULT_MAX_COST) -> float:
+def log2_omega(row_sums, col_sums) -> float:
     """log2 of the number of contingency tables with the given margins:
-    exact when ``_cost_estimate`` stays within ``max_cost``, the
+    exact when ``_cost_estimate`` stays within ``DEFAULT_MAX_COST``, the
     analytic estimate otherwise.  Nothing is memoized.
 
     The value is computed from the sorted margins in a canonical
@@ -343,6 +340,6 @@ def log2_omega(row_sums, col_sums, max_cost: float = DEFAULT_MAX_COST) -> float:
     """
     rows, cols = _clean_margins(row_sums, col_sums)
     small, large = sorted((tuple(sorted(rows)), tuple(sorted(cols))))
-    if _exact_orientation(small, large, max_cost) is None:
+    if _exact_orientation(small, large) is None:
         return count_tables_gaussian(small, large)
-    return count_tables_exact(small, large, max_cost=max_cost)
+    return count_tables_exact(small, large)

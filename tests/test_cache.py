@@ -1,3 +1,5 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from partition_modes import (EngineParams, PairCache, PartitionSet,
                              canonicalize, entropy, modified_conditional_entropy,
-                             run)
+                             run, tables)
 from partition_modes.tables import _exact_orientation
 
 from conftest import random_partition
@@ -59,7 +61,7 @@ def test_duplicate_partitions_share_entries():
 
 
 # exact Omega only for small tables, so wide margins stay fast; the
-# reference is called with the same budget
+# reference runs at the same budget
 _COST = 1e4
 
 
@@ -97,7 +99,12 @@ def _ensembles(draw):
 @settings(max_examples=40, deadline=None)
 @given(_ensembles())
 def test_kernel_matches_reference_in_both_directions(pset):
-    cache = PairCache(pset, max_cost=_COST)
+    with patch.object(tables, "DEFAULT_MAX_COST", _COST):
+        _check_kernel_against_reference(pset)
+
+
+def _check_kernel_against_reference(pset):
+    cache = PairCache(pset)
     if max(p.n for p in pset.partitions) > 255:
         assert cache._labels.dtype == np.uint16
     idx = np.arange(pset.S)
@@ -114,8 +121,8 @@ def test_kernel_matches_reference_in_both_directions(pset):
     cache._compute_block = spy
     against = np.stack([cache.hmod_against_modes(q, idx) for q in idx])
     assert computed == []
-    ref = np.array([[modified_conditional_entropy(q, m, max_cost=_COST)
-                     for m in pset.partitions] for q in pset.partitions])
+    ref = np.array([[modified_conditional_entropy(q, m) for m in pset.partitions]
+                    for q in pset.partitions])
     assert np.allclose(given_mode, ref, rtol=0, atol=1e-10)
     assert np.allclose(against, ref, rtol=0, atol=1e-10)
     # H_mod(q | m) - H_mod(m | q) = H(q) - H(m): the table count is
@@ -127,17 +134,17 @@ def test_kernel_matches_reference_in_both_directions(pset):
                        rtol=0, atol=1e-10)
 
 
-def test_omega_matrix_symmetric_after_run():
+def test_omega_matrix_symmetric_after_run(monkeypatch):
     # a low budget sends the larger margin pairs to the estimate, so both
     # counting paths fill the matrix
-    budget = 1e4
+    monkeypatch.setattr(tables, "DEFAULT_MAX_COST", 1e4)
     pset = _random_set(60, 16, 2)
-    cache = PairCache(pset, max_cost=budget)
-    run(pset, EngineParams(seed=0, k0=3, omega_max_cost=budget), cache=cache)
+    cache = PairCache(pset)
+    run(pset, EngineParams(seed=0, k0=3), cache=cache)
     omega = cache._omega
     is_set = ~np.isnan(omega)
     assert np.array_equal(is_set, is_set.T)
     assert np.array_equal(omega[is_set], omega.T[is_set])
-    exact = [_exact_orientation(cache._margins[a], cache._margins[b], budget)
+    exact = [_exact_orientation(cache._margins[a], cache._margins[b])
              is not None for a, b in zip(*np.nonzero(is_set))]
     assert any(exact) and not all(exact)

@@ -5,8 +5,7 @@ import stat
 import numpy as np
 import pytest
 
-from partition_modes import (Clustering, PairCache, canonicalize,
-                             full_description_length)
+from partition_modes import Clustering, canonicalize, full_description_length
 from partition_modes.cli import main
 from partition_modes.sampler import (PerturbationSpec, perturb_ensemble,
                                      write_partitions)
@@ -160,29 +159,6 @@ def test_cluster_rejects_restarts_below_one(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_nan_omega_budget_rejected(tmp_path, capsys):
-    path = tmp_path / "p.txt"
-    _write_identical_ensemble(path)
-    out = tmp_path / "r.json"
-    rc = main(["cluster", "--partitions", str(path),
-               "--exact-omega-threshold", "nan", "--out", str(out)])
-    assert rc == 1
-    assert "error:" in capsys.readouterr().err
-    assert not out.exists()
-    # a stored clustering whose budget is NaN is not scored either
-    assert main(["cluster", "--partitions", str(path), "--out", str(out)]) == 0
-    data = json.loads(out.read_text())
-    data["omega_max_cost"] = float("nan")
-    out.write_text(json.dumps(data))
-    capsys.readouterr()
-    rc = main(["describe", "--partitions", str(path), "--clustering", str(out)])
-    assert rc == 1
-    captured = capsys.readouterr()
-    assert "error:" in captured.err
-    assert captured.out == ""
-    assert sorted(f.name for f in tmp_path.iterdir()) == ["p.txt", "r.json"]
-
-
 @pytest.mark.parametrize("lam", ["nan", "inf"])
 def test_non_finite_lambda_rejected(tmp_path, capsys, lam):
     # every comparison with NaN is false, so no move could be accepted,
@@ -248,9 +224,9 @@ def test_describe_round_trip(tmp_path, capsys):
     assert set(desc["exact_encoding"]) == {"L1", "L2", "L3", "L4", "total"}
 
 
-def test_describe_uses_the_clustering_omega_budget(tmp_path, capsys):
-    # with a zero budget every table count of the clustering is estimated;
-    # describe must score it the same way, not at the default budget
+def test_describe_ignores_a_stored_omega_budget(tmp_path, capsys):
+    # results written while the exact-count budget was a setting carry it;
+    # describe scores them at the fixed budget, as cluster does
     spec = PerturbationSpec(bases=[(canonicalize(np.arange(12) // 3), 1.0)],
                             node_flip_rate=0.2, S=40, seed=5)
     pset, _ = perturb_ensemble(spec)
@@ -258,10 +234,11 @@ def test_describe_uses_the_clustering_omega_budget(tmp_path, capsys):
     write_partitions(pset, path)
     result_path = tmp_path / "result.json"
     main(["cluster", "--partitions", str(path), "--seed", "0",
-          "--exact-omega-threshold", "0", "--out", str(result_path)])
+          "--out", str(result_path)])
     capsys.readouterr()
     data = json.loads(result_path.read_text())
-    assert data["omega_max_cost"] == 0.0
+    data["omega_max_cost"] = 0.0
+    result_path.write_text(json.dumps(data))
     assert main(["describe", "--partitions", str(path),
                  "--clustering", str(result_path)]) == 0
     desc = json.loads(capsys.readouterr().out)
@@ -269,9 +246,7 @@ def test_describe_uses_the_clustering_omega_budget(tmp_path, capsys):
                                                        abs=1e-9)
     clustering = Clustering(assignment=np.array(data["assignment"]),
                             mode_index=data["mode_index"], K=data["K"])
-    assert desc["exact_encoding"] == full_description_length(
-        pset, clustering, cache=PairCache(pset, max_cost=0.0))
-    assert desc["exact_encoding"] != full_description_length(pset, clustering)
+    assert desc["exact_encoding"] == full_description_length(pset, clustering)
 
 
 def test_describe_inconsistent_inputs(tmp_path, capsys):

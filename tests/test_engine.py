@@ -1,4 +1,5 @@
 import json
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -8,13 +9,12 @@ from hypothesis import strategies as st
 from partition_modes import (EngineParams, PairCache, PartitionSet,
                              canonicalize, description_length, engine, entropy,
                              find_mode_exact, find_mode_sampled, log2_omega,
-                             modified_conditional_entropy, run)
+                             modified_conditional_entropy, run, tables)
 from partition_modes.engine import (_MOVES, EngineState, _find_mode,
                                     _initial_state, _kmeans_split,
                                     _make_cluster, propose_merge,
                                     propose_reassign, propose_split)
 from partition_modes.sampler import PerturbationSpec, perturb_ensemble
-from partition_modes.tables import DEFAULT_MAX_COST
 
 from conftest import random_partition
 
@@ -36,15 +36,13 @@ def test_engine_params_validation():
     with pytest.raises(ValueError):
         EngineParams(patience=0)
     with pytest.raises(ValueError):
-        EngineParams(max_kmeans_iters=0)
-    with pytest.raises(ValueError):
         EngineParams(mode_sample_size=0)
     with pytest.raises(ValueError):
         EngineParams(restarts=0)
     for lam in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             EngineParams(lam=lam)
-    EngineParams(max_kmeans_iters=1, mode_sample_size=1)
+    EngineParams(mode_sample_size=1)
 
 
 def test_find_mode_singleton_and_ties():
@@ -299,11 +297,10 @@ def test_result_json_schema():
     pset = PartitionSet.from_partitions([p] * 5)
     res = run(pset, EngineParams(seed=0, lam=2.0))
     data = res.to_json_dict()
-    assert set(data) == {"K", "lambda", "omega_max_cost", "weights", "modes",
-                         "assignment", "mode_index", "objective", "trace"}
+    assert set(data) == {"K", "lambda", "weights", "modes", "assignment",
+                         "mode_index", "objective", "trace"}
     assert data["K"] == 1
     assert data["lambda"] == 2.0
-    assert data["omega_max_cost"] == DEFAULT_MAX_COST
     assert len(data["assignment"]) == 5
     assert data["modes"][0] == [0, 0, 1, 1]
 
@@ -324,24 +321,24 @@ def test_restarts_keep_the_best_run_deterministically():
             == json.dumps(result(3).to_json_dict()))
 
 
-def test_run_independent_of_cache_state():
+def test_run_independent_of_cache_state(monkeypatch):
     # the budget splits the margin pairs between the exact count and the
     # estimate, and clusters above 30 members take the sampled mode search
-    budget = 1e4
+    monkeypatch.setattr(tables, "DEFAULT_MAX_COST", 1e4)
     rng = np.random.default_rng(4)
     pset = PartitionSet.from_partitions(
         [random_partition(16, 5, rng) for _ in range(80)])
-    params = EngineParams(seed=4, k0=2, omega_max_cost=budget)
+    params = EngineParams(seed=4, k0=2)
 
     def result(cache):
         return run(pset, params, cache=cache).to_json_dict()
 
-    cold = result(PairCache(pset, max_cost=budget))
-    warm_cache = PairCache(pset, max_cost=budget)
+    cold = result(PairCache(pset))
+    warm_cache = PairCache(pset)
     warm = result(warm_cache)
     reused = result(warm_cache)
     # an Omega block filled first with the mode and sample sides swapped
-    transposed_cache = PairCache(pset, max_cost=budget)
+    transposed_cache = PairCache(pset)
     for q in range(10):
         transposed_cache.omega_block(np.arange(pset.S),
                                      np.full(pset.S, q))
@@ -435,12 +432,12 @@ def test_kmeans_split_keeps_every_content_on_one_side(data):
     pool = [random_partition(N, 4, rng) for _ in range(data.draw(st.integers(1, 6)))]
     pset = PartitionSet.from_partitions(
         [pool[i] for i in rng.integers(len(pool), size=S)])
-    params = EngineParams(mode_sample_size=data.draw(st.integers(1, 4)),
-                          max_kmeans_iters=data.draw(st.integers(1, 4)))
+    params = EngineParams(mode_sample_size=data.draw(st.integers(1, 4)))
     cache = PairCache(pset)
     members = np.sort(rng.choice(S, size=data.draw(st.integers(1, S)), replace=False))
     state = EngineState(pset, cache, params, rng.random(S), [])
-    parts = _kmeans_split(members, state, rng)
+    with patch.object(engine, "MAX_KMEANS_ITERS", data.draw(st.integers(1, 4))):
+        parts = _kmeans_split(members, state, rng)
     if len(set(cache.cid[members].tolist())) == 1:
         assert parts is None
         return
@@ -484,6 +481,6 @@ def test_kmeans_split_modes_never_coincide(monkeypatch):
         assert len(searches) % 2 == 0
         pairs = list(zip(searches[::2], searches[1::2]))
         assert all(cache.cid[a] != cache.cid[b] for a, b in pairs)
-        assert len(pairs) < params.max_kmeans_iters
+        assert len(pairs) < engine.MAX_KMEANS_ITERS
         assert (c1.mode, c2.mode) == pairs[-1]
     assert shared_seeds > 0

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from partition_modes import (Clustering, PairCache, PartitionSet, canonicalize,
+from partition_modes import (Clustering, PartitionSet, canonicalize,
                              cluster_label_entropy, contingency_table,
                              description_length, full_description_length,
-                             log2_omega)
+                             log2_omega, tables)
 from partition_modes.tables import DEFAULT_MAX_COST
 from partition_modes.sampler import PerturbationSpec, perturb_ensemble
 
@@ -115,14 +115,15 @@ def test_exact_encoding_duplicates():
 
 
 @pytest.mark.parametrize("budget", [0, DEFAULT_MAX_COST])
-def test_exact_encoding_l4_takes_table_counts_at_the_cache_budget(budget):
+def test_exact_encoding_l4_takes_table_counts_at_the_cache_budget(budget,
+                                                                  monkeypatch):
+    monkeypatch.setattr(tables, "DEFAULT_MAX_COST", budget)
     rng = np.random.default_rng(8)
     pset = PartitionSet.from_partitions(
         [random_partition(12, 4, rng) for _ in range(15)])
     assignment = np.arange(pset.S) % 3
     clustering = Clustering(assignment, [0, 1, 2], 3)
-    enc = full_description_length(pset, clustering,
-                                  cache=PairCache(pset, max_cost=budget))
+    enc = full_description_length(pset, clustering)
     expect = 0.0
     for i in range(pset.S):
         mode = pset.partitions[clustering.mode_index[assignment[i]]]
@@ -130,7 +131,7 @@ def test_exact_encoding_l4_takes_table_counts_at_the_cache_budget(budget):
         t = contingency_table(mode, p).t
         expect += (sum(math.log2(math.factorial(a)) for a in mode.counts)
                    - sum(math.log2(math.factorial(x)) for x in t.ravel())
-                   + log2_omega(mode.counts, p.counts, max_cost=budget))
+                   + log2_omega(mode.counts, p.counts))
     assert enc["L4"] == pytest.approx(expect, rel=1e-12)
 
 

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from partition_modes import (EngineParams, PartitionSet, canonicalize,
                              count_tables_exact, count_tables_estimate,
-                             count_tables_gaussian, log2_omega, run)
+                             count_tables_gaussian, log2_omega, run, tables)
 from partition_modes.tables import (DEFAULT_MAX_COST, _clean_margins,
                                     _cost_estimate, _count_exact_int,
                                     _exact_orientation, _log2_int,
@@ -71,22 +72,11 @@ def test_margin_validation():
         count_tables_exact([-1, 5], [2, 2])
 
 
-def test_exact_cost_guard():
+def test_exact_cost_guard(monkeypatch):
     big = [40] * 12
+    monkeypatch.setattr(tables, "DEFAULT_MAX_COST", 1000)
     with pytest.raises(ValueError, match="table too large"):
-        count_tables_exact(big, big, max_cost=1000)
-
-
-def test_nan_budget_rejected():
-    # every budget comparison is false for NaN, so it would count every
-    # table exactly however large
-    with pytest.raises(ValueError, match="NaN"):
-        log2_omega([2, 2], [2, 2], max_cost=math.nan)
-    with pytest.raises(ValueError, match="NaN"):
-        log2_omega([13, 12, 12, 13, 10, 15, 12, 13],
-                   [9, 11, 10, 10, 10, 10, 10, 10, 10, 10], max_cost=math.nan)
-    with pytest.raises(ValueError, match="NaN"):
-        count_tables_exact([1, 1], [1, 1], max_cost=math.nan)
+        count_tables_exact(big, big)
 
 
 def test_estimate_worked_examples():
@@ -233,7 +223,7 @@ def _margin_pairs(draw):
 @example(([0], [0]), 2)
 def test_exact_counter_matches_reference(margins, pad):
     r, c = margins
-    oriented = _exact_orientation(*_clean_margins(r, c), DEFAULT_MAX_COST)
+    oriented = _exact_orientation(*_clean_margins(r, c))
     assume(oriented is not None)
     rows, cols = oriented
     expect = reference_count_exact(rows, cols)
@@ -241,10 +231,12 @@ def test_exact_counter_matches_reference(margins, pad):
     assert _count_exact_int(rows + [0] * pad, [0] * pad + cols) == expect
     # log2_omega is exactly transpose-symmetric on both paths, even when
     # each orientation is computed afresh from margins in a new order
-    assert _exact_orientation(*_clean_margins(r, c), 0) is None
+    with patch.object(tables, "DEFAULT_MAX_COST", 0):
+        assert _exact_orientation(*_clean_margins(r, c)) is None
     for max_cost in (DEFAULT_MAX_COST, 0):
-        val = log2_omega(r, c, max_cost=max_cost)
-        assert log2_omega(c[::-1], r, max_cost=max_cost) == val
+        with patch.object(tables, "DEFAULT_MAX_COST", max_cost):
+            val = log2_omega(r, c)
+            assert log2_omega(c[::-1], r) == val
         if max_cost:
             assert val == _log2_int(expect)
 
@@ -254,7 +246,8 @@ def test_exact_counter_matches_reference(margins, pad):
 def test_exact_orientation_keeps_budget_and_takes_cheaper_recursion(margins,
                                                                     max_cost):
     rows, cols = _clean_margins(*margins)
-    oriented = _exact_orientation(rows, cols, max_cost)
+    with patch.object(tables, "DEFAULT_MAX_COST", max_cost):
+        oriented = _exact_orientation(rows, cols)
     # the budget decision is the cost estimate's, whichever way round
     within = min(_cost_estimate(rows, cols), _cost_estimate(cols, rows)) <= max_cost
     assert (oriented is not None) == within
@@ -266,6 +259,5 @@ def test_exact_orientation_keeps_budget_and_takes_cheaper_recursion(margins,
 def test_exact_orientation_enumerates_the_small_rows():
     # counted this way round, the two enumerated rows are the 6s; the
     # other way round they are two 12s over four columns, about 16x slower
-    rows, cols = _exact_orientation([12, 12, 12, 12], [6, 6, 12, 24],
-                                    DEFAULT_MAX_COST)
+    rows, cols = _exact_orientation([12, 12, 12, 12], [6, 6, 12, 24])
     assert sorted(rows) == [6, 6, 12, 24]
