@@ -10,7 +10,10 @@ Missing H_mod pairs are computed in batches at the content level.  The
 cache holds one label row per distinct content, in the narrowest
 unsigned dtype that fits the largest community count, a table of
 x log2 x for the integers 0..N, and per content the sum a log2 a over
-its community sizes a.  With t the contingency table of sample q
+its community sizes a.  The table is in int64 fixed point: x log2 x
+times the largest power of two 2^k with 2^k N log2 N <= 2^62, rounded.
+Integer sums are exact in any order, so a value does not depend on the
+batch that computed it.  With t the contingency table of sample q
 against mode m and a_k = sum_l t_kl the sizes of the mode's
 communities,
 
@@ -32,6 +35,8 @@ rows and can differ in the last bits.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -63,12 +68,16 @@ class PairCache:
             np.min_scalar_type(width))
         x = np.arange(pset.N + 1, dtype=np.float64)
         x[0] = 1.0                          # 0 log 0 = 0
-        self._xlogx = np.arange(pset.N + 1) * np.log2(x)
+        top = pset.N * math.log2(max(pset.N, 2))
+        self._scale = 2.0 ** (62 - math.ceil(math.log2(top)))
+        self._xlogx = np.rint(np.arange(pset.N + 1) * np.log2(x)
+                              * self._scale).astype(np.int64)
         offsets = (np.arange(self.n_cid) * width)[:, None]
         sizes = np.bincount((self._labels + offsets).ravel(),
                             minlength=self.n_cid * width)
         self._size_xlogx = self._xlogx[sizes].reshape(self.n_cid, width).sum(axis=1)
-        self._entropy = np.maximum(0.0, np.log2(pset.N) - self._size_xlogx / pset.N)
+        self._entropy = np.maximum(
+            0.0, np.log2(pset.N) - self._size_xlogx / (self._scale * pset.N))
         # H_mod(x | c) in a dense row per fixed content c, so batch
         # lookups are contiguous numpy gathers; unset cells are NaN
         self._by_mode: dict[int, np.ndarray] = {}
@@ -158,5 +167,6 @@ class PairCache:
         t = np.bincount(codes.ravel(), minlength=q_cids.size * width)
         joint = self._xlogx[t].reshape(q_cids.size, width).sum(axis=1)
         N = self.pset.N
-        hcond = np.maximum(0.0, (self._size_xlogx[m_cid] - joint) / N)
+        hcond = np.maximum(0.0, (self._size_xlogx[m_cid] - joint)
+                           / (self._scale * N))
         return hcond + self.omega_block(m_indices, q_indices) / N

@@ -344,6 +344,20 @@ def test_run_independent_of_cache_state(monkeypatch):
                                      np.full(pset.S, q))
     transposed = result(transposed_cache)
     assert cold == warm == reused == transposed
+    # a cache warmed by a run at another seed and lambda computed its
+    # H_mod values in other batches; on these bimodal ensembles a value
+    # whose last bits depended on its batch flipped a distance tie in
+    # the k-means split
+    base_a = canonicalize(np.repeat(np.arange(4), 25))
+    base_b = canonicalize((np.arange(100) // 10) % 5)
+    for seed in (1, 2):
+        spec = PerturbationSpec(bases=[(base_a, 0.5), (base_b, 0.5)],
+                                node_flip_rate=0.05, S=150, seed=seed)
+        pset, _ = perturb_ensemble(spec)
+        warm_cache = PairCache(pset)
+        run(pset, EngineParams(seed=seed + 100, lam=0.0), cache=warm_cache)
+        warm = run(pset, EngineParams(seed=seed), cache=warm_cache)
+        assert warm.to_json_dict() == run(pset, EngineParams(seed=seed)).to_json_dict()
 
 
 def test_mode_memo_hit_returns_stored_mode_and_keeps_rng_aligned(monkeypatch):
