@@ -93,11 +93,13 @@ def cmd_cluster(args) -> int:
     return 0
 
 
-def _int_list(data: dict, key: str) -> list[int]:
-    """``data[key]`` if it is a list of JSON integers: no float, string or bool."""
-    values = data[key]
+def _int_list(values, what: str) -> list[int]:
+    """``values`` if it is a list of JSON integers within int64: no float,
+    string or bool."""
     if not isinstance(values, list) or not all(type(v) is int for v in values):
-        raise ValueError("%s must be a list of integers" % key)
+        raise ValueError("%s must be a list of integers" % what)
+    if not all(-2 ** 63 <= v < 2 ** 63 for v in values):
+        raise ValueError("%s holds an integer past int64" % what)
     return values
 
 
@@ -109,16 +111,18 @@ def cmd_describe(args) -> int:
         raise ValueError("the result JSON is not an object")
     if type(data["K"]) is not int:
         raise ValueError("K must be an integer")
-    clustering = Clustering(assignment=np.array(_int_list(data, "assignment"),
-                                                dtype=np.int64),
-                            mode_index=_int_list(data, "mode_index"),
+    assignment = _int_list(data["assignment"], "assignment")
+    clustering = Clustering(assignment=np.array(assignment, dtype=np.int64),
+                            mode_index=_int_list(data["mode_index"], "mode_index"),
                             K=data["K"])
     clustering.validate(pset)
+    if not isinstance(data["modes"], list):
+        raise ValueError("modes must be a list")
     if len(data["modes"]) != clustering.K:
         raise ValueError("the result lists %d modes for K = %d"
                          % (len(data["modes"]), clustering.K))
     for k, m in enumerate(clustering.mode_index):
-        stored = canonicalize(data["modes"][k])
+        stored = canonicalize(_int_list(data["modes"][k], "mode %d" % k))
         if stored != pset.partitions[m]:
             raise ValueError("mode %d does not match the ensemble" % k)
     lam = args.lam if args.lam is not None else float(data.get("lambda", 1.0))

@@ -153,7 +153,7 @@ def _weighted_argmin(candidates: np.ndarray, terms: np.ndarray, weights,
     return int(candidates[int(np.argmin(scores))])
 
 
-def find_mode_exact(cluster_members, pset: PartitionSet, cache: PairCache) -> int:
+def find_mode_exact(cluster_members, cache: PairCache) -> int:
     """Member partition minimizing H(p) + sum_q H_mod(q | p) over the
     whole cluster; ties broken by lowest partition index.  Each distinct
     content is scored once and weighs as many times as it occurs."""
@@ -161,8 +161,8 @@ def find_mode_exact(cluster_members, pset: PartitionSet, cache: PairCache) -> in
     return _weighted_argmin(reps, reps, counts, cache)
 
 
-def find_mode_sampled(cluster_members, pset: PartitionSet, sample_size: int,
-                      priority: np.ndarray, cache: PairCache) -> int:
+def find_mode_sampled(cluster_members, sample_size: int, priority: np.ndarray,
+                      cache: PairCache) -> int:
     """Monte Carlo mode estimate: score every member against a sample X
     of cluster members, scaled by the cluster size: the argmin of
     H(p) + |C|/|X| sum_{q in X} H_mod(q | p).  Falls back to the exact
@@ -178,7 +178,7 @@ def find_mode_sampled(cluster_members, pset: PartitionSet, sample_size: int,
     member set within a run (see ``_find_mode``)."""
     members = _sorted_members(cluster_members)
     if members.size <= sample_size:
-        return find_mode_exact(members, pset, cache)
+        return find_mode_exact(members, cache)
     sample = members[np.argpartition(priority[members], sample_size - 1)[:sample_size]]
     candidates, _ = _distinct_candidates(members, cache)
     terms, counts = _distinct_candidates(np.sort(sample), cache)
@@ -193,14 +193,14 @@ def _find_mode(members: np.ndarray, state: EngineState) -> int:
     A sampled search depends only on the member set and the run's
     priorities, so a member set searched before in the run gets back
     the mode stored for it in ``state.mode_memo``."""
-    pset, cache, params = state.pset, state.cache, state.params
+    cache, params = state.cache, state.params
     if members.size <= params.mode_sample_size:
-        return find_mode_exact(members, pset, cache)
+        return find_mode_exact(members, cache)
     key = hashlib.blake2b(members.tobytes(), digest_size=16).digest()
     mode = state.mode_memo.get(key)
     if mode is None:
         mode = state.mode_memo[key] = find_mode_sampled(
-            members, pset, params.mode_sample_size, state.priority, cache)
+            members, params.mode_sample_size, state.priority, cache)
     return mode
 
 

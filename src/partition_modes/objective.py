@@ -34,11 +34,13 @@ class Clustering:
         S = pset.S
         if self.assignment.shape != (S,):
             raise ValueError("assignment length does not match ensemble size")
-        sizes = np.bincount(self.assignment, minlength=self.K)
-        if len(self.mode_index) != self.K or np.any(sizes == 0):
+        # K and the cluster ids are bounded before bincount allocates K counts
+        if len(self.mode_index) != self.K:
             raise ValueError("every cluster must be non-empty with one mode")
         if self.assignment.min() < 0 or self.assignment.max() >= self.K:
             raise ValueError("cluster id out of range")
+        if np.any(self.cluster_sizes() == 0):
+            raise ValueError("every cluster must be non-empty with one mode")
         for k, m in enumerate(self.mode_index):
             if not 0 <= m < S:
                 raise ValueError("mode index %d out of range" % m)

@@ -286,9 +286,17 @@ def _set(key, value):
     (_set("K", 1.7), "K must be an integer"),
     (_set("K", True), "K must be an integer"),
     (lambda data: [data], "the result JSON is not an object"),
+    # integers past int64 must not reach numpy
+    (_set("assignment", [10 ** 30] * 4), "assignment holds an integer past int64"),
+    (_set("mode_index", [10 ** 30]), "mode_index holds an integer past int64"),
+    (_set("K", 10 ** 30), "every cluster must be non-empty with one mode"),
+    (_set("modes", 5), "modes must be a list"),
+    # 0.6 would be truncated to the stored mode's label 0
+    (_set("modes", [[0.6, 0, 0, 1, 1, 1]]), "mode 0 must be a list of integers"),
 ], ids=["mode_index=4", "mode_index=-1", "mode_index=0.6", "mode_index='0'",
         "mode_index=true", "assignment=0.6", "assignment='0'", "assignment=0",
-        "K=1.7", "K=true", "list"])
+        "K=1.7", "K=true", "list", "assignment=10**30", "mode_index=10**30",
+        "K=10**30", "modes=5", "modes=0.6"])
 def test_describe_rejects_a_malformed_result(tmp_path, capsys, edit, message):
     path = tmp_path / "p.txt"
     _write_identical_ensemble(path, S=4)

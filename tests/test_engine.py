@@ -49,10 +49,10 @@ def test_find_mode_singleton_and_ties():
     a = canonicalize([0, 0, 1, 1, 2, 2])
     pset = PartitionSet.from_partitions([a, a, a, a])
     cache = PairCache(pset)
-    assert find_mode_exact([2], pset, cache) == 2
+    assert find_mode_exact([2], cache) == 2
     # identical members: lowest index wins the tie
-    assert find_mode_exact([0, 1, 2, 3], pset, cache) == 0
-    assert find_mode_exact([3, 1, 2], pset, cache) == 1
+    assert find_mode_exact([0, 1, 2, 3], cache) == 0
+    assert find_mode_exact([3, 1, 2], cache) == 1
 
 
 def test_find_mode_majority():
@@ -60,7 +60,7 @@ def test_find_mode_majority():
     b = canonicalize([0, 0, 0, 1, 1, 2, 2, 2, 2])  # one node relabeled
     pset = PartitionSet.from_partitions([a, a, a, b])
     cache = PairCache(pset)
-    assert find_mode_exact([0, 1, 2, 3], pset, cache) == 0
+    assert find_mode_exact([0, 1, 2, 3], cache) == 0
 
 
 def test_find_mode_sampled_matches_exact_for_small_clusters():
@@ -69,8 +69,8 @@ def test_find_mode_sampled_matches_exact_for_small_clusters():
     pset = PartitionSet.from_partitions(parts)
     cache = PairCache(pset)
     members = list(range(20))
-    exact = find_mode_exact(members, pset, cache)
-    sampled = find_mode_sampled(members, pset, 30,
+    exact = find_mode_exact(members, cache)
+    sampled = find_mode_sampled(members, 30,
                                 np.random.default_rng(5).random(pset.S), cache)
     assert sampled == exact
 
@@ -87,7 +87,7 @@ def test_find_mode_sampled_finds_dominant_base():
     members = list(range(len(parts)))
     hits = 0
     for seed in range(20):
-        idx = find_mode_sampled(members, pset, 30,
+        idx = find_mode_sampled(members, 30,
                                 np.random.default_rng(seed).random(pset.S), cache)
         # the winner must come from the dominant perturbation family
         if idx < 200:
@@ -110,7 +110,7 @@ def test_find_mode_sampled_is_lowest_index_argmin_of_sample_score(data):
     members = np.sort(rng.choice(S, size=data.draw(st.integers(2, S)), replace=False))
     n = data.draw(st.integers(1, members.size - 1), label="sample size")
     priority = rng.random(S)
-    mode = find_mode_sampled(members[::-1].tolist(), pset, n, priority,
+    mode = find_mode_sampled(members[::-1].tolist(), n, priority,
                              PairCache(pset))
     sample = sorted(members, key=lambda p: priority[p])[:n]
     parts = pset.partitions
@@ -145,13 +145,13 @@ def test_find_mode_sampled_keeps_its_terms_when_an_unsampled_member_leaves(data)
         return lookup(q_idx, m_indices)
 
     cache.hmod_against_modes = spy
-    find_mode_sampled(members, pset, n, priority, cache)
+    find_mode_sampled(members, n, priority, cache)
     before = set(terms)
     assert before
     outside = members[np.argsort(priority[members])[n:]]
     leaving = data.draw(st.sampled_from(outside.tolist()), label="leaving")
     terms.clear()
-    find_mode_sampled(members[members != leaving], pset, n, priority, cache)
+    find_mode_sampled(members[members != leaving], n, priority, cache)
     assert set(terms) == before
 
 
@@ -368,7 +368,7 @@ def test_mode_memo_hit_returns_stored_mode_and_keeps_rng_aligned(monkeypatch):
     params = EngineParams(mode_sample_size=10)
     state = EngineState(pset, cache, params, rng.random(pset.S), [])
     members = np.arange(3, 50, dtype=np.int64)   # above the sample size
-    fresh = find_mode_sampled(members, pset, params.mode_sample_size,
+    fresh = find_mode_sampled(members, params.mode_sample_size,
                               state.priority, cache)
     assert _find_mode(members, state) == fresh
     assert list(state.mode_memo.values()) == [fresh]
