@@ -129,7 +129,7 @@ def full_description_length(pset: PartitionSet, clustering: Clustering,
     changes the total only negligibly and simplifies bookkeeping).
     L1 does not depend on the clustering and is reported but never used
     in optimization comparisons.  L4 takes its table counts from
-    ``cache``, at its budget; by default a fresh ``PairCache``.
+    ``cache``, by default a fresh ``PairCache``.
     """
     clustering.validate(pset)
     if cache is None:
