@@ -129,7 +129,8 @@ def full_description_length(pset: PartitionSet, clustering: Clustering,
     changes the total only negligibly and simplifies bookkeeping).
     L1 does not depend on the clustering and is reported but never used
     in optimization comparisons.  L4 takes its table counts from
-    ``cache``, by default a fresh ``PairCache``.
+    ``cache``, by default a fresh ``PairCache``; past the exact-count
+    budget of ``log2_omega`` they are estimates, so L4 is then approximate.
     """
     clustering.validate(pset)
     if cache is None:

@@ -2,6 +2,7 @@
 
 All public functions return the base-2 logarithm of the count, since the
 raw counts overflow floating point at trivially small margins.
+``log2_omega`` counts exactly within a work budget and estimates past it.
 
 Nothing here keeps state between calls: ``PairCache`` memoizes the
 table counts of one ensemble, once per unordered pair of margins.
@@ -17,10 +18,10 @@ import numpy as np
 
 _LN2 = math.log(2.0)
 
-# Exact counting is attempted only when ``_cost_estimate`` (memo states
-# times the branching of the widest row) stays below this budget; beyond
-# it an estimate takes over.
-DEFAULT_MAX_COST = 10_000_000
+# Exact counting is attempted only when ``_recursion_cost`` stays within
+# this budget the cheaper way round.  Of 664 random margin pairs (N 10-100,
+# 2-7 parts), the slowest of the 490 within it took 6 ms on a 2-CPU x86 VM.
+DEFAULT_MAX_COST = 500_000
 
 # Work of one inclusion-exclusion term of the closed-form row, in
 # enumerated compositions: fitted on both orientations of 300 timed
@@ -62,37 +63,19 @@ def _saturating_float(x: int) -> float:
         return math.inf
 
 
-def _state_estimate(cols) -> float:
-    """Upper bound on memo states: product of (b_j + 1), with equal columns
-    collapsed to sorted multisets."""
-    est = 1.0
-    for value, mult in Counter(cols).items():
-        est *= _saturating_float(math.comb(value + mult, mult))
-    return est
-
-
-def _cost_estimate(rows, cols) -> float:
-    """The exact-count budget measure: states times the branching of the
-    widest row.  It models an earlier recursion that enumerated every row
-    but the last, and stays the budget so that each margin pair keeps its
-    exact or estimated path; ``_recursion_cost`` models the current one."""
-    if len(rows) <= 1 or len(cols) <= 1:
-        return 1.0
-    branch = math.comb(max(rows) + len(cols) - 1, len(cols) - 1)
-    return _state_estimate(cols) * _saturating_float(branch)
-
-
 def _recursion_cost(rows, cols) -> float:
     """Estimated work of ``_count_exact_int``: the compositions
     enumerated for every row but the two largest, with the states of
-    each level capped by ``_state_estimate``, plus the
+    each level capped by the count of sorted column remainders, plus the
     inclusion-exclusion terms of the closed-form second-to-last row at
-    every state that reaches it."""
-    if len(rows) <= 1 or len(cols) <= 1:
+    every state that reaches it; 1 when a margin is a single part or all
+    unit sums, which are counted in closed form."""
+    if len(rows) <= 1 or len(cols) <= 1 or max(rows) == 1 or max(cols) == 1:
         return 1.0
     rows = sorted(rows)
     k = len(cols)
-    cap = _state_estimate(cols)
+    cap = math.prod(_saturating_float(math.comb(value + mult, mult))
+                    for value, mult in Counter(cols).items())
     states, cost = 1.0, 0.0
     for r in rows[:-2]:
         branch = _saturating_float(math.comb(r + k - 1, k - 1))
@@ -104,16 +87,15 @@ def _recursion_cost(rows, cols) -> float:
 
 
 def _exact_orientation(rows, cols):
-    """Orient cleaned margins for the exact recursion, or return None
-    when ``_cost_estimate`` exceeds ``DEFAULT_MAX_COST`` either way round.
-
-    The count is transpose-symmetric, so the orientation for which
-    ``_recursion_cost`` predicts less work is taken."""
-    if min(_cost_estimate(rows, cols), _cost_estimate(cols, rows)) > DEFAULT_MAX_COST:
+    """Orient cleaned margins for the exact recursion the way round for
+    which ``_recursion_cost`` predicts less work, or return None when
+    that cost exceeds ``DEFAULT_MAX_COST``.  The count is
+    transpose-symmetric; a tie keeps the given orientation."""
+    cost, flip = min((_recursion_cost(rows, cols), False),
+                     (_recursion_cost(cols, rows), True))
+    if cost > DEFAULT_MAX_COST:
         return None
-    if _recursion_cost(cols, rows) < _recursion_cost(rows, cols):
-        rows, cols = cols, rows
-    return rows, cols
+    return (cols, rows) if flip else (rows, cols)
 
 
 def _bounded_compositions(a: int, caps: tuple) -> int:
@@ -221,8 +203,8 @@ def count_tables_exact(row_sums, col_sums) -> float:
     """log2 of the exact number of non-negative integer matrices with the
     given margins.
 
-    Raises ValueError if the margins disagree or the estimated work of
-    the memoized recursion would exceed ``DEFAULT_MAX_COST``.
+    Raises ValueError if the margins disagree or ``_recursion_cost``
+    exceeds ``DEFAULT_MAX_COST`` either way round.
     """
     oriented = _exact_orientation(*_clean_margins(row_sums, col_sums))
     if oriented is None:
@@ -300,39 +282,45 @@ def _log2_binom(n: float, k: float) -> float:
     return (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / _LN2
 
 
-def _gaussian_one_sided(rows: np.ndarray, cols: np.ndarray) -> float:
-    """CLT estimate: rows are independent uniform compositions; the log
-    probability that their column sums land exactly on the target margin
-    is taken from a lattice Gaussian."""
-    N = rows.sum()
-    C = len(cols)
-    log2_free = sum(_log2_binom(r + C - 1, C - 1) for r in rows)
-    var_rows = rows * (C - 1) * (rows + C) / (C * C * (C + 1))
-    sigma2 = var_rows.sum() * C / (C - 1)
-    delta = cols - N / C
-    log_p = (0.5 * math.log(C) - 0.5 * (C - 1) * math.log(2 * math.pi * sigma2)
-             - (delta ** 2).sum() / (2 * sigma2))
-    return log2_free + log_p / _LN2
+def _effective_columns(rows, cols) -> float:
+    """log2 of the effective-columns estimate with ``rows`` as the rows:
+    the columns are counted as independent compositions over the R rows,
+    and the rows as compositions over alpha effective columns, alpha
+    matching the variance of a uniformly random table's row sums."""
+    N, R = sum(cols), len(rows)
+    sq = sum(c * c for c in cols)
+    alpha = (N * N - N + (N * N - sq) / R) / (sq - N)
+    return (sum(_log2_binom(c + R - 1, R - 1) for c in cols)
+            + sum(_log2_binom(r + alpha - 1, alpha - 1) for r in rows)
+            - _log2_binom(N + R * alpha - 1, R * alpha - 1))
 
 
 def count_tables_gaussian(row_sums, col_sums) -> float:
-    """Fast analytic estimate of log2 of the table count, symmetrized
-    over the two orientations.  Accurate to a few percent for the
-    moderately large, roughly balanced margins that exceed the exact
-    counter's budget; poor for very small tables."""
+    """Effective-columns estimate of log2 of the table count (Jerdee,
+    Kirkley & Newman, arXiv:2209.14869), averaged over both orientations
+    and clamped at 0; exact for a margin of unit sums.  Sums run over the
+    sorted margins, so the order of the entries does not matter.
+
+    Relative error on 664 random pairs (N 10-100, 2-7 parts): median
+    0.4%, p95 5.1%; on the 174 past ``DEFAULT_MAX_COST``, which
+    ``log2_omega`` estimates, median 0.2%, max 5.1%.
+
+    The name is that of the lattice-Gaussian estimate this replaced,
+    kept because ``perfbench/`` records estimated counts under it."""
     rows, cols = _clean_margins(row_sums, col_sums)
     if len(rows) <= 1 or len(cols) <= 1:
         return 0.0
-    r = np.array(rows, dtype=np.float64)
-    c = np.array(cols, dtype=np.float64)
-    est = 0.5 * (_gaussian_one_sided(r, c) + _gaussian_one_sided(c, r))
+    rows, cols = sorted(rows), sorted(cols)
+    if rows[-1] == 1 or cols[-1] == 1:
+        return _log2_int(_count_exact_int(rows, cols))  # the multinomial
+    est = 0.5 * (_effective_columns(rows, cols) + _effective_columns(cols, rows))
     return max(0.0, est)
 
 
 def log2_omega(row_sums, col_sums) -> float:
     """log2 of the number of contingency tables with the given margins:
-    exact when ``_cost_estimate`` stays within ``DEFAULT_MAX_COST``, the
-    analytic estimate otherwise.  Nothing is memoized.
+    exact when ``_recursion_cost`` stays within ``DEFAULT_MAX_COST``, the
+    effective-columns estimate otherwise.  Nothing is memoized.
 
     The value is computed from the sorted margins in a canonical
     (small, large) order, so ``log2_omega(r, c)`` and
@@ -340,6 +328,7 @@ def log2_omega(row_sums, col_sums) -> float:
     """
     rows, cols = _clean_margins(row_sums, col_sums)
     small, large = sorted((tuple(sorted(rows)), tuple(sorted(cols))))
-    if _exact_orientation(small, large) is None:
+    try:
+        return count_tables_exact(small, large)
+    except ValueError:  # over the budget: the margins are already clean
         return count_tables_gaussian(small, large)
-    return count_tables_exact(small, large)

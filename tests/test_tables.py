@@ -11,9 +11,8 @@ from partition_modes import (EngineParams, PartitionSet, canonicalize,
                              count_tables_exact, count_tables_estimate,
                              count_tables_gaussian, log2_omega, run, tables)
 from partition_modes.tables import (DEFAULT_MAX_COST, _clean_margins,
-                                    _cost_estimate, _count_exact_int,
-                                    _exact_orientation, _log2_int,
-                                    _recursion_cost)
+                                    _count_exact_int, _exact_orientation,
+                                    _log2_int, _recursion_cost)
 
 from conftest import (brute_force_table_count, margin_vectors,
                       reference_count_exact)
@@ -118,23 +117,61 @@ def test_estimate_tracks_exact_on_varied_margins():
 
 
 def test_gaussian_accurate_on_mid_sized_balanced_margins():
+    # [15, 10, 15, 10] is past the budget, so the reference is the
+    # counter itself rather than count_tables_exact
     for margin in ([12, 12, 12, 12], [20, 20, 20], [15, 10, 15, 10]):
-        truth = count_tables_exact(margin, margin)
+        truth = _log2_int(_count_exact_int(margin, margin))
         est = count_tables_gaussian(margin, margin)
-        assert abs(est - truth) / truth <= 0.05, (margin, est, truth)
+        assert abs(est - truth) / truth <= 0.01, (margin, est, truth)
+
+
+@pytest.mark.parametrize("rows,cols", [
+    ([6, 6, 18, 18], [6, 6, 18, 18]),
+    ([6, 6, 18, 18], [6, 12, 12, 18]),
+    ([19, 23, 26, 32], [25, 25, 25, 25]),
+])
+def test_estimate_within_one_percent_past_the_budget(rows, cols):
+    # margin pairs of the benchmark ensembles that log2_omega estimates
+    assert _exact_orientation(rows, cols) is None
+    truth = _log2_int(_count_exact_int(rows, cols))
+    est = log2_omega(rows, cols)
+    assert est == count_tables_gaussian(cols[::-1], rows)
+    assert abs(est - truth) / truth <= 0.01, (est, truth)
+
+
+def test_estimate_exact_on_unit_margins():
+    # a margin of unit sums is the multinomial, either way round
+    assert count_tables_gaussian([1, 1, 1], [1, 1, 1]) == pytest.approx(
+        math.log2(6), rel=1e-12)
+    expect = _log2_int(_count_exact_int([3, 2, 2], [1] * 7))
+    assert count_tables_gaussian([3, 2, 2], [1] * 7) == pytest.approx(expect, rel=1e-12)
+    assert count_tables_gaussian([1] * 7, [3, 2, 2]) == pytest.approx(expect, rel=1e-12)
 
 
 def test_log2_omega_dispatch():
     # small margins take the exact path
     assert log2_omega([2, 2], [2, 2]) == pytest.approx(math.log2(3))
-    # beyond the budget the analytic estimate takes over
+    # beyond the budget the estimate takes over
     big = [60] * 8
-    expensive = _cost_estimate(big, big)
-    assert expensive > DEFAULT_MAX_COST
+    assert _recursion_cost(big, big) > DEFAULT_MAX_COST
     val = log2_omega(big, big)
-    assert val == pytest.approx(count_tables_gaussian(big, big))
-    # cached result is stable
+    assert val == count_tables_gaussian(big, big)
+    # a repeated call returns the same float
     assert log2_omega(big, big) == val
+
+
+@pytest.mark.parametrize("margins", [([2, 2], [2, 2]), ([60] * 8, [60] * 8)])
+def test_log2_omega_decides_the_budget_once(margins):
+    calls = []
+    orient = tables._exact_orientation
+
+    def spy(rows, cols):
+        calls.append((rows, cols))
+        return orient(rows, cols)
+
+    with patch.object(tables, "_exact_orientation", spy):
+        log2_omega(*margins)
+    assert len(calls) == 1
 
 
 def test_exact_unit_margins_are_multinomial():
@@ -161,27 +198,39 @@ def _a000681(n: int) -> int:
     return count.numerator
 
 
+def _wide(m: int):
+    """Rows (1, 2, m - 1) over columns (2, 1, ..., 1) with m unit columns,
+    and their count: the row of 1 takes the column of 2 or a unit column,
+    and the row of 2 fills what is left."""
+    count = math.comb(m + 1, 2) + m * (m + math.comb(m - 1, 2))
+    return [1, 2, m - 1], [2] + [1] * m, count
+
+
 def test_exact_counter_on_rows_and_columns_of_two():
     assert [_a000681(n) for n in range(1, 6)] == [1, 3, 21, 282, 6210]
     for n in range(2, 21):
         assert _count_exact_int([2] * n, [2] * n) == _a000681(n)
-    # 60 columns of 2 are within the budget, and the count must not nest
-    # a stack frame per column
-    assert _cost_estimate([2] * 60, [2] * 60) < DEFAULT_MAX_COST
+    # 60 rows and columns of 2 are past the budget; the estimate is
+    # within 0.01% of the count
+    assert _exact_orientation([2] * 60, [2] * 60) is None
     assert log2_omega([2] * 60, [2] * 60) == pytest.approx(
-        _log2_int(_a000681(60)), rel=1e-12)
+        _log2_int(_a000681(60)), rel=1e-4)
+    # a row of 1 over 1,102 columns is within the budget, and the count
+    # must not nest a stack frame per column
+    for m in range(2, 7):
+        rows, cols, count = _wide(m)
+        assert brute_force_table_count(rows, cols) == count
+    rows, cols, count = _wide(1101)
+    assert _exact_orientation(rows, cols) == (rows, cols)
+    assert log2_omega(rows, cols) == _log2_int(count)
 
 
 def test_log2_omega_saturates_costs_past_the_float_range():
-    # the composition count of a row of 500 over 1000 columns passes the
-    # float range: that orientation's cost saturates to inf, and the
-    # transposed one is within budget, so the count stays exact
-    assert _cost_estimate([500, 500], [1] * 1000) == math.inf
-    assert log2_omega([500, 500], [1] * 1000) == pytest.approx(
-        math.log2(math.comb(1000, 500)))
-    # both orientations saturate: the pair takes the estimate
-    wide = [600] + [1] * 600
-    assert _cost_estimate(wide, wide) == math.inf
+    # a row of 600 is enumerated over 603 columns, whose composition
+    # count passes the float range: the cost saturates to inf instead of
+    # raising, and the pair takes the estimate
+    wide = [3] * 600 + [600] * 3
+    assert _recursion_cost(wide, wide) == math.inf
     assert log2_omega(wide, wide) == count_tables_gaussian(wide, wide)
 
 
@@ -215,7 +264,7 @@ def _margin_pairs(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(_margin_pairs(), st.integers(0, 2))
-@example(([6, 12, 12, 18], [6, 6, 18, 18]), 0)
+@example(([6, 6, 6, 30], [6, 6, 6, 30]), 0)
 @example(([12, 12, 12, 12], [6, 6, 12, 24]), 1)
 @example(([14, 10, 9, 3, 20, 12, 13], [37, 13, 31]), 0)
 @example(([10], [3, 0, 3, 4]), 2)
@@ -248,8 +297,8 @@ def test_exact_orientation_keeps_budget_and_takes_cheaper_recursion(margins,
     rows, cols = _clean_margins(*margins)
     with patch.object(tables, "DEFAULT_MAX_COST", max_cost):
         oriented = _exact_orientation(rows, cols)
-    # the budget decision is the cost estimate's, whichever way round
-    within = min(_cost_estimate(rows, cols), _cost_estimate(cols, rows)) <= max_cost
+    # the budget decision is the recursion cost's, the cheaper way round
+    within = min(_recursion_cost(rows, cols), _recursion_cost(cols, rows)) <= max_cost
     assert (oriented is not None) == within
     if oriented is not None:
         assert oriented in ((rows, cols), (cols, rows))
