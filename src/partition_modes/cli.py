@@ -125,7 +125,10 @@ def cmd_describe(args) -> int:
         stored = canonicalize(_int_list(data["modes"][k], "mode %d" % k))
         if stored != pset.partitions[m]:
             raise ValueError("mode %d does not match the ensemble" % k)
-    lam = args.lam if args.lam is not None else float(data.get("lambda", 1.0))
+    lam = args.lam if args.lam is not None else data.get("lambda", 1.0)
+    # a JSON number only: no bool, string, list or null
+    if type(lam) not in (int, float) or not 0 <= lam <= sys.float_info.max:
+        raise ValueError("lambda must be a finite non-negative number")
     cache = PairCache(pset)
     breakdown = description_length(pset, clustering, lam=lam, cache=cache)
     exact = full_description_length(pset, clustering, cache=cache)

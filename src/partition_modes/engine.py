@@ -165,8 +165,9 @@ def find_mode_sampled(cluster_members, sample_size: int, priority: np.ndarray,
                       cache: PairCache) -> int:
     """Monte Carlo mode estimate: score every member against a sample X
     of cluster members, scaled by the cluster size: the argmin of
-    H(p) + |C|/|X| sum_{q in X} H_mod(q | p).  Falls back to the exact
-    search when the cluster fits inside the sample.
+    H(p) + |C|/|X| sum_{q in X} H_mod(q | p).  A cluster that fits
+    inside the sample is its own sample, with weight 1 per member: the
+    exact search.
 
     X is the ``sample_size`` members of lowest ``priority``, an array
     over all partition indices.  With iid continuous priorities every
@@ -177,12 +178,11 @@ def find_mode_sampled(cluster_members, sample_size: int, priority: np.ndarray,
     The function keeps no state; the engine memoizes its result per
     member set within a run (see ``_find_mode``)."""
     members = _sorted_members(cluster_members)
-    if members.size <= sample_size:
-        return find_mode_exact(members, cache)
-    sample = members[np.argpartition(priority[members], sample_size - 1)[:sample_size]]
+    k = min(sample_size, members.size)
+    sample = members[np.argpartition(priority[members], k - 1)[:k]]
     candidates, _ = _distinct_candidates(members, cache)
     terms, counts = _distinct_candidates(np.sort(sample), cache)
-    weights = members.size / sample_size * np.asarray(counts, dtype=np.float64)
+    weights = members.size / k * np.asarray(counts, dtype=np.float64)
     return _weighted_argmin(candidates, terms, weights, cache)
 
 
