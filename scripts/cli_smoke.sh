@@ -1,15 +1,19 @@
 #!/usr/bin/env bash
 # Smoke test of the installed partition-modes command, run in a fresh
 # temporary directory: generate a ring of cliques, sample partitions of
-# it, cluster them and describe the stored clustering.  Fails if a step
-# exits non-zero or if describe does not score the stored clustering as
-# cluster did, to within 1e-9.
+# it twice with one seed, cluster them and describe the stored
+# clustering; then sample a planted graph with an isolated node.  Fails
+# if a step exits non-zero, if the two samples differ, if describe does
+# not score the stored clustering as cluster did, to within 1e-9, or if
+# a sampled partition of the planted graph does not cover its 40 nodes.
 #
 #   bash scripts/cli_smoke.sh
 set -euo pipefail
 cd "$(mktemp -d)"
 partition-modes generate cliques --cliques 4 --size 5 --out ring
 partition-modes sample --graph ring.edges --s 50 --beta 50 --out ring.parts
+partition-modes sample --graph ring.edges --s 50 --beta 50 --out again.parts
+cmp ring.parts again.parts
 partition-modes cluster --partitions ring.parts --out result.json
 partition-modes describe --partitions ring.parts --clustering result.json > described.json
 python - <<'PY'
@@ -19,3 +23,7 @@ described = json.load(open("described.json"))["objective"]["total"]
 if abs(stored - described) > 1e-9:
     raise SystemExit("describe total %r != cluster total %r" % (described, stored))
 PY
+# node 39 of this planted graph has no edge
+partition-modes generate planted --n 40 --q 4 --pin 0.1 --pout 0 --seed 0 --out planted
+partition-modes sample --graph planted.edges --s 20 --out planted.parts
+awk 'NF != 40 { print "line " NR ": " NF " labels, expected 40"; exit 1 }' planted.parts

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,26 +33,13 @@ class Graph:
         return {"N": self.N, "edges": [[int(u), int(v)] for u, v in sorted(self.edges)]}
 
 
-def _bernoulli_edges(labels: np.ndarray, pair_prob, rng) -> set:
-    N = labels.size
-    iu, ju = np.triu_indices(N, k=1)
-    probs = pair_prob(labels[iu], labels[ju])
-    mask = rng.random(iu.size) < probs
-    return {(int(u), int(v)) for u, v in zip(iu[mask], ju[mask])}
-
-
 def planted_partition(N: int, q: int, p_in: float, p_out: float,
                       seed: int = 0) -> tuple[Graph, Partition]:
     """Symmetric stochastic block model: N nodes split equally into q
     groups, edge probability p_in within groups and p_out between."""
     if q < 1 or N % q != 0:
         raise ValueError("group count must divide node count")
-    if not (0 <= p_in <= 1 and 0 <= p_out <= 1):
-        raise ValueError("probabilities must be in [0, 1]")
-    labels = np.repeat(np.arange(q), N // q)
-    rng = np.random.default_rng(seed)
-    edges = _bernoulli_edges(labels, lambda a, b: np.where(a == b, p_in, p_out), rng)
-    return Graph(N=N, edges=edges), canonicalize(labels)
+    return sbm([N // q] * q, np.where(np.eye(q, dtype=bool), p_in, p_out), seed)
 
 
 def sbm(group_sizes, omega: np.ndarray, seed: int = 0) -> tuple[Graph, Partition]:
@@ -61,14 +49,15 @@ def sbm(group_sizes, omega: np.ndarray, seed: int = 0) -> tuple[Graph, Partition
     omega = np.asarray(omega, dtype=np.float64)
     if omega.shape != (len(sizes), len(sizes)):
         raise ValueError("mixing matrix dimension does not match group count")
+    if not np.all((omega >= 0) & (omega <= 1)):   # also rejects NaN
+        raise ValueError("mixing probabilities must be in [0, 1]")
     if not np.allclose(omega, omega.T):
         raise ValueError("mixing matrix must be symmetric")
-    if omega.min() < 0 or omega.max() > 1:
-        raise ValueError("mixing probabilities must be in [0, 1]")
     labels = np.repeat(np.arange(len(sizes)), sizes)
     N = int(labels.size)
-    rng = np.random.default_rng(seed)
-    edges = _bernoulli_edges(labels, lambda a, b: omega[a, b], rng)
+    iu, ju = np.triu_indices(N, k=1)
+    mask = np.random.default_rng(seed).random(iu.size) < omega[labels[iu], labels[ju]]
+    edges = {(int(u), int(v)) for u, v in zip(iu[mask], ju[mask])}
     return Graph(N=N, edges=edges), canonicalize(labels)
 
 
@@ -96,22 +85,34 @@ def ring_of_cliques(num_cliques: int, clique_size: int) -> tuple[Graph, Partitio
 
 
 def write_edge_list(graph: Graph, path) -> None:
-    """Canonical text output: one 'u v' pair per line, sorted, u < v.
-    Written atomically: a failure leaves no partial file."""
+    """Canonical text output: a '# N nodes, E edges' header, then one
+    'u v' pair per line, sorted, u < v.  Written atomically: a failure
+    leaves no partial file."""
     with atomic_text_file(path) as fh:
         fh.write("# %d nodes, %d edges\n" % (graph.N, graph.num_edges))
         for u, v in sorted(graph.edges):
             fh.write("%d %d\n" % (u, v))
 
 
+_HEADER = re.compile(r"#\s*(\d+) nodes, \d+ edges")
+
+
 def read_edge_list(path) -> Graph:
     """Parse a whitespace-separated edge list; '#' lines are comments.
-    Duplicate edges, self-loops, and malformed lines are errors."""
+    A first line '# N nodes, E edges', as ``write_edge_list`` writes,
+    gives the node count, so isolated nodes survive a round trip;
+    without it the count is the largest node id + 1.  Duplicate edges,
+    self-loops, node ids past the header's count and malformed lines are
+    errors."""
     edges = set()
+    N = None
     max_node = -1
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
+            header = _HEADER.fullmatch(line) if lineno == 1 else None
+            if header:
+                N = int(header.group(1))
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
@@ -123,6 +124,9 @@ def read_edge_list(path) -> Graph:
                 raise ValueError("line %d: non-integer node id" % lineno) from None
             if u < 0 or v < 0:
                 raise ValueError("line %d: negative node id" % lineno)
+            if N is not None and max(u, v) >= N:
+                raise ValueError("line %d: node id past the %d nodes of the header"
+                                 % (lineno, N))
             if u == v:
                 raise ValueError("line %d: self-loop" % lineno)
             edge = (min(u, v), max(u, v))
@@ -130,6 +134,8 @@ def read_edge_list(path) -> Graph:
                 raise ValueError("line %d: duplicate edge %s" % (lineno, edge))
             edges.add(edge)
             max_node = max(max_node, u, v)
-    if max_node < 0:
-        raise ValueError("edge list is empty")
-    return Graph(N=max_node + 1, edges=edges)
+    if N is None:
+        if max_node < 0:
+            raise ValueError("edge list is empty")
+        N = max_node + 1
+    return Graph(N=N, edges=edges)

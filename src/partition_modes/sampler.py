@@ -14,11 +14,11 @@ from .graphs import Graph
 from .partitions import Partition, PartitionSet, canonicalize
 
 
-def load_partitions(path, expected_N: int | None = None) -> PartitionSet:
+def load_partitions(path) -> PartitionSet:
     """Read one partition per line (whitespace-separated integer labels,
     '#' comments ignored), canonicalizing each."""
     parts = []
-    N = expected_N
+    N = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -93,27 +93,12 @@ def perturb_ensemble(spec: PerturbationSpec) -> tuple[PartitionSet, np.ndarray]:
     return PartitionSet.from_partitions(samples), base_idx
 
 
-def _modularity_delta(node, old, new, labels, adj, degrees, deg_sums, two_m):
-    """Change in Newman-Girvan modularity when ``node`` moves old -> new."""
-    if old == new:
-        return 0.0
-    d_old = 0
-    d_new = 0
-    for nb in adj[node]:
-        if labels[nb] == old:
-            d_old += 1
-        elif labels[nb] == new:
-            d_new += 1
-    k = degrees[node]
-    m = two_m / 2.0
-    return (d_new - d_old) / m - k * (deg_sums[new] - deg_sums[old] + k) / (2.0 * m * m)
-
-
 def mcmc_sample(graph: Graph, S: int, sweeps_between: int = 1, beta: float = 1.0,
                 q_max: int = 10, seed: int = 0) -> PartitionSet:
     """Single-node Metropolis sampler with stationary weight
     exp(beta * modularity); records a partition every ``sweeps_between``
-    sweeps after a burn-in of 10x that many sweeps."""
+    sweeps after a burn-in of 10x that many sweeps.  The samples depend
+    only on the arguments: one seed gives the same samples every time."""
     if S < 1:
         raise ValueError("need at least one sample")
     if graph.N < 1:
@@ -126,34 +111,36 @@ def mcmc_sample(graph: Graph, S: int, sweeps_between: int = 1, beta: float = 1.0
     for u, v in graph.edges:
         adj[u].append(v)
         adj[v].append(u)
-    degrees = np.array([len(a) for a in adj])
-    two_m = int(degrees.sum())
+    degrees = [len(a) for a in adj]
+    m = sum(degrees) / 2.0
     rng = np.random.default_rng(seed)
-    labels = rng.integers(0, q_max, size=N)
-    deg_sums = np.bincount(labels, weights=degrees, minlength=q_max)
-
-    def sweep():
+    labels = rng.integers(0, q_max, size=N).tolist()
+    deg_sums = [0] * q_max
+    for node, label in enumerate(labels):
+        deg_sums[label] += degrees[node]
+    burn_in = 10 * sweeps_between
+    samples = []
+    for sweep in range(burn_in + S * sweeps_between):
         for _ in range(N):
+            # the draws and the float expression of the modularity change
+            # are fixed: reordering either changes every seed's samples
             node = int(rng.integers(N))
-            old = int(labels[node])
+            old = labels[node]
             new = int(rng.integers(q_max))
             if new == old:
                 continue
-            if two_m == 0:
-                delta = 0.0
-            else:
-                delta = _modularity_delta(node, old, new, labels, adj,
-                                          degrees, deg_sums, two_m)
-            if delta >= 0 or rng.random() < np.exp(beta * delta):
-                labels[node] = new
-                deg_sums[old] -= degrees[node]
-                deg_sums[new] += degrees[node]
-
-    for _ in range(10 * sweeps_between):
-        sweep()
-    samples = []
-    for _ in range(S):
-        for _ in range(sweeps_between):
-            sweep()
-        samples.append(canonicalize(labels))
+            k = degrees[node]
+            if m:   # without edges Q is taken as 0: every move is accepted
+                gain = 0
+                for nb in adj[node]:
+                    label = labels[nb]
+                    gain += (label == new) - (label == old)
+                delta = gain / m - k * (deg_sums[new] - deg_sums[old] + k) / (2.0 * m * m)
+                if delta < 0 and not rng.random() < np.exp(beta * delta):
+                    continue
+            labels[node] = new
+            deg_sums[old] -= k
+            deg_sums[new] += k
+        if sweep >= burn_in and (sweep + 1) % sweeps_between == 0:
+            samples.append(canonicalize(labels))
     return PartitionSet.from_partitions(samples)

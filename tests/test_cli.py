@@ -65,6 +65,21 @@ def test_sample_counts_and_determinism(tmp_path, capsys):
     assert len(p1.read_text().splitlines()) == 100
 
 
+@pytest.mark.parametrize("pin", ["0.1", "0"])
+def test_sample_keeps_isolated_nodes_of_a_planted_graph(tmp_path, capsys, pin):
+    # node 39 has no edge at --pout 0 and the seed below, and at --pin 0
+    # no node has one; the sampled partitions still cover all 40 nodes
+    planted = tmp_path / "p"
+    assert main(["generate", "planted", "--n", "40", "--q", "4", "--pin", pin,
+                 "--pout", "0", "--seed", "0", "--out", str(planted)]) == 0
+    assert len((tmp_path / "p.truth").read_text().split()) == 40
+    parts = tmp_path / "p.parts"
+    assert main(["sample", "--graph", str(planted) + ".edges", "--s", "5",
+                 "--out", str(parts)]) == 0
+    lines = parts.read_text().splitlines()
+    assert len(lines) == 5 and all(len(l.split()) == 40 for l in lines)
+
+
 def test_sample_rejects_nan_beta(tmp_path, capsys):
     # no comparison with NaN is true, so every downhill move would be
     # rejected and the sampler would silently turn greedy

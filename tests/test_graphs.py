@@ -117,6 +117,15 @@ def test_edge_list_round_trip(tmp_path):
     assert back.N == graph.N
 
 
+@pytest.mark.parametrize("graph", [Graph(N=5, edges={(0, 1), (1, 2)}),
+                                   Graph(N=4, edges=set())])
+def test_edge_list_round_trip_keeps_isolated_nodes(tmp_path, graph):
+    path = tmp_path / "g.edges"
+    write_edge_list(graph, path)
+    back = read_edge_list(path)
+    assert back.N == graph.N and back.edges == graph.edges
+
+
 def test_edge_list_parse_basic(tmp_path):
     path = tmp_path / "g.edges"
     path.write_text("# comment\n0 1\n1 2\n")
@@ -130,6 +139,7 @@ def test_edge_list_parse_basic(tmp_path):
     ("0 x\n", "line 1: non-integer"),
     ("3 3\n", "line 1: self-loop"),
     ("-1 2\n", "line 1: negative"),
+    ("# 3 nodes, 1 edges\n0 1\n1 3\n", "line 3: node id past the 3 nodes"),
     ("", "empty"),
 ])
 def test_edge_list_parse_errors(tmp_path, text, msg):
