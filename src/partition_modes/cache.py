@@ -32,6 +32,18 @@ H(q) - H(m): samples scored against a fixed mode m read m's row, and a
 fixed sample q scored against candidate modes reads its own row, so no
 pair is computed twice.  The two lookups of one pair read different
 rows and can differ in the last bits.
+
+Table counts depend only on the community sizes, which many contents
+share, so they are kept per margin signature: the sorted size vector,
+interned when the cache is built.  A signature's ``Margin`` (see
+``tables``) is built the first time the signature is counted, so its
+cost-model and estimator pieces are computed once, not once per pair.
+The counts live in one row per signature, allocated the first time
+that signature is the mode side of a lookup; the row of a holds
+log2 Omega(a, b), NaN where unset.  The count is symmetric under
+transposition, so a pair missing from a's row is copied from b's row
+when b's row holds it, and counted, once, otherwise.  Memory grows with
+the signatures that serve as modes, not with the square of all of them.
 """
 
 from __future__ import annotations
@@ -41,7 +53,7 @@ import math
 import numpy as np
 
 from .partitions import PartitionSet
-from .tables import log2_omega
+from .tables import Margin, log2_omega
 
 
 def _intern(keys) -> tuple[np.ndarray, list]:
@@ -83,28 +95,23 @@ class PairCache:
         self._by_mode: dict[int, np.ndarray] = {}
         # always empty: perfbench/tracing.py::cache_snapshot still reads it
         self._by_sample: dict[int, np.ndarray] = {}
-        # the table count depends only on the community sizes, which many
-        # contents share: omega is counted once per unordered margin pair
+        # margin signatures and their log2 Omega rows (see the module
+        # docstring); ``_margins[a]`` becomes a ``Margin`` when first counted
         self._margin_id, self._margins = _intern(
             tuple(sorted(pset.partitions[r].counts.tolist())) for r in self.rep)
-        self._omega = np.full((len(self._margins),) * 2, np.nan)
+        self._omega_rows: dict[int, np.ndarray] = {}
 
     def omega_block(self, m_indices, q_indices) -> np.ndarray:
-        """log2 table counts for index pairs, deduplicated by margin
-        signature.  The count is symmetric under transposition, so each
-        missing unordered signature pair is counted once and fills both
-        ``_omega[a, b]`` and ``_omega[b, a]``."""
+        """log2 table counts for index pairs, a gather from the row of
+        each mode signature; both callers pass a single mode."""
         ms = self._margin_id[self.cid[np.asarray(m_indices, dtype=np.int64)]]
         qs = self._margin_id[self.cid[np.asarray(q_indices, dtype=np.int64)]]
-        vals = self._omega[ms, qs]
-        missing = np.flatnonzero(np.isnan(vals))
-        if missing.size:
-            lo = np.minimum(ms[missing], qs[missing])
-            hi = np.maximum(ms[missing], qs[missing])
-            for a, b in set(zip(lo.tolist(), hi.tolist())):
-                self._omega[a, b] = self._omega[b, a] = log2_omega(
-                    self._margins[a], self._margins[b])
-            vals = self._omega[ms, qs]
+        if ms.size and (ms == ms[0]).all():
+            return self._omega_row(int(ms[0]), qs)
+        vals = np.empty(qs.size)
+        for a in set(ms.tolist()):
+            at = ms == a
+            vals[at] = self._omega_row(a, qs[at])
         return vals
 
     # -- entropies ---------------------------------------------------------
@@ -135,6 +142,30 @@ class PairCache:
                 - self._entropy[m_cids])
 
     # -- internals ---------------------------------------------------------
+
+    def _omega_row(self, a: int, bs: np.ndarray) -> np.ndarray:
+        """log2 Omega(a, b) for signatures ``bs`` from the row of a; an
+        unset pair is read from b's row or, if unset there too, counted."""
+        row = self._omega_rows.get(a)
+        if row is None:
+            row = self._omega_rows[a] = np.full(len(self._margins), np.nan)
+        vals = row[bs]
+        unset = np.isnan(vals)
+        if unset.any():
+            for b in set(bs[unset].tolist()):
+                other = self._omega_rows.get(b)
+                val = math.nan if other is None else other[a]
+                if math.isnan(val):
+                    val = log2_omega(self._margin(a), self._margin(b))
+                row[b] = val
+            vals = row[bs]
+        return vals
+
+    def _margin(self, a: int) -> Margin:
+        m = self._margins[a]
+        if not isinstance(m, Margin):
+            m = self._margins[a] = Margin(m)
+        return m
 
     def _row_lookup(self, mode_cid: int, q_cids: np.ndarray) -> np.ndarray:
         """H_mod(q | m) from the row of the fixed mode content at the

@@ -4,9 +4,19 @@ All public functions return the base-2 logarithm of the count, since the
 raw counts overflow floating point at trivially small margins.
 ``log2_omega`` counts exactly within a work budget and estimates past it.
 
-Nothing here keeps state between calls: ``PairCache`` memoizes the
-table counts of one ensemble, once per unordered pair of margins.
-Log-binomials come from the standard library's ``math.lgamma``.
+A ``Margin`` is one margin's positive sums, sorted, as a tuple.  It
+carries what the cost model and the estimator need of that margin
+alone: its total and sum of squares, its (value, multiplicity) runs,
+the cap on the recursion's states, and per other-margin length the
+composition counts of its rows and its column term, memoized on first
+use.  The functions take plain sequences or ``Margin`` objects; a plain
+sequence is cleaned into a fresh ``Margin`` on every call, so a caller
+that counts one margin against many passes the same object each time.
+
+The module keeps no state: the memos live on the caller's ``Margin``
+objects, and ``PairCache`` memoizes the table counts of one ensemble,
+once per unordered pair of margins.  Log-binomials come from the
+standard library's ``math.lgamma``.
 """
 
 from __future__ import annotations
@@ -41,19 +51,6 @@ def _log2_int(x: int) -> float:
     return shift + math.log2(x >> shift)
 
 
-def _clean_margins(row_sums, col_sums):
-    rows = [int(v) for v in row_sums]
-    cols = [int(v) for v in col_sums]
-    if any(v < 0 for v in rows) or any(v < 0 for v in cols):
-        raise ValueError("negative margin")
-    if sum(rows) != sum(cols):
-        raise ValueError("margin sums unequal")
-    # zero margins force a zero row/column and do not affect the count
-    rows = [v for v in rows if v > 0]
-    cols = [v for v in cols if v > 0]
-    return rows, cols
-
-
 def _saturating_float(x: int) -> float:
     """float(x) for a non-negative integer, or inf past the float range,
     so that a cost too large to represent exceeds every budget."""
@@ -63,6 +60,61 @@ def _saturating_float(x: int) -> float:
         return math.inf
 
 
+class Margin(tuple):
+    """The positive sums of one margin in ascending order, with the
+    pieces of the table count that depend on this margin alone.
+
+    Zero sums are dropped: they force a zero row or column and do not
+    affect the count.  A negative sum raises ValueError."""
+
+    def __new__(cls, values):
+        values = [int(v) for v in values]
+        if any(v < 0 for v in values):
+            raise ValueError("negative margin")
+        self = super().__new__(cls, sorted(v for v in values if v > 0))
+        self.total = sum(self)
+        self.sq = sum(v * v for v in self)
+        self.runs = tuple(Counter(self).items())   # (value, multiplicity)
+        # ``_recursion_cost``'s cap on the states of a level, this margin
+        # being the columns: the count of sorted column remainders
+        self.cap = math.prod(_saturating_float(math.comb(value + mult, mult))
+                             for value, mult in self.runs)
+        self._branches: dict[int, list] = {}
+        self._column_terms: dict[int, float] = {}
+        return self
+
+    def branches(self, k: int) -> list:
+        """For every sum r but the two largest, as rows over k columns,
+        the compositions C(r + k - 1, k - 1) as saturating floats."""
+        out = self._branches.get(k)
+        if out is None:
+            out = self._branches[k] = [
+                _saturating_float(math.comb(r + k - 1, k - 1)) for r in self[:-2]]
+        return out
+
+    def column_term(self, R: int) -> float:
+        """sum_c log2 C(c + R - 1, R - 1): every sum c, as a column,
+        composed over R rows."""
+        out = self._column_terms.get(R)
+        if out is None:
+            out = self._column_terms[R] = sum(_log2_binom(c + R - 1, R - 1)
+                                              for c in self)
+        return out
+
+
+def _margin(values) -> Margin:
+    return values if isinstance(values, Margin) else Margin(values)
+
+
+def _clean_margins(row_sums, col_sums) -> tuple[Margin, Margin]:
+    """Both margins as ``Margin`` objects, checked to share one total;
+    ``Margin`` arguments are taken as they are."""
+    rows, cols = _margin(row_sums), _margin(col_sums)
+    if rows.total != cols.total:
+        raise ValueError("margin sums unequal")
+    return rows, cols
+
+
 def _recursion_cost(rows, cols) -> float:
     """Estimated work of ``_count_exact_int``: the compositions
     enumerated for every row but the two largest, with the states of
@@ -70,19 +122,16 @@ def _recursion_cost(rows, cols) -> float:
     inclusion-exclusion terms of the closed-form second-to-last row at
     every state that reaches it; 1 when a margin is a single part or all
     unit sums, which are counted in closed form."""
-    if len(rows) <= 1 or len(cols) <= 1 or max(rows) == 1 or max(cols) == 1:
+    rows, cols = _margin(rows), _margin(cols)
+    if len(rows) <= 1 or len(cols) <= 1 or rows[-1] == 1 or cols[-1] == 1:
         return 1.0
-    rows = sorted(rows)
-    k = len(cols)
-    cap = math.prod(_saturating_float(math.comb(value + mult, mult))
-                    for value, mult in Counter(cols).items())
+    cap = cols.cap
     states, cost = 1.0, 0.0
-    for r in rows[:-2]:
-        branch = _saturating_float(math.comb(r + k - 1, k - 1))
+    for branch in rows.branches(len(cols)):
         cost += states * branch
         states = min(states * branch, cap)
     terms = math.prod(min(mult, rows[-2] // (value + 1)) + 1
-                      for value, mult in Counter(cols).items())
+                      for value, mult in cols.runs)
     return cost + _CLOSED_FORM_WEIGHT * states * _saturating_float(terms)
 
 
@@ -286,12 +335,13 @@ def _effective_columns(rows, cols) -> float:
     """log2 of the effective-columns estimate with ``rows`` as the rows:
     the columns are counted as independent compositions over the R rows,
     and the rows as compositions over alpha effective columns, alpha
-    matching the variance of a uniformly random table's row sums."""
-    N, R = sum(cols), len(rows)
-    sq = sum(c * c for c in cols)
+    matching the variance of a uniformly random table's row sums.  Both
+    are ``Margin`` objects; each distinct row sum is priced once."""
+    N, R, sq = cols.total, len(rows), cols.sq
     alpha = (N * N - N + (N * N - sq) / R) / (sq - N)
-    return (sum(_log2_binom(c + R - 1, R - 1) for c in cols)
-            + sum(_log2_binom(r + alpha - 1, alpha - 1) for r in rows)
+    row_term = {r: _log2_binom(r + alpha - 1, alpha - 1) for r, _ in rows.runs}
+    return (cols.column_term(R)
+            + sum(map(row_term.__getitem__, rows))
             - _log2_binom(N + R * alpha - 1, R * alpha - 1))
 
 
@@ -310,7 +360,6 @@ def count_tables_gaussian(row_sums, col_sums) -> float:
     rows, cols = _clean_margins(row_sums, col_sums)
     if len(rows) <= 1 or len(cols) <= 1:
         return 0.0
-    rows, cols = sorted(rows), sorted(cols)
     if rows[-1] == 1 or cols[-1] == 1:
         return _log2_int(_count_exact_int(rows, cols))  # the multinomial
     est = 0.5 * (_effective_columns(rows, cols) + _effective_columns(cols, rows))
@@ -326,8 +375,7 @@ def log2_omega(row_sums, col_sums) -> float:
     (small, large) order, so ``log2_omega(r, c)`` and
     ``log2_omega(c, r)`` return the same float.
     """
-    rows, cols = _clean_margins(row_sums, col_sums)
-    small, large = sorted((tuple(sorted(rows)), tuple(sorted(cols))))
+    small, large = sorted(_clean_margins(row_sums, col_sums))
     try:
         return count_tables_exact(small, large)
     except ValueError:  # over the budget: the margins are already clean

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -6,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partition_modes import (EngineParams, PairCache, PartitionSet,
-                             canonicalize, entropy, modified_conditional_entropy,
-                             run, tables)
-from partition_modes.tables import _exact_orientation
+                             canonicalize, entropy, log2_omega,
+                             modified_conditional_entropy, run, tables)
+from partition_modes import cache as cache_module
+from partition_modes.tables import DEFAULT_MAX_COST, Margin, _exact_orientation
 
 from conftest import random_partition
 
@@ -134,17 +136,63 @@ def _check_kernel_against_reference(pset):
                        rtol=0, atol=1e-10)
 
 
+@settings(max_examples=40, deadline=None)
+@given(_ensembles(), st.sampled_from([DEFAULT_MAX_COST, _COST]))
+def test_omega_block_is_log2_omega_bit_for_bit(pset, max_cost):
+    # the cache counts from memoizing Margin objects and reads a pair
+    # from either signature's row; log2_omega cleans the raw counts
+    idx = np.arange(pset.S)
+    counts = [p.counts for p in pset.partitions]
+    with patch.object(tables, "DEFAULT_MAX_COST", max_cost):
+        expect = np.array([[log2_omega(counts[m], counts[q]) for q in idx]
+                           for m in idx])
+        cache = PairCache(pset)
+        by_mode = np.stack([cache.omega_block(np.full(pset.S, m), idx)
+                            for m in idx])
+        by_sample = np.stack([cache.omega_block(idx, np.full(pset.S, q))
+                              for q in idx], axis=1)
+    assert by_mode.tolist() == expect.tolist()
+    assert by_sample.tolist() == expect.tolist()
+
+
+def test_build_memory_does_not_grow_with_signature_pairs():
+    # 4,000 partitions of 300 nodes into 25 random labels have about as
+    # many margin signatures; a dense table of their pairs took 128 MB
+    rng = np.random.default_rng(0)
+    pset = PartitionSet.from_partitions(
+        [canonicalize(rng.integers(0, 25, 300)) for _ in range(4000)])
+    tracemalloc.start()
+    try:
+        cache = PairCache(pset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cache._margins) > 3900
+    assert peak < 32e6
+
+
 def test_omega_matrix_symmetric_after_run(monkeypatch):
     # a low budget sends the larger margin pairs to the estimate, so both
-    # counting paths fill the matrix
+    # counting paths fill the signature rows
     monkeypatch.setattr(tables, "DEFAULT_MAX_COST", 1e4)
+    counted = []
+    monkeypatch.setattr(cache_module, "log2_omega",
+                        lambda r, c: counted.append((r, c)) or log2_omega(r, c))
     pset = _random_set(60, 16, 2)
     cache = PairCache(pset)
     run(pset, EngineParams(seed=0, k0=3), cache=cache)
-    omega = cache._omega
+    n = len(cache._margins)
+    omega = np.full((n, n), np.nan)
+    for a, row in cache._omega_rows.items():
+        omega[a] = row
     is_set = ~np.isnan(omega)
-    assert np.array_equal(is_set, is_set.T)
-    assert np.array_equal(omega[is_set], omega.T[is_set])
+    both = is_set & is_set.T & ~np.eye(n, dtype=bool)
+    assert both.any()
+    assert np.array_equal(omega[both], omega.T[both])
+    # each unordered pair was counted once, from its signatures' margins
+    pairs = {frozenset(p) for p in zip(*np.nonzero(is_set))}
+    assert len(counted) == len(pairs)
+    assert all(isinstance(m, Margin) for pair in counted for m in pair)
     exact = [_exact_orientation(cache._margins[a], cache._margins[b])
              is not None for a, b in zip(*np.nonzero(is_set))]
     assert any(exact) and not all(exact)

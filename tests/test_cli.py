@@ -98,6 +98,25 @@ def test_sample_rejects_nan_beta(tmp_path, capsys):
     assert len(out.read_text().splitlines()) == 5
 
 
+def test_sample_out_of_memory_is_an_error_line(tmp_path, capsys, monkeypatch):
+    # a node count read from the input can ask for more memory than exists
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("partition_modes.sampler.mcmc_sample", exhausted)
+    ring = tmp_path / "ring"
+    main(["generate", "cliques", "--cliques", "3", "--size", "3",
+          "--out", str(ring)])
+    capsys.readouterr()
+    out = tmp_path / "s.txt"
+    rc = main(["sample", "--graph", str(ring) + ".edges", "--s", "5",
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: out of memory\n"
+    assert not out.exists()
+
+
 def test_sample_missing_graph(tmp_path, capsys):
     rc = main(["sample", "--graph", str(tmp_path / "none.edges"), "--s", "5",
                "--out", str(tmp_path / "o.txt")])

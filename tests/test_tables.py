@@ -225,6 +225,74 @@ def test_exact_counter_on_rows_and_columns_of_two():
     assert log2_omega(rows, cols) == _log2_int(count)
 
 
+_R1 = ([6, 7, 8, 9, 10, 10, 10, 10, 11, 11, 12, 12, 12, 12, 12, 12, 13, 13,
+        13, 14, 15, 16, 16, 17, 19],
+       [5, 8, 8, 9, 9, 10, 10, 10, 11, 11, 11, 12, 12, 13, 13, 13, 13, 14,
+        14, 14, 14, 14, 15, 17, 20])
+_R2 = ([5, 7, 7, 8, 9, 10, 10, 10, 11, 11, 11, 12, 12, 12, 12, 12, 13, 13,
+        14, 14, 14, 17, 18, 18, 20],
+       [6, 8, 8, 9, 9, 9, 9, 10, 10, 11, 11, 11, 11, 12, 13, 13, 14, 14, 15,
+        15, 15, 15, 15, 18, 19])
+
+# (rows, cols, log2_omega as float.hex), recorded before the margins
+# carried their own cost-model and estimator pieces
+_FROZEN_WITHIN = [
+    ([2, 2], [2, 2], "0x1.95c01a39fbd68p+0"),
+    ([1, 1], [1, 1], "0x1.0000000000000p+0"),
+    ([50, 50], [50, 50], "0x1.6b09044d313a6p+2"),
+    ([3, 5, 2], [4, 4, 2], "0x1.5b47ebf73882ap+2"),
+    ([5, 7, 3], [6, 6, 3], "0x1.c4ea8bf749fc7p+2"),
+    ([2, 0, 2], [2, 2, 0], "0x1.95c01a39fbd68p+0"),
+    ([12, 12, 12, 12], [12, 12, 12, 12], "0x1.843cddd112219p+4"),
+    ([12, 12, 12, 12], [6, 6, 12, 24], "0x1.555db921091d9p+4"),
+    ([20, 20, 20], [20, 20, 20], "0x1.d6b61bc3fe336p+3"),
+    ([6, 6, 6, 30], [6, 6, 6, 30], "0x1.1d7a6af9d738cp+4"),
+    ([10, 10, 10], [5, 5, 5, 5, 5, 5], "0x1.4168f520ec383p+4"),
+    ([25, 25, 25, 25], [50, 50], "0x1.b08ebb652f844p+3"),
+    (*_wide(6)[:2], "0x1.b7b40e398cfcep+2"),
+    (*_wide(1101)[:2], "0x1.d50552f8c2addp+4"),
+    # unit margins: the multinomial
+    ([1] * 7, [3, 2, 2], "0x1.edb632d4ec329p+2"),
+    ([3, 2, 2], [1] * 7, "0x1.edb632d4ec329p+2"),
+    ([1] * 5, [1] * 5, "0x1.ba0a7eda4c113p+2"),
+    ([4, 1], [1] * 5, "0x1.2934f0979a371p+1"),
+    ([1] * 1000, [1] * 1000, "0x1.0a8b2f1cd4196p+13"),
+    ([1] * 300, [12] * 25, "0x1.4a190a9a81850p+10"),
+    # single parts
+    ([10], [3, 3, 4], "0x0.0p+0"),
+    ([2, 3, 5], [10], "0x0.0p+0"),
+    ([100], [100], "0x0.0p+0"),
+    ([0, 0], [0], "0x0.0p+0"),
+]
+_FROZEN_PAST = [
+    ([14, 10, 9, 3, 20, 12, 13], [37, 13, 31], "0x1.02655f70318b7p+5"),
+    ([2] * 20, [2] * 20, "0x1.dfa398e7d9d24p+6"),
+    ([60] * 8, [60] * 8, "0x1.8d72e739c8de8p+7"),
+    ([40] * 12, [40] * 12, "0x1.746c87031eeb1p+8"),
+    ([6, 6, 18, 18], [6, 6, 18, 18], "0x1.448d45418124ap+4"),
+    ([6, 6, 18, 18], [6, 12, 12, 18], "0x1.527e1bbf153b3p+4"),
+    ([19, 23, 26, 32], [25, 25, 25, 25], "0x1.0362f995462b1p+5"),
+    ([15, 10, 15, 10], [15, 10, 15, 10], "0x1.80a4affd9f6f4p+4"),
+    ([25, 25, 25, 25], [10] * 10, "0x1.157c8a695a300p+6"),
+    ([21, 22, 35, 22], [14, 15, 7, 10, 12, 9, 10, 5, 10, 8], "0x1.0b58ee019b8e0p+6"),
+    ([31, 24, 24, 21], [5, 14, 9, 10, 10, 6, 13, 6, 14, 13], "0x1.0bad152d4e485p+6"),
+    (*_R1, "0x1.4913c492ab6d0p+9"),
+    (*_R2, "0x1.471a76310da9bp+9"),
+    (_R1[0], _R2[1], "0x1.48cfa96735fb1p+9"),
+    ([2] * 60, [2] * 60, "0x1.0e9b989239c08p+9"),
+    ([3] * 600 + [600] * 3, [3] * 600 + [600] * 3, "0x1.b7bae0173970fp+13"),
+]
+
+
+def test_log2_omega_reproduces_frozen_values():
+    for frozen, within in ((_FROZEN_WITHIN, True), (_FROZEN_PAST, False)):
+        for rows, cols, value in frozen:
+            oriented = _exact_orientation(*_clean_margins(rows, cols))
+            assert (oriented is not None) == within, (rows, cols)
+            assert log2_omega(rows, cols).hex() == value, (rows, cols)
+            assert log2_omega(cols, rows).hex() == value, (rows, cols)
+
+
 def test_log2_omega_saturates_costs_past_the_float_range():
     # a row of 600 is enumerated over 603 columns, whose composition
     # count passes the float range: the cost saturates to inf instead of
@@ -277,7 +345,7 @@ def test_exact_counter_matches_reference(margins, pad):
     rows, cols = oriented
     expect = reference_count_exact(rows, cols)
     # zero rows and columns pass through the recursion unchanged
-    assert _count_exact_int(rows + [0] * pad, [0] * pad + cols) == expect
+    assert _count_exact_int(list(rows) + [0] * pad, [0] * pad + list(cols)) == expect
     # log2_omega is exactly transpose-symmetric on both paths, even when
     # each orientation is computed afresh from margins in a new order
     with patch.object(tables, "DEFAULT_MAX_COST", 0):
