@@ -8,6 +8,10 @@ import numpy as np
 
 from .tables import log2_omega
 
+# Labels per numpy pass of canonicalize_rows: bounds the pass's
+# temporary arrays to a few hundred kilobytes whatever the ensemble size.
+_PASS_LABELS = 1 << 12
+
 
 @dataclass(frozen=True, eq=False)
 class Partition:
@@ -37,14 +41,51 @@ def canonicalize(raw_labels) -> Partition:
     """Relabel arbitrary integer community labels to 0..n-1 by first
     appearance and drop empty communities."""
     arr = np.asarray(raw_labels, dtype=np.int64)
-    if arr.ndim != 1 or arr.size == 0:
+    if arr.ndim != 1:
         raise ValueError("empty partition")
-    _, first_pos, inverse = np.unique(arr, return_index=True, return_inverse=True)
-    rank = np.empty(first_pos.size, dtype=np.int64)
-    rank[np.argsort(first_pos)] = np.arange(first_pos.size)
-    labels = rank[inverse]
-    counts = np.bincount(labels)
-    return Partition(labels=labels, n=int(first_pos.size), counts=counts)
+    return canonicalize_rows(arr[None, :])[0]
+
+
+def canonicalize_rows(raw_rows) -> list[Partition]:
+    """Canonicalize every row of an S x N label matrix, as
+    ``canonicalize`` does one row, a block of rows per numpy pass.  The
+    returned partitions' labels are rows of one S x N array."""
+    raw = np.asarray(raw_rows, dtype=np.int64)
+    if raw.ndim != 2 or raw.size == 0:
+        raise ValueError("empty partition")
+    S, N = raw.shape
+    labels = np.empty((S, N), dtype=np.int64)
+    rows = max(1, _PASS_LABELS // N)
+    flat = np.arange(min(S, rows) * N)
+    out = []
+    for lo in range(0, S, rows):
+        block = raw[lo:lo + rows]
+        idx = flat[:block.size]
+        # flat positions in row-wise stable label order: each label's
+        # first position heads its run, and each row starts a run
+        pos = np.argsort(block, axis=1, kind="stable")
+        pos += idx[::N, None]
+        pos = pos.ravel()
+        srt = block.ravel()[pos]
+        starts = np.empty(block.size, dtype=bool)
+        np.not_equal(srt[1:], srt[:-1], out=starts[1:])
+        starts[::N] = True
+        head = np.where(starts, idx, 0)
+        np.maximum.accumulate(head, out=head)
+        first = np.empty_like(pos)
+        first[pos] = pos[head]
+        # communities numbered from 1 across the block by first
+        # appearance; a row's first node opens its first community
+        rank = np.cumsum(first == idx)
+        block_labels = labels[lo:lo + rows]
+        np.take(rank, first, out=block_labels.reshape(-1))
+        counts = np.bincount(block_labels.reshape(-1))
+        row_first = rank[::N]
+        block_labels -= row_first[:, None]
+        n = rank[N - 1::N] - row_first + 1
+        out += [Partition(labels=row, n=k, counts=counts[f:f + k])
+                for row, k, f in zip(block_labels, n.tolist(), row_first.tolist())]
+    return out
 
 
 @dataclass

@@ -11,13 +11,18 @@ import numpy as np
 
 from .fileio import atomic_text_file
 from .graphs import Graph
-from .partitions import Partition, PartitionSet, canonicalize
+from .partitions import Partition, PartitionSet, canonicalize_rows
+
+# Moves per block of generator draws in mcmc_sample: large enough that
+# small graphs pay little numpy call overhead, small enough that the
+# drawn Python objects stay near a hundred kilobytes.
+_BLOCK = 2048
 
 
 def load_partitions(path) -> PartitionSet:
     """Read one partition per line (whitespace-separated integer labels,
-    '#' comments ignored), canonicalizing each."""
-    parts = []
+    '#' comments ignored), canonicalizing the ensemble at once."""
+    rows = []
     N = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -35,12 +40,12 @@ def load_partitions(path) -> PartitionSet:
                 raise ValueError("line %d: expected %d labels, got %d"
                                  % (lineno, N, len(raw)))
             try:
-                parts.append(canonicalize(raw))
+                rows.append(np.array(raw, dtype=np.int64))
             except OverflowError:   # past the int64 labels canonicalize uses
                 raise ValueError("line %d: label out of range" % lineno) from None
-    if not parts:
+    if not rows:
         raise ValueError("no partitions in %s" % path)
-    return PartitionSet(partitions=parts, N=N)
+    return PartitionSet(partitions=canonicalize_rows(np.stack(rows)), N=N)
 
 
 def write_partitions(pset: PartitionSet, path) -> None:
@@ -48,7 +53,7 @@ def write_partitions(pset: PartitionSet, path) -> None:
     partial file."""
     with atomic_text_file(path) as fh:
         for p in pset.partitions:
-            fh.write(" ".join(str(int(x)) for x in p.labels) + "\n")
+            fh.write(" ".join(map(str, p.labels.tolist())) + "\n")
 
 
 @dataclass
@@ -83,14 +88,13 @@ def perturb_ensemble(spec: PerturbationSpec) -> tuple[PartitionSet, np.ndarray]:
     rng = np.random.default_rng(spec.seed)
     weights = np.array([w for _, w in spec.bases])
     base_idx = rng.choice(len(spec.bases), size=spec.S, p=weights)
-    samples = []
-    for b in base_idx:
+    samples = np.empty((spec.S, spec.bases[0][0].N), dtype=np.int64)
+    for labels, b in zip(samples, base_idx):
         base = spec.bases[int(b)][0]
-        labels = base.labels.copy()
+        labels[:] = base.labels
         flip = rng.random(base.N) < spec.node_flip_rate
         labels[flip] = rng.integers(0, base.n, size=int(flip.sum()))
-        samples.append(canonicalize(labels))
-    return PartitionSet.from_partitions(samples), base_idx
+    return PartitionSet.from_partitions(canonicalize_rows(samples)), base_idx
 
 
 def mcmc_sample(graph: Graph, S: int, sweeps_between: int = 1, beta: float = 1.0,
@@ -113,20 +117,34 @@ def mcmc_sample(graph: Graph, S: int, sweeps_between: int = 1, beta: float = 1.0
         adj[v].append(u)
     degrees = [len(a) for a in adj]
     m = sum(degrees) / 2.0
+    two_m2 = 2.0 * m * m
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, q_max, size=N).tolist()
     deg_sums = [0] * q_max
     for node, label in enumerate(labels):
         deg_sums[label] += degrees[node]
-    burn_in = 10 * sweeps_between
-    samples = []
-    for sweep in range(burn_in + S * sweeps_between):
-        for _ in range(N):
-            # the draws and the float expression of the modularity change
-            # are fixed: reordering either changes every seed's samples
-            node = int(rng.integers(N))
+    samples = np.empty((S, N), dtype=np.int64)
+    recorded = 0
+    record_every = sweeps_between * N
+    # moves until the next record: the first ends the first sweeps_between
+    # sweeps after the burn-in, the last ends the last move
+    until_record = 11 * record_every
+    left = (10 + S) * record_every
+    while left:
+        # each move's node, label and uniform come from one block of
+        # draws; the block size and the draw order fix every seed's samples
+        size = min(_BLOCK, left)
+        left -= size
+        nodes = rng.integers(N, size=size).tolist()
+        news = rng.integers(q_max, size=size).tolist()
+        uniforms = rng.random(size).tolist()
+        for node, new, u in zip(nodes, news, uniforms):
+            if not until_record:
+                samples[recorded] = labels
+                recorded += 1
+                until_record = record_every
+            until_record -= 1
             old = labels[node]
-            new = int(rng.integers(q_max))
             if new == old:
                 continue
             k = degrees[node]
@@ -135,12 +153,14 @@ def mcmc_sample(graph: Graph, S: int, sweeps_between: int = 1, beta: float = 1.0
                 for nb in adj[node]:
                     label = labels[nb]
                     gain += (label == new) - (label == old)
-                delta = gain / m - k * (deg_sums[new] - deg_sums[old] + k) / (2.0 * m * m)
-                if delta < 0 and not rng.random() < np.exp(beta * delta):
+                x = beta * (gain / m - k * (deg_sums[new] - deg_sums[old] + k) / two_m2)
+                # every move with x >= 0 is taken without exp, which would
+                # overflow at a negative beta; x is NaN, and the move taken,
+                # when beta is infinite and the modularity does not change
+                if x < 0 and not u < math.exp(x):
                     continue
             labels[node] = new
             deg_sums[old] -= k
             deg_sums[new] += k
-        if sweep >= burn_in and (sweep + 1) % sweeps_between == 0:
-            samples.append(canonicalize(labels))
-    return PartitionSet.from_partitions(samples)
+    samples[recorded] = labels
+    return PartitionSet.from_partitions(canonicalize_rows(samples))

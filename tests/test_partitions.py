@@ -1,4 +1,6 @@
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -9,11 +11,36 @@ from partition_modes import (canonicalize, conditional_entropy,
                              contingency_table, entropy, log2_omega,
                              modified_conditional_entropy, Partition,
                              PartitionSet)
+from partition_modes.partitions import canonicalize_rows
+from partition_modes.sampler import load_partitions
 
 from conftest import random_partition
 
 label_lists = st.lists(st.integers(min_value=-5, max_value=9),
                        min_size=1, max_size=40)
+
+INT64_MIN, INT64_MAX = -2 ** 63, 2 ** 63 - 1
+int64_labels = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.sampled_from([INT64_MIN, INT64_MIN + 1, INT64_MAX - 1, INT64_MAX]),
+    st.integers(min_value=INT64_MIN, max_value=INT64_MAX))
+
+
+@st.composite
+def label_matrices(draw):
+    """S x N int64 label lists, N down to 1, some rows constant."""
+    S = draw(st.integers(min_value=1, max_value=6))
+    N = draw(st.integers(min_value=1, max_value=12))
+    row = st.one_of(st.lists(int64_labels, min_size=N, max_size=N),
+                    int64_labels.map(lambda v: [v] * N))
+    return draw(st.lists(row, min_size=S, max_size=S))
+
+
+def first_appearance(row):
+    """Reference canonical form of one row: labels, n and counts."""
+    ids = {}
+    labels = [ids.setdefault(x, len(ids)) for x in row]
+    return labels, len(ids), [labels.count(g) for g in range(len(ids))]
 
 
 def test_canonicalize_examples():
@@ -45,6 +72,41 @@ def test_canonicalize_preserves_structure(raw):
     assert p.n == len(set(raw))
     # idempotent
     assert canonicalize(p.labels) == p
+
+
+@given(label_matrices())
+def test_canonicalize_rows_matches_first_appearance(rows):
+    parts = canonicalize_rows(np.array(rows, dtype=np.int64))
+    assert len(parts) == len(rows)
+    for row, p in zip(rows, parts):
+        labels, n, counts = first_appearance(row)
+        assert p.labels.tolist() == labels and p.labels.dtype == np.int64
+        assert p.n == n and isinstance(p.n, int)
+        assert p.counts.tolist() == counts
+        assert canonicalize(row) == p and canonicalize(row).counts.tolist() == counts
+
+
+@settings(max_examples=50)
+@given(label_matrices())
+def test_load_partitions_matches_first_appearance(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "p.txt")
+        with open(path, "w") as fh:
+            fh.write("# header\n\n")
+            fh.writelines(" ".join(map(str, row)) + "\n" for row in rows)
+        pset = load_partitions(path)
+    assert pset.S == len(rows) and pset.N == len(rows[0])
+    for row, p in zip(rows, pset.partitions):
+        labels, n, counts = first_appearance(row)
+        assert p.labels.tolist() == labels
+        assert p.n == n and p.counts.tolist() == counts
+
+
+def test_canonicalize_rows_empty_input():
+    for raw in (np.zeros((0, 3), dtype=np.int64), np.zeros((2, 0), dtype=np.int64),
+                np.zeros(3, dtype=np.int64)):
+        with pytest.raises(ValueError, match="empty partition"):
+            canonicalize_rows(raw)
 
 
 def test_partition_equality_and_hash():

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -23,12 +24,23 @@ def test_load_partitions_basic(tmp_path):
     ("0 0 1\n0 1\n", "line 2: expected 3 labels"),
     ("0 a 1\n", "line 1: non-integer"),
     ("0 1 2\n0 1 -99999999999999999999\n", "line 2: label out of range"),
+    ("# c\n\n0 1\n0 9223372036854775808\n0 1 2\n",
+     "line 4: label out of range"),
+    ("0 1\n0 -9223372036854775809\n", "line 2: label out of range"),
+    ("0 1\n0 1 2\n0 99999999999999999999\n", "line 2: expected 2 labels, got 3"),
+    ("0 1\n\n# c\n1 x\n", "line 4: non-integer label"),
 ])
 def test_load_partitions_errors(tmp_path, text, msg):
     path = tmp_path / "p.txt"
     path.write_text(text)
-    with pytest.raises(ValueError, match=msg):
+    with pytest.raises(ValueError, match="^" + msg):
         load_partitions(path)
+
+
+def test_load_partitions_accepts_the_int64_range(tmp_path):
+    path = tmp_path / "p.txt"
+    path.write_text("-9223372036854775808 9223372036854775807 -9223372036854775808\n")
+    assert load_partitions(path).partitions[0] == canonicalize([0, 1, 0])
 
 
 def test_partitions_round_trip(tmp_path):
@@ -122,14 +134,27 @@ def test_mcmc_sample_shapes_and_determinism():
     assert all(a == b for a, b in zip(pset.partitions, again.partitions))
 
 
-def test_mcmc_high_beta_keeps_cliques_whole():
+def test_mcmc_high_beta_rarely_splits_cliques():
+    # at beta=300 a clique splits only in rare excursions at stationarity:
+    # 1.4% of these samples, and 0.6-4.5% for each run of 30 seeds in
+    # 0-299; at beta=100 and below every sample splits some clique
     graph, _ = ring_of_cliques(8, 6)
-    pset = mcmc_sample(graph, S=50, sweeps_between=5, beta=300.0,
-                       q_max=10, seed=0)
-    for p in pset.partitions:
-        for c in range(8):
-            clique = p.labels[6 * c: 6 * c + 6]
-            assert len(set(clique)) == 1
+    split = 0
+    for seed in range(30):
+        pset = mcmc_sample(graph, S=50, sweeps_between=5, beta=300.0,
+                           q_max=10, seed=seed)
+        labels = np.stack([p.labels for p in pset.partitions]).reshape(50, 8, 6)
+        split += int((labels != labels[:, :, :1]).any(axis=(1, 2)).sum())
+    assert split / (30 * 50) <= 0.1
+
+
+@pytest.mark.parametrize("beta", [-1e6, -math.inf])
+def test_mcmc_negative_beta_does_not_overflow(beta):
+    # RuntimeWarnings are errors in this suite: an exp that overflows on
+    # a move with beta * delta > 0 fails here
+    graph, _ = ring_of_cliques(4, 3)
+    pset = mcmc_sample(graph, S=3, beta=beta, seed=0)
+    assert pset.S == 3 and pset.N == graph.N
 
 
 def test_mcmc_two_cliques_concentrate_on_cut():
@@ -171,5 +196,6 @@ def test_mcmc_stationary_weight_is_exp_beta_modularity(beta, q_max):
         seen[p.key()] = seen.get(p.key(), 0) + 1
     tv = 0.5 * sum(abs(w / total - seen.get(k, 0) / pset.S)
                    for k, w in exact.items())
-    # 0.007-0.012 over seeds 0-2; a beta off by a third reads over 0.04
+    # 0.007-0.010 over seeds 0-2; at (3.0, 2) a beta off by a third reads
+    # over 0.04
     assert tv <= 0.025
