@@ -3,8 +3,7 @@
 from .partitions import (Partition, PartitionSet, ContingencyTable, canonicalize,
                          entropy, contingency_table, conditional_entropy,
                          modified_conditional_entropy)
-from .tables import (count_tables_exact, count_tables_estimate,
-                     count_tables_gaussian, log2_omega)
+from .tables import count_tables_exact, count_tables_gaussian, log2_omega
 from .cache import PairCache
 from .objective import (Clustering, ObjectiveBreakdown, cluster_label_entropy,
                         description_length, full_description_length)
@@ -18,8 +17,7 @@ from .sampler import (PerturbationSpec, load_partitions, write_partitions,
 __all__ = [
     "Partition", "PartitionSet", "ContingencyTable", "canonicalize", "entropy",
     "contingency_table", "conditional_entropy", "modified_conditional_entropy",
-    "count_tables_exact", "count_tables_estimate", "count_tables_gaussian",
-    "log2_omega", "PairCache",
+    "count_tables_exact", "count_tables_gaussian", "log2_omega", "PairCache",
     "Clustering", "ObjectiveBreakdown", "cluster_label_entropy",
     "description_length", "full_description_length", "EngineParams",
     "ClusteringResult", "find_mode_exact", "find_mode_sampled", "run",

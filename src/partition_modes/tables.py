@@ -24,21 +24,21 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-import numpy as np
-
 _LN2 = math.log(2.0)
 
 # Exact counting is attempted only when ``_recursion_cost`` stays within
 # this budget the cheaper way round.  Of 664 random margin pairs (N 10-100,
 # 2-7 parts), the slowest of the 490 within it took 6 ms on a 2-CPU x86 VM.
+# That bound holds only for such narrow margins: the cost model underprices
+# wide tables, and rows (1, 2, 2999) over 3,001 columns cost 3.87e5, within
+# the budget, but took 2.6-2.9 s to count on the same VM (ROADMAP.md, "An
+# exact-count budget that bounds time").
 DEFAULT_MAX_COST = 500_000
 
 # Work of one inclusion-exclusion term of the closed-form row, in
 # enumerated compositions: fitted on both orientations of 300 timed
 # random margin pairs.
 _CLOSED_FORM_WEIGHT = 64
-
-DEFAULT_ESTIMATOR_SAMPLES = 1000
 
 
 def _log2_int(x: int) -> float:
@@ -261,70 +261,6 @@ def count_tables_exact(row_sums, col_sums) -> float:
     return _log2_int(_count_exact_int(*oriented))
 
 
-def _composition_dp(a: int, caps: np.ndarray) -> np.ndarray:
-    """f[j][r] = number of ways to fill caps[j:] with entries summing to r,
-    each entry bounded by its cap.  Shape (k+1, a+1), float64."""
-    k = len(caps)
-    f = np.zeros((k + 1, a + 1))
-    f[k, 0] = 1.0
-    for j in range(k - 1, -1, -1):
-        # f[j][r] = sum_{t=0..min(cap, r)} f[j+1][r-t], via a sliding window
-        cs = np.concatenate(([0.0], np.cumsum(f[j + 1])))
-        cap = int(caps[j])
-        for r in range(a + 1):
-            lo = max(0, r - cap)
-            f[j, r] = cs[r + 1] - cs[lo]
-    return f
-
-
-def _sample_row(a: int, caps: np.ndarray, rng) -> tuple[float, np.ndarray]:
-    """Uniformly sample a bounded composition of ``a`` over ``caps``.
-
-    Returns (number of such compositions, the sampled composition).
-    """
-    k = len(caps)
-    f = _composition_dp(a, caps)
-    comp = np.zeros(k, dtype=np.int64)
-    rem = a
-    for j in range(k - 1):
-        cap = int(min(caps[j], rem))
-        weights = f[j + 1, rem - np.arange(cap + 1)]
-        probs = weights / weights.sum()
-        t = rng.choice(cap + 1, p=probs)
-        comp[j] = t
-        rem -= t
-    comp[k - 1] = rem
-    return float(f[0, a]), comp
-
-
-def count_tables_estimate(row_sums, col_sums,
-                          num_samples: int = DEFAULT_ESTIMATOR_SAMPLES,
-                          seed: int = 0) -> float:
-    """Sequential importance-sampling estimate of log2 of the table count.
-
-    Rows are filled one at a time with a uniformly random bounded
-    composition of the row sum; the product of per-row composition counts
-    is an unbiased estimate of the total count.
-    """
-    rows, cols = _clean_margins(row_sums, col_sums)
-    if len(rows) <= 1 or len(cols) <= 1:
-        return 0.0
-    rows = sorted(rows, reverse=True)
-    cols_arr = np.array(sorted(cols, reverse=True), dtype=np.int64)
-    rng = np.random.default_rng(seed)
-    log2w = np.empty(num_samples)
-    for s in range(num_samples):
-        caps = cols_arr.copy()
-        lw = 0.0
-        for a in rows[:-1]:
-            count, comp = _sample_row(a, caps, rng)
-            lw += math.log2(count)
-            caps -= comp
-        log2w[s] = lw
-    peak = log2w.max()
-    return peak + math.log2(np.mean(np.exp2(log2w - peak)))
-
-
 def _log2_binom(n: float, k: float) -> float:
     """log2 C(n, k) from the standard library's log-gamma; n and k may
     be real."""
@@ -351,12 +287,17 @@ def count_tables_gaussian(row_sums, col_sums) -> float:
     and clamped at 0; exact for a margin of unit sums.  Sums run over the
     sorted margins, so the order of the entries does not matter.
 
-    Relative error on 664 random pairs (N 10-100, 2-7 parts): median
-    0.4%, p95 5.1%; on the 174 past ``DEFAULT_MAX_COST``, which
+    This is the package's only table-count estimator: ``log2_omega``
+    uses it for every pair whose exact count would cost more than
+    ``DEFAULT_MAX_COST``.  Relative error on 664 random pairs (N 10-100,
+    2-7 parts): median 0.4%, p95 5.1%; on the 174 past the budget, which
     ``log2_omega`` estimates, median 0.2%, max 5.1%.
 
-    The name is that of the lattice-Gaussian estimate this replaced,
-    kept because ``perfbench/`` records estimated counts under it."""
+    The name is that of the lattice-Gaussian estimate this replaced.  It
+    stays because ``perfbench/`` finds the estimator by this name to time
+    and count estimated Omega values; it can change once the tracer finds
+    the estimator by some other route (ROADMAP.md, "Benchmark
+    catch-up")."""
     rows, cols = _clean_margins(row_sums, col_sums)
     if len(rows) <= 1 or len(cols) <= 1:
         return 0.0

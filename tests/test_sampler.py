@@ -173,8 +173,13 @@ def test_mcmc_two_cliques_concentrate_on_cut():
     assert matches >= 36
 
 
-@pytest.mark.parametrize("beta,q_max", [(3.0, 2), (1.0, 3)])
-def test_mcmc_stationary_weight_is_exp_beta_modularity(beta, q_max):
+# S and the total-variation bound per case: at (1.0, 3) the exact laws at
+# beta and at 4/3 or 2/3 of beta are only 0.016 apart, so that case needs
+# more samples and a tighter bound to tell them apart
+@pytest.mark.parametrize("beta,q_max,S,tv_bound",
+                         [(3.0, 2, 20000, 0.025), (1.0, 3, 100000, 0.01)],
+                         ids=["3.0-2", "1.0-3"])
+def test_mcmc_stationary_weight_is_exp_beta_modularity(beta, q_max, S, tv_bound):
     # exact weights by enumeration: every labelling of the 4 nodes,
     # weighted exp(beta * Q), summed onto its canonical partition
     edges = {(0, 1), (1, 2), (2, 3), (0, 2)}
@@ -189,13 +194,14 @@ def test_mcmc_stationary_weight_is_exp_beta_modularity(beta, q_max):
         key = canonicalize(labels).key()
         exact[key] = exact.get(key, 0.0) + np.exp(beta * q)
     total = sum(exact.values())
-    pset = mcmc_sample(Graph(N=4, edges=edges), S=20000, sweeps_between=1,
+    pset = mcmc_sample(Graph(N=4, edges=edges), S=S, sweeps_between=1,
                        beta=beta, q_max=q_max, seed=0)
     seen = {}
     for p in pset.partitions:
         seen[p.key()] = seen.get(p.key(), 0) + 1
     tv = 0.5 * sum(abs(w / total - seen.get(k, 0) / pset.S)
                    for k, w in exact.items())
-    # 0.007-0.010 over seeds 0-2; at (3.0, 2) a beta off by a third reads
-    # over 0.04
-    assert tv <= 0.025
+    # over seeds 0-4 the true beta reads 0.006-0.010 at (3.0, 2) and
+    # 0.003-0.007 at (1.0, 3); a beta off by a third (4/3 or 2/3 of it)
+    # reads 0.043-0.048 and 0.013-0.019 on seeds 0-2
+    assert tv <= tv_bound
