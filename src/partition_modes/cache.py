@@ -25,25 +25,30 @@ lookup per count: no division, logarithm or mask over float tables.
 The entropy of every content comes from the same sums when the cache is
 built, as H(p) = log2 N - sum_k a_k log2 a_k / N.
 
-H_mod values live in one store, where the row of content c holds
-H_mod(x | c).  Omega is symmetric under transposition and both
-conditional entropies share H(q, m), so H_mod(q | m) - H_mod(m | q) =
-H(q) - H(m): samples scored against a fixed mode m read m's row, and a
-fixed sample q scored against candidate modes reads its own row, so no
-pair is computed twice.  The two lookups of one pair read different
-rows and can differ in the last bits.
+H_mod values live in one store of a direction-free part.  With J(q, m)
+the fixed-point joint sum, which is the same integer either way round,
+and Omega symmetric under transposition,
+
+    H_mod(q | m) = a(m) + W(q, m),   a(m) = A_m / (scale N),
+    W(q, m) = log2 Omega(q, m) / N - J(q, m) / (scale N) = W(m, q),
+
+where A_m is the mode's size sum.  The row of content c holds W(c, x),
+so a sample scored against a fixed mode reads the mode's row, a fixed
+sample scored against candidate modes reads its own row, and both give
+the same float for one pair.  A pair missing from one row is copied
+from the other content's row when that row holds it, and computed
+otherwise, so the kernel computes each unordered pair once.  When q is
+a function of m, J = A_m exactly and the sum cannot round below zero.
 
 Table counts depend only on the community sizes, which many contents
 share, so they are kept per margin signature: the sorted size vector,
 interned when the cache is built.  A signature's ``Margin`` (see
 ``tables``) is built the first time the signature is counted, so its
 cost-model and estimator pieces are computed once, not once per pair.
-The counts live in one row per signature, allocated the first time
-that signature is the mode side of a lookup; the row of a holds
-log2 Omega(a, b), NaN where unset.  The count is symmetric under
-transposition, so a pair missing from a's row is copied from b's row
-when b's row holds it, and counted, once, otherwise.  Memory grows with
-the signatures that serve as modes, not with the square of all of them.
+The counts live in rows of the same kind, one per signature that has
+been the mode side of a lookup: the row of a holds log2 Omega(a, b),
+NaN where unset.  Memory grows with the signatures that serve as modes,
+not with the square of all of them.
 """
 
 from __future__ import annotations
@@ -62,6 +67,29 @@ def _intern(keys) -> tuple[np.ndarray, list]:
     ids: dict = {}
     return np.array([ids.setdefault(k, len(ids)) for k in keys],
                     dtype=np.int64), list(ids)
+
+
+def _pair_row(rows: dict, has_row: np.ndarray, a: int, bs: np.ndarray,
+              compute) -> np.ndarray:
+    """Values of the symmetric pairs (a, b) for ``bs``, gathered from the
+    row of a, which is allocated on first use.  An unset cell is copied
+    from b's row when b has one, and otherwise filled by one
+    ``compute(a, missing)`` call over the distinct missing b."""
+    row = rows.get(a)
+    if row is None:
+        row = rows[a] = np.full(has_row.size, np.nan)
+        has_row[a] = True
+    vals = row[bs]
+    unset = np.isnan(vals)
+    if unset.any():
+        missing = np.flatnonzero(np.bincount(bs[unset], minlength=has_row.size))
+        mirrored = missing[has_row[missing]]
+        row[mirrored] = [rows[b][a] for b in mirrored.tolist()]
+        missing = missing[np.isnan(row[missing])]
+        if missing.size:
+            row[missing] = compute(a, missing)
+        vals = row[bs]
+    return vals
 
 
 class PairCache:
@@ -87,12 +115,13 @@ class PairCache:
         offsets = (np.arange(self.n_cid) * width)[:, None]
         sizes = np.bincount((self._labels + offsets).ravel(),
                             minlength=self.n_cid * width)
-        self._size_xlogx = self._xlogx[sizes].reshape(self.n_cid, width).sum(axis=1)
-        self._entropy = np.maximum(
-            0.0, np.log2(pset.N) - self._size_xlogx / (self._scale * pset.N))
-        # H_mod(x | c) in a dense row per fixed content c, so batch
-        # lookups are contiguous numpy gathers; unset cells are NaN
+        size_xlogx = self._xlogx[sizes].reshape(self.n_cid, width).sum(axis=1)
+        self._mode_part = size_xlogx / (self._scale * pset.N)    # a(c)
+        self._entropy = np.maximum(0.0, np.log2(pset.N) - self._mode_part)
+        # W(c, x) in a dense row per content c, so batch lookups are
+        # contiguous numpy gathers; unset cells are NaN
         self._by_mode: dict[int, np.ndarray] = {}
+        self._has_row = np.zeros(self.n_cid, dtype=bool)
         # always empty: perfbench/tracing.py::cache_snapshot still reads it
         self._by_sample: dict[int, np.ndarray] = {}
         # margin signatures and their log2 Omega rows (see the module
@@ -100,19 +129,17 @@ class PairCache:
         self._margin_id, self._margins = _intern(
             tuple(sorted(pset.partitions[r].counts.tolist())) for r in self.rep)
         self._omega_rows: dict[int, np.ndarray] = {}
+        self._omega_has_row = np.zeros(len(self._margins), dtype=bool)
 
-    def omega_block(self, m_indices, q_indices) -> np.ndarray:
-        """log2 table counts for index pairs, a gather from the row of
-        each mode signature; both callers pass a single mode."""
-        ms = self._margin_id[self.cid[np.asarray(m_indices, dtype=np.int64)]]
-        qs = self._margin_id[self.cid[np.asarray(q_indices, dtype=np.int64)]]
-        if ms.size and (ms == ms[0]).all():
-            return self._omega_row(int(ms[0]), qs)
-        vals = np.empty(qs.size)
-        for a in set(ms.tolist()):
-            at = ms == a
-            vals[at] = self._omega_row(a, qs[at])
-        return vals
+    def omega_block(self, m_idx: int, q_indices) -> np.ndarray:
+        """log2 table counts of mode m against samples q, a gather from
+        the row of m's margin signature."""
+        sig, cid = self._margin_id, self.cid
+        return _pair_row(
+            self._omega_rows, self._omega_has_row, int(sig[cid[m_idx]]),
+            sig[cid[np.asarray(q_indices, dtype=np.int64)]],
+            lambda a, bs: [log2_omega(self._margin(a), self._margin(b))
+                           for b in bs.tolist()])
 
     # -- entropies ---------------------------------------------------------
 
@@ -130,36 +157,23 @@ class PairCache:
 
     def hmod_given_mode(self, q_indices, m_idx: int) -> np.ndarray:
         """H_mod(q | m) for many q against one fixed mode m, from m's row."""
-        return self._row_lookup(int(self.cid[m_idx]),
-                                self.cid[np.asarray(q_indices, dtype=np.int64)])
+        m_cid = int(self.cid[m_idx])
+        return self._mode_part[m_cid] + self._pair_part(
+            m_cid, self.cid[np.asarray(q_indices, dtype=np.int64)])
 
     def hmod_against_modes(self, q_idx: int, m_indices) -> np.ndarray:
         """H_mod(q | m) for one fixed q against many candidate modes m,
-        from q's own row as H_mod(m | q) + H(q) - H(m)."""
-        q_cid = int(self.cid[q_idx])
+        from q's row; the same floats as ``hmod_given_mode``."""
         m_cids = self.cid[np.asarray(m_indices, dtype=np.int64)]
-        return (self._row_lookup(q_cid, m_cids) + self._entropy[q_cid]
-                - self._entropy[m_cids])
+        return self._mode_part[m_cids] + self._pair_part(int(self.cid[q_idx]), m_cids)
 
     # -- internals ---------------------------------------------------------
 
-    def _omega_row(self, a: int, bs: np.ndarray) -> np.ndarray:
-        """log2 Omega(a, b) for signatures ``bs`` from the row of a; an
-        unset pair is read from b's row or, if unset there too, counted."""
-        row = self._omega_rows.get(a)
-        if row is None:
-            row = self._omega_rows[a] = np.full(len(self._margins), np.nan)
-        vals = row[bs]
-        unset = np.isnan(vals)
-        if unset.any():
-            for b in set(bs[unset].tolist()):
-                other = self._omega_rows.get(b)
-                val = math.nan if other is None else other[a]
-                if math.isnan(val):
-                    val = log2_omega(self._margin(a), self._margin(b))
-                row[b] = val
-            vals = row[bs]
-        return vals
+    def _pair_part(self, c: int, xs: np.ndarray) -> np.ndarray:
+        """W(c, x) for contents ``xs`` from the row of content c."""
+        return _pair_row(self._by_mode, self._has_row, c, xs,
+                         lambda a, bs: self._compute_block(
+                             np.full(bs.size, self.rep[a]), self.rep[bs]))
 
     def _margin(self, a: int) -> Margin:
         m = self._margins[a]
@@ -167,25 +181,9 @@ class PairCache:
             m = self._margins[a] = Margin(m)
         return m
 
-    def _row_lookup(self, mode_cid: int, q_cids: np.ndarray) -> np.ndarray:
-        """H_mod(q | m) from the row of the fixed mode content at the
-        sample contents; the unset cells are computed in one batch, each
-        distinct content once."""
-        row = self._by_mode.get(mode_cid)
-        if row is None:
-            row = self._by_mode[mode_cid] = np.full(self.n_cid, np.nan)
-        vals = row[q_cids]
-        unset = np.isnan(vals)
-        if unset.any():
-            missing = np.flatnonzero(np.bincount(q_cids[unset], minlength=self.n_cid))
-            row[missing] = self._compute_block(
-                np.full(missing.size, self.rep[mode_cid]), self.rep[missing])
-            vals = row[q_cids]
-        return vals
-
     def _compute_block(self, m_indices, q_indices) -> np.ndarray:
-        """Vectorized H_mod(q | m) for pairs of one fixed mode, repeated
-        in ``m_indices``, and many samples ``q_indices``."""
+        """Vectorized W(q, m) for pairs of one fixed mode, repeated in
+        ``m_indices``, and many samples ``q_indices``."""
         m_cid = self.cid[m_indices[0]]
         q_cids = self.cid[q_indices]
         # t_kl sums over joint codes, so the layout of the (mode, sample)
@@ -198,6 +196,5 @@ class PairCache:
         t = np.bincount(codes.ravel(), minlength=q_cids.size * width)
         joint = self._xlogx[t].reshape(q_cids.size, width).sum(axis=1)
         N = self.pset.N
-        hcond = np.maximum(0.0, (self._size_xlogx[m_cid] - joint)
-                           / (self._scale * N))
-        return hcond + self.omega_block(m_indices, q_indices) / N
+        return (self.omega_block(m_indices[0], q_indices) / N
+                - joint / (self._scale * N))

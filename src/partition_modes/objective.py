@@ -147,7 +147,7 @@ def full_description_length(pset: PartitionSet, clustering: Clustering,
     for k, m in enumerate(clustering.mode_index):
         mode = pset.partitions[m]
         members = clustering.members(k)
-        omegas = cache.omega_block(np.full(members.size, m), members)
+        omegas = cache.omega_block(m, members)
         for p_idx, omega in zip(members, omegas):
             t = contingency_table(mode, pset.partitions[p_idx]).t
             L4 += float(lf[mode.counts].sum() - lf[t].sum())

@@ -126,7 +126,8 @@ def _check_kernel_against_reference(pset):
     ref = np.array([[modified_conditional_entropy(q, m) for m in pset.partitions]
                     for q in pset.partitions])
     assert np.allclose(given_mode, ref, rtol=0, atol=1e-10)
-    assert np.allclose(against, ref, rtol=0, atol=1e-10)
+    # both lookups read the one stored value of a pair
+    assert against.tolist() == given_mode.tolist()
     # H_mod(q | m) - H_mod(m | q) = H(q) - H(m): the table count is
     # symmetric and both conditional entropies share H(q, m)
     ent = cache.entropies(idx)
@@ -147,10 +148,10 @@ def test_omega_block_is_log2_omega_bit_for_bit(pset, max_cost):
         expect = np.array([[log2_omega(counts[m], counts[q]) for q in idx]
                            for m in idx])
         cache = PairCache(pset)
-        by_mode = np.stack([cache.omega_block(np.full(pset.S, m), idx)
-                            for m in idx])
-        by_sample = np.stack([cache.omega_block(idx, np.full(pset.S, q))
-                              for q in idx], axis=1)
+        by_mode = np.stack([cache.omega_block(m, idx) for m in idx])
+        # the mode on the other side, in a cache that has counted nothing
+        other = PairCache(pset)
+        by_sample = np.stack([other.omega_block(q, idx) for q in idx], axis=1)
     assert by_mode.tolist() == expect.tolist()
     assert by_sample.tolist() == expect.tolist()
 
@@ -171,6 +172,13 @@ def test_build_memory_does_not_grow_with_signature_pairs():
     assert peak < 32e6
 
 
+def _rows_matrix(rows, n):
+    out = np.full((n, n), np.nan)
+    for a, row in rows.items():
+        out[a] = row
+    return out
+
+
 def test_omega_matrix_symmetric_after_run(monkeypatch):
     # a low budget sends the larger margin pairs to the estimate, so both
     # counting paths fill the signature rows
@@ -178,13 +186,32 @@ def test_omega_matrix_symmetric_after_run(monkeypatch):
     counted = []
     monkeypatch.setattr(cache_module, "log2_omega",
                         lambda r, c: counted.append((r, c)) or log2_omega(r, c))
+    computed = []
+    kernel = PairCache._compute_block
+
+    def spy(self, m_indices, q_indices):
+        computed.extend(frozenset(self.cid[[m, q]].tolist())
+                        for m, q in zip(m_indices, q_indices))
+        return kernel(self, m_indices, q_indices)
+
+    monkeypatch.setattr(PairCache, "_compute_block", spy)
     pset = _random_set(60, 16, 2)
     cache = PairCache(pset)
     run(pset, EngineParams(seed=0, k0=3), cache=cache)
+    # each unordered content pair reached the kernel once, and a pair set
+    # in the rows of both its contents holds one float
+    assert len(computed) == len(set(computed))
+    hmod = _rows_matrix(cache._by_mode, cache.n_cid)
+    is_set = ~np.isnan(hmod)
+    both = is_set & is_set.T & ~np.eye(cache.n_cid, dtype=bool)
+    assert both.any()
+    assert hmod[both].tolist() == hmod.T[both].tolist()
+    assert {frozenset(p) for p in zip(*np.nonzero(is_set))} == set(computed)
+    # a second run on the warm cache computes only pairs it has not seen
+    run(pset, EngineParams(seed=1, k0=2), cache=cache)
+    assert len(computed) == len(set(computed))
     n = len(cache._margins)
-    omega = np.full((n, n), np.nan)
-    for a, row in cache._omega_rows.items():
-        omega[a] = row
+    omega = _rows_matrix(cache._omega_rows, n)
     is_set = ~np.isnan(omega)
     both = is_set & is_set.T & ~np.eye(n, dtype=bool)
     assert both.any()
@@ -196,3 +223,32 @@ def test_omega_matrix_symmetric_after_run(monkeypatch):
     exact = [_exact_orientation(cache._margins[a], cache._margins[b])
              is not None for a, b in zip(*np.nonzero(is_set))]
     assert any(exact) and not all(exact)
+
+
+@st.composite
+def _coarsenings(draw):
+    """A mode, partitions that merge its communities, and the partition
+    into one community."""
+    N = draw(st.integers(2, 40))
+    mode = canonicalize(draw(st.lists(st.integers(0, 7), min_size=N, max_size=N)))
+    merges = draw(st.lists(st.lists(st.integers(0, 7), min_size=mode.n,
+                                    max_size=mode.n), min_size=1, max_size=6))
+    coarser = [canonicalize(np.asarray(g)[mode.labels]) for g in merges]
+    return PartitionSet.from_partitions(
+        [mode, *coarser, canonicalize(np.zeros(N, dtype=np.int64))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_coarsenings())
+def test_hmod_of_a_coarsening_is_its_omega_term(pset):
+    # H(q | m) = 0 when q merges communities of m, so H_mod(q | m) is
+    # log2 Omega / N and is never negative; for one community it is 0
+    cache = PairCache(pset)
+    N, mode = pset.N, pset.partitions[0]
+    hmod = cache.hmod_given_mode(np.arange(pset.S), 0)
+    assert (hmod >= 0).all()
+    omega = np.array([log2_omega(mode.counts, q.counts) for q in pset.partitions])
+    assert np.abs(hmod - omega / N).max() <= 1e-12
+    assert hmod[-1] == 0.0
+    one = pset.S - 1
+    assert cache.hmod_against_modes(one, np.arange(pset.S)).tolist() == [0.0] * pset.S

@@ -337,11 +337,11 @@ def test_run_independent_of_cache_state(monkeypatch):
     warm_cache = PairCache(pset)
     warm = result(warm_cache)
     reused = result(warm_cache)
-    # an Omega block filled first with the mode and sample sides swapped
+    # Omega rows filled first with the mode and sample sides swapped
     transposed_cache = PairCache(pset)
     for q in range(10):
-        transposed_cache.omega_block(np.arange(pset.S),
-                                     np.full(pset.S, q))
+        for m in range(pset.S):
+            transposed_cache.omega_block(m, [q])
     transposed = result(transposed_cache)
     assert cold == warm == reused == transposed
     # a cache warmed by a run at another seed and lambda computed its
