@@ -3,6 +3,10 @@
 All public functions return the base-2 logarithm of the count, since the
 raw counts overflow floating point at trivially small margins.
 ``log2_omega`` counts exactly within a work budget and estimates past it.
+The exact count takes the rows one at a time; each is one numpy step
+over every state of its level, taken in chunks of a fixed number of
+array elements, and the number of ways to reach each state stays an
+exact integer.
 
 A ``Margin`` is one margin's positive sums, sorted, as a tuple.  It
 carries what the cost model and the estimator need of that margin
@@ -22,23 +26,32 @@ standard library's ``math.lgamma``.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
+from itertools import chain, combinations, islice
+
+import numpy as np
 
 _LN2 = math.log(2.0)
 
 # Exact counting is attempted only when ``_recursion_cost`` stays within
 # this budget the cheaper way round.  Of 664 random margin pairs (N 10-100,
-# 2-7 parts), the slowest of the 490 within it took 6 ms on a 2-CPU x86 VM.
-# That bound holds only for such narrow margins: the cost model underprices
-# wide tables, and rows (1, 2, 2999) over 3,001 columns cost 3.87e5, within
-# the budget, but took 2.6-2.9 s to count on the same VM (ROADMAP.md, "An
-# exact-count budget that bounds time").
+# 2-7 parts), the slowest of the 426 within it took 1.3-4.9 ms on a 2-CPU
+# x86 VM.  That bound holds only for such narrow margins: the cost model
+# counts compositions, not the columns each one spans, and rows (1, 2,
+# 2999) over 3,001 columns cost 3.87e5, within the budget, but took about
+# 0.22 s to count on the same VM (ROADMAP.md, "An exact-count budget that
+# bounds time").
 DEFAULT_MAX_COST = 500_000
 
 # Work of one inclusion-exclusion term of the closed-form row, in
 # enumerated compositions: fitted on both orientations of 300 timed
 # random margin pairs.
 _CLOSED_FORM_WEIGHT = 64
+
+# Largest temporary array, in elements, of one step of the exact
+# counter; a level past it is taken in chunks.
+_CHUNK = 1 << 16
 
 
 def _log2_int(x: int) -> float:
@@ -60,15 +73,30 @@ def _saturating_float(x: int) -> float:
         return math.inf
 
 
+def _integral(v) -> int:
+    """A margin sum as a Python int: any integer passes, as does a float
+    of integral value; anything else raises ValueError rather than being
+    truncated."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        pass
+    f = float(v)
+    if not f.is_integer():
+        raise ValueError(f"margin sum {v!r} is not a finite integer")
+    return int(f)
+
+
 class Margin(tuple):
     """The positive sums of one margin in ascending order, with the
     pieces of the table count that depend on this margin alone.
 
     Zero sums are dropped: they force a zero row or column and do not
-    affect the count.  A negative sum raises ValueError."""
+    affect the count.  A negative sum, or one that is not a finite
+    integral value, raises ValueError."""
 
     def __new__(cls, values):
-        values = [int(v) for v in values]
+        values = [_integral(v) for v in values]
         if any(v < 0 for v in values):
             raise ValueError("negative margin")
         self = super().__new__(cls, sorted(v for v in values if v > 0))
@@ -147,105 +175,201 @@ def _exact_orientation(rows, cols):
     return (cols, rows) if flip else (rows, cols)
 
 
-def _bounded_compositions(a: int, caps: tuple) -> int:
-    """Number of ways to write ``a`` as an ordered sum of one non-negative
-    entry per cap, each entry at most its cap.
+def _bounded_compositions(a: int, caps):
+    """Per row of ``caps``, an (n, k) integer array of rows sorted
+    ascending, the number of ways to write ``a`` as an ordered sum of k
+    non-negative entries, each at most its cap; a list of ints.
 
-    Inclusion-exclusion over the entries forced above their caps: with k
-    positive caps, sum over subsets T of (-1)^|T| C(a - sum_T (c+1) + k-1,
-    k-1).  Equal caps are grouped, so a term chooses how many of each
-    value exceed, and a subset whose excess passes ``a`` adds nothing."""
-    groups = sorted(Counter(c for c in caps if c > 0).items())
-    if not groups:
-        return int(a == 0)
-    k1 = sum(m for _, m in groups) - 1
-
-    def terms(g: int, rem: int, coef: int) -> int:
-        total = coef * math.comb(rem + k1, k1)
-        for h in range(g, len(groups)):
-            value, mult = groups[h]
-            if value + 1 > rem:
+    Inclusion-exclusion over the entries forced above their caps: the
+    count is sum_T (-1)^|T| C(a - e_T + k-1, k-1) over column subsets T
+    of excess e_T = sum_T (c+1) <= a.  A run of m columns equal in every
+    row is taken at once, s of them exceeding in C(m, s) ways, and the
+    terms of all rows are built together as (row, excess, coefficient).
+    Once they pass ``_CHUNK``, terms of one row and one excess are
+    merged, which leaves at most a + 1 per row."""
+    n, k = caps.shape
+    caps = caps.astype(np.int64)
+    row = np.arange(n)
+    excess = np.zeros(n, np.int64)
+    coef = np.ones(n, np.int64 if k < 63 else object)   # |coef| <= 2^k
+    changes = (caps[:, 1:] != caps[:, :-1]).any(axis=0).nonzero()[0] + 1
+    edges = [0, *changes.tolist(), k]
+    for start, stop in zip(edges, edges[1:]):
+        m, step = stop - start, caps[row, start] + 1
+        rows, excesses, coefs = [row], [excess], [coef]
+        for s in range(1, m + 1):
+            shifted = excess + s * step
+            take = (shifted <= a).nonzero()[0]
+            if not len(take):
                 break
-            for s in range(1, min(mult, rem // (value + 1)) + 1):
-                total += terms(h + 1, rem - s * (value + 1),
-                               (-1) ** s * coef * math.comb(mult, s))
-        return total
+            rows.append(row[take])
+            excesses.append(shifted[take])
+            coefs.append(coef[take] * ((-1) ** s * math.comb(m, s)))
+        if len(rows) == 1:  # the rows' caps ascend, so no later run fits
+            break
+        row, excess, coef = map(np.concatenate, (rows, excesses, coefs))
+        if len(row) > _CHUNK:
+            pairs, coef = _merge([(np.stack([row, excess], axis=1), coef)])
+            row, excess = pairs.T
+    values, slot = np.unique(excess, return_inverse=True)
+    binoms = np.array([math.comb(a - v + k - 1, k - 1) for v in values.tolist()],
+                      dtype=object)
+    counts = np.zeros(n, dtype=object)
+    np.add.at(counts, row, coef.astype(object) * binoms[slot])
+    return counts.tolist()
 
-    return terms(0, a, 1)
+
+def _state_dtype(largest: int):
+    """The narrowest signed integer type that holds every column sum up
+    to ``largest`` and its negation, so a remainder that goes below zero
+    stays representable."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if largest <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
 
 
-def _row_remainders(a: int, cols: tuple):
-    """Yield, as a sorted tuple, the column sums left after each way of
-    taking a row of sum ``a`` from ``cols`` (entry j at most cols[j]).
+def _compositions(a: int, k: int, max_rows: int):
+    """Yield the compositions of ``a >= 1`` into ``k >= 2`` non-negative
+    entries as int64 arrays of at most ``max_rows`` rows.
 
-    The compositions are enumerated in lexicographic order by an
-    odometer over the entries, with no recursion, so the depth does not
-    grow with the number of columns."""
-    k = len(cols)
-    suffix = [0] * (k + 1)
-    for j in range(k - 1, -1, -1):
-        suffix[j] = suffix[j + 1] + cols[j]
-    left = list(cols)       # column sums left after the current entries
-    rem = [0] * k           # rem[j]: the part of ``a`` for entries j..k-1
-    rem[0] = a
-    j = 0
+    A composition is a choice of the k - 1 bar positions, or of the a
+    unit positions, among a + k - 1 slots; the shorter choice is
+    enumerated, so a row's work stays linear in its output however wide
+    or tall the table."""
+    slots = a + k - 1
+    units = a < k - 1
+    chosen = combinations(range(slots), a if units else k - 1)
     while True:
-        # entries j..k-2 take the least that still lets the later ones
-        # hold the rest; the last entry takes what remains
-        for i in range(j, k - 1):
-            t = max(0, rem[i] - suffix[i + 1])
-            left[i] = cols[i] - t
-            rem[i + 1] = rem[i] - t
-        left[k - 1] = cols[k - 1] - rem[k - 1]
-        yield tuple(sorted(left))
-        # raise the rightmost entry that can grow: below its column sum
-        # with some of the row left for the entries after it
-        j = k - 2
-        while j >= 0 and (left[j] == 0 or rem[j + 1] == 0):
-            j -= 1
-        if j < 0:
+        block = np.fromiter(chain.from_iterable(islice(chosen, max_rows)), np.int64)
+        if not len(block):
             return
-        left[j] -= 1
-        rem[j + 1] -= 1
-        j += 1
+        if units:   # unit i sits in the column of the bars before it
+            block = block.reshape(-1, a) - np.arange(a)
+            n = len(block)
+            block += k * np.arange(n)[:, None]
+            yield np.bincount(block.ravel(), minlength=n * k).reshape(n, k)
+        else:       # entry j is the gap between bars j - 1 and j
+            bars = block.reshape(-1, k - 1)
+            comps = np.empty((len(bars), k), np.int64)
+            comps[:, 0] = bars[:, 0]
+            np.subtract(bars[:, 1:], bars[:, :-1] + 1, out=comps[:, 1:-1])
+            comps[:, -1] = slots - 1 - bars[:, -1]
+            yield comps
+
+
+def _merge(parts):
+    """The distinct rows of the ``(rows, weights)`` parts, 2-D integer
+    arrays and 1-D weights, and per distinct row the sum of the weights
+    of its copies.
+
+    Rows are compared as bytes: each is read as a few unsigned words,
+    the widest that divide it, and sorted by the words that are not the
+    same in every row, so equal rows fall together whatever their width
+    and values."""
+    states = np.concatenate([p[0] for p in parts])
+    ways = np.concatenate([p[1] for p in parts])
+    width = states.shape[1] * states.itemsize
+    unit = next(u for u in (8, 4, 2, 1) if width % u == 0)
+    words = states.view("u%d" % unit)
+    varies = (words != words[:1]).any(axis=0)
+    varies[0] = True    # a key even when every row is the same
+    words = words[:, varies]
+    # one key is argsorted: lexsort's stable sort of it is slower
+    order = words[:, 0].argsort() if words.shape[1] == 1 else np.lexsort(words.T)
+    words = words[order]
+    first = np.ones(len(words), bool)
+    (words[1:] != words[:-1]).any(axis=1, out=first[1:])
+    starts = first.nonzero()[0]
+    return states[order[starts]], np.add.reduceat(ways[order], starts)
+
+
+def _take_row(states, ways, a: int, top):
+    """One level of ``_count_exact_int``: take a row of sum ``a`` from
+    every state, in chunks of at most ``_CHUNK`` elements.
+
+    The row's compositions that fit under ``top``, a bound on every
+    state's entries, are subtracted from every state of a chunk at once;
+    remainders with a negative entry are dropped and the rest sorted.
+    They are merged, with their ways summed, whenever those not yet
+    merged outgrow both the cap and the states merged so far, and once
+    at the end."""
+    k = states.shape[1]
+    parts, pending, merged = [], 0, 0
+    for comps in _compositions(a, k, max(1, _CHUNK // k)):
+        # entry-major and contiguous, (k, states, compositions), so that
+        # the elementwise steps run along the long axes, not along k
+        comps = np.ascontiguousarray(comps[(comps <= top).all(axis=1)].T,
+                                     states.dtype)
+        m = comps.shape[1]
+        step = max(1, _CHUNK // max(1, comps.size))
+        for i in range(0, len(states), step):
+            rest = (np.ascontiguousarray(states[i:i + step].T)[:, :, None]
+                    - comps[:, None, :]).reshape(k, -1)
+            keep = (rest.min(axis=0) >= 0).nonzero()[0]
+            rest = np.ascontiguousarray(rest.take(keep, axis=1).T)
+            rest.sort(axis=1)
+            parts.append((rest, ways[i + keep // m]))
+            pending += rest.size
+            if pending > max(_CHUNK, merged):
+                parts = [_merge(parts)]
+                pending, merged = 0, parts[0][0].size
+    return _merge(parts)
 
 
 def _count_exact_int(rows, cols) -> int:
     """Exact count by taking rows one at a time from the remaining column
-    sums, level by level, with the ways to reach each state keyed by
-    (row index, sorted remaining columns).
+    sums, level by level, with the ways to reach each state kept per
+    distinct sorted vector of remaining column sums.
 
     Rows are taken in ascending order.  The last row is forced by the
     remaining column sums, and the second-to-last is counted in closed
     form by ``_bounded_compositions`` under the remaining column caps,
-    so the two largest rows, whose compositions are the most numerous,
-    are never enumerated; only the small rows branch.  Nothing recurses
-    per row or per column, so wide and tall tables are counted too.
+    for all distinct states at once, so the two largest rows, whose
+    compositions are the most numerous, are never enumerated; only the
+    small rows branch.  Each of those is one numpy step over all the
+    states of its level (``_take_row``), in chunks of at most ``_CHUNK``
+    elements.  The states are arrays of the narrowest integer type that
+    holds the column sums; the ways are int64 when a bound on them fits
+    and Python integers otherwise, so every count is exact.  Nothing
+    recurses per row or per column, so wide and tall tables are counted
+    too.
 
     When every row (or column) sum is 1, each unit row picks the column
     of its one entry, and the count is the multinomial coefficient
     N! / prod(c!) over the other margin."""
+    # a zero sum forces a zero row or column
+    rows = sorted(r for r in rows if r)
+    cols = sorted(c for c in cols if c)
     if len(rows) <= 1 or len(cols) <= 1:
         return 1
-    if max(cols) == 1:
+    if cols[-1] == 1:
         rows, cols = cols, rows
-    if max(rows) == 1:
+    if rows[-1] == 1:
         count = math.factorial(sum(rows))
         for c in cols:
             count //= math.factorial(c)
         return count
-    rows = sorted(rows)
-    # ways[cols_t]: the number of ways the rows before the current one
-    # leave the sorted remaining columns cols_t
-    ways = {tuple(sorted(cols)): 1}
+    # the states are the sorted remaining column sums; entry j of each is
+    # at most cols[j], so one cap per column serves every level
+    top = np.array(cols, _state_dtype(cols[-1]))
+    states = top[None, :]
+    # the ways sum to the partial tables of a level, which are at most the
+    # product of the rows' composition counts; int64 holds them if that does
+    k = len(cols)
+    most = math.prod(math.comb(r + k - 1, k - 1) for r in rows[:-2])
+    ways = np.ones(1, np.int64 if most < 2 ** 63 else object)
     for r in rows[:-2]:
-        nxt: dict = {}
-        for cols_t, n in ways.items():
-            for rest in _row_remainders(r, cols_t):
-                nxt[rest] = nxt.get(rest, 0) + n
-        ways = nxt
-    return sum(n * _bounded_compositions(rows[-2], cols_t)
-               for cols_t, n in ways.items())
+        states, ways = _take_row(states, ways, r, top)
+    # a cap of rows[-2] or more never binds, so states equal below it
+    # share one closed-form count
+    a = rows[-2]
+    if len(states) > 1:
+        states, ways = _merge([(np.minimum(states, min(a, cols[-1])), ways)])
+    step = max(1, _CHUNK // (a + 1))    # merged, a row has <= a + 1 terms
+    return sum(n * c for i in range(0, len(states), step)
+               for n, c in zip(ways[i:i + step].tolist(),
+                               _bounded_compositions(a, states[i:i + step])))
 
 
 def count_tables_exact(row_sums, col_sums) -> float:

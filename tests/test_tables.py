@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from partition_modes import (EngineParams, PartitionSet, canonicalize,
                              count_tables_exact, count_tables_gaussian,
                              log2_omega, run, tables)
-from partition_modes.tables import (DEFAULT_MAX_COST, _clean_margins,
+from partition_modes.tables import (DEFAULT_MAX_COST, Margin, _clean_margins,
                                     _count_exact_int, _exact_orientation,
                                     _log2_int, _recursion_cost)
 
@@ -70,6 +71,20 @@ def test_margin_validation():
         count_tables_exact([2, 2], [3, 2])
     with pytest.raises(ValueError, match="negative margin"):
         count_tables_exact([-1, 5], [2, 2])
+
+
+def test_margin_rejects_sums_that_are_not_integers():
+    # a fractional sum is not truncated into another margin's count
+    for rows, cols in (([1.9, 2.1], [2, 1]), ([2.5, 2.5], [2, 2]),
+                       ([math.inf], [1]), ([math.nan, 1], [1])):
+        with pytest.raises(ValueError, match="not a finite integer"):
+            log2_omega(rows, cols)
+    with pytest.raises(ValueError, match="not a finite integer"):
+        Margin([math.inf])
+    # integers of any kind, and floats of integral value, still count
+    expect = math.log2(3)
+    assert log2_omega(np.array([2, 2], np.int8), [np.uint64(2), 2]) == expect
+    assert count_tables_exact([2.0, np.float32(2)], [True + 1, 2]) == expect
 
 
 def test_exact_cost_guard(monkeypatch):
@@ -287,6 +302,52 @@ def test_log2_omega_reproduces_frozen_values():
             assert log2_omega(cols, rows).hex() == value, (rows, cols)
 
 
+def test_exact_counter_merges_states_split_across_chunks(monkeypatch):
+    # one composition and one state per chunk: every level is merged from
+    # single-transition parts; the margins and zero pads are those of the
+    # explicit examples of test_exact_counter_matches_reference
+    monkeypatch.setattr(tables, "_CHUNK", 1)
+    for (r, c), pad in ((([6, 6, 6, 30], [6, 6, 6, 30]), 0),
+                        (([12, 12, 12, 12], [6, 6, 12, 24]), 1),
+                        (([14, 10, 9, 3, 20, 12, 13], [37, 13, 31]), 0),
+                        (([10], [3, 0, 3, 4]), 2), (([0, 0], [0]), 1),
+                        (([0], [0]), 2)):
+        oriented = _exact_orientation(*_clean_margins(r, c))
+        if oriented is None:
+            continue
+        rows, cols = oriented
+        expect = reference_count_exact(rows, cols)
+        assert _count_exact_int(list(rows) + [0] * pad, [0] * pad + list(cols)) == expect
+    rows, cols, count = _wide(40)
+    assert _count_exact_int(rows, cols) == count
+    assert _count_exact_int(cols, rows) == count
+
+
+@pytest.mark.parametrize("rows,cols", [
+    ([2, 130, 130], [87, 87, 88]),      # the closed-form row passes int8
+    ([1, 127, 127], [1, 127, 127]),     # a cap of 127: its excess passes int8
+    ([2, 3, 250], [127, 128]),          # a column sum passes int8
+    ([40000, 40000], [1, 39999, 40000]),    # and int16
+])
+def test_exact_counter_past_narrow_state_types(rows, cols):
+    expect = reference_count_exact(rows, cols)
+    assert _count_exact_int(rows, cols) == expect
+    assert _count_exact_int(cols, rows) == expect
+
+
+def test_exact_counter_memory_is_bounded():
+    # a level taken in one piece peaked at about 21 MB on _wide(1101);
+    # [3] * 10 squared costs 4.44e5, near the budget
+    for rows, cols in (_wide(1101)[:2], ([3] * 10, [3] * 10)):
+        tracemalloc.start()
+        try:
+            count_tables_exact(rows, cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, (rows[:3], peak)
+
+
 def test_log2_omega_saturates_costs_past_the_float_range():
     # a row of 600 is enumerated over 603 columns, whose composition
     # count passes the float range: the cost saturates to inf instead of
@@ -387,6 +448,6 @@ def test_exact_orientation_keeps_budget_and_takes_cheaper_recursion(margins,
 
 def test_exact_orientation_enumerates_the_small_rows():
     # counted this way round, the two enumerated rows are the 6s; the
-    # other way round they are two 12s over four columns, about 16x slower
+    # other way round they are two 12s over four columns, about 8x slower
     rows, cols = _exact_orientation([12, 12, 12, 12], [6, 6, 12, 24])
     assert sorted(rows) == [6, 6, 12, 24]
