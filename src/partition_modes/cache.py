@@ -162,10 +162,28 @@ class PairCache:
             m_cid, self.cid[np.asarray(q_indices, dtype=np.int64)])
 
     def hmod_against_modes(self, q_idx: int, m_indices) -> np.ndarray:
-        """H_mod(q | m) for one fixed q against many candidate modes m,
-        from q's row; the same floats as ``hmod_given_mode``."""
+        """H_mod(q | m) for one fixed q against many candidate modes m:
+        one row of ``hmod_block``."""
+        return self.hmod_block([q_idx], m_indices)[0]
+
+    def hmod_block(self, q_indices, m_indices) -> np.ndarray:
+        """H_mod(q | m) for terms q (rows) against candidate modes m
+        (columns), each row gathered from its term's row of the store;
+        the same floats as ``hmod_given_mode``."""
         m_cids = self.cid[np.asarray(m_indices, dtype=np.int64)]
-        return self._mode_part[m_cids] + self._pair_part(int(self.cid[q_idx]), m_cids)
+        q_cids = self.cid[np.asarray(q_indices, dtype=np.int64)].tolist()
+        block = np.empty((len(q_cids), m_cids.size))
+        for j, c in enumerate(q_cids):
+            row = self._by_mode.get(c)
+            if row is None:
+                block[j] = np.nan
+            else:
+                np.take(row, m_cids, out=block[j])
+        # rows with an unset cell are filled through the row memo
+        for j in np.flatnonzero(np.isnan(block).any(axis=1)).tolist():
+            block[j] = self._pair_part(q_cids[j], m_cids)
+        block += self._mode_part[m_cids]
+        return block
 
     # -- internals ---------------------------------------------------------
 

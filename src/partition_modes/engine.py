@@ -25,18 +25,29 @@ proposals on an unchanged cluster and the two clusters of a reassign
 therefore score against the same terms, and their H_mod rows are cache
 hits.
 
-Each cluster holds its members as a sorted int64 array.  With the
-priorities fixed, the mode of a member set is fixed for the run, and
-the search keeps proposing moves that rebuild the same clusters (at K=2
-every merge proposal forms the same merged cluster).  So each run keeps
-a memo from a member set, keyed by a digest of its sorted indices, to
-the mode the sampled search returned for it.  A hit returns exactly what
-the search would; the memo is emptied on every accepted move only to
-bound its size, and never outlives a run.
+Each cluster holds its members as a sorted int64 array together with
+two vectors over the cache's content ids: the number of copies of each
+content in the cluster and the lowest member index of each.  They are
+built once with ``np.unique``; merges, reassigns and k-means parts
+derive them from their parents' vectors, so a mode search reads its
+candidates (the lowest member of each content, ascending) without
+deduplicating the members again.  A search gathers one block of H_mod
+values, sample terms by candidates, in one cache call, and a state's
+total is computed once, when it is first read.
+
+With the priorities fixed, the mode of a member set is fixed for the
+run, and the search keeps proposing moves that rebuild the same
+clusters (at K=2 every merge proposal forms the same merged cluster).
+So each run keeps a memo from a member set, keyed by a digest of its
+sorted indices (for a k-means part, of its contents under its parent's
+key), to the mode the sampled search returned for it.  A hit
+returns exactly what the search would; the memo is emptied on every
+accepted move only to bound its size, and never outlives a run.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -70,12 +81,110 @@ class EngineParams:
             raise ValueError("invalid engine parameters")
 
 
+# content vectors hold this first member index where a content is absent
+_ABSENT = np.iinfo(np.int64).max
+
+
+def _digest(data: bytes, key: bytes = b"") -> bytes:
+    return hashlib.blake2b(data, digest_size=16, key=key).digest()
+
+
+@dataclass(frozen=True, eq=False)
+class _Members:
+    """A member set: sorted int64 partition indices, and over all content
+    ids the copies of each content in the set (``count``) and its lowest
+    member index (``first``, ``_ABSENT`` where the count is 0).
+
+    ``key`` identifies the member set: a digest of its indices, or for a
+    k-means part, which holds every copy of the contents it keeps, a
+    digest of the contents it holds keyed with its parent's key."""
+    index: np.ndarray
+    count: np.ndarray
+    first: np.ndarray
+    key: bytes
+
+    def union(self, other: "_Members") -> "_Members":
+        """The union with a disjoint member set."""
+        # a stable sort merges the two sorted runs in linear time
+        index = np.sort(np.concatenate((self.index, other.index)), kind="stable")
+        return _Members(index, self.count + other.count,
+                        np.minimum(self.first, other.first),
+                        _digest(index.tobytes()))
+
+    def part(self, keep: np.ndarray, index_cid: np.ndarray) -> "_Members":
+        """The members whose content is kept by the boolean mask ``keep``
+        over content ids; ``index_cid`` is the content id of each member."""
+        count = np.where(keep, self.count, 0)
+        return _Members(self.index[keep[index_cid]], count,
+                        np.where(keep, self.first, _ABSENT),
+                        _digest((count != 0).tobytes(), key=self.key))
+
+    def added(self, p: int, c: int) -> "_Members":
+        """The set with partition p, of content c, added."""
+        index = np.insert(self.index, np.searchsorted(self.index, p), p)
+        count, first = self.count.copy(), self.first.copy()
+        count[c] += 1
+        first[c] = min(first[c], p)
+        return _Members(index, count, first, _digest(index.tobytes()))
+
+    def removed(self, p: int, c: int, cid: np.ndarray) -> "_Members":
+        """The set with member p, of content c, removed; ``cid`` maps
+        partition indices to content ids."""
+        index = self.index[self.index != p]
+        count, first = self.count.copy(), self.first.copy()
+        count[c] -= 1
+        if not count[c]:
+            first[c] = _ABSENT
+        elif first[c] == p:
+            first[c] = index[cid[index] == c][0]
+        return _Members(index, count, first, _digest(index.tobytes()))
+
+    def candidates(self) -> tuple[np.ndarray, np.ndarray]:
+        """The lowest member of each content, ascending, and the content
+        multiplicities.  Candidates of equal content always score
+        identically, so argmin over these representatives in this order
+        reproduces the lowest-index tie-break over the full member list."""
+        ids = np.flatnonzero(self.count)
+        ids = ids[np.argsort(self.first[ids])]
+        return self.first[ids], self.count[ids]
+
+
+def _distinct_candidates(members: np.ndarray, cache):
+    """Deduplicate a sorted member array by partition content with one
+    ``np.unique``.  Returns the lowest member index of each distinct
+    content (in order of first appearance) and the content
+    multiplicities."""
+    _, first, counts = np.unique(cache.cid[members], return_index=True,
+                                 return_counts=True)
+    order = np.argsort(first)
+    return members[first[order]], counts[order]
+
+
+def _members(members, cache: PairCache) -> _Members:
+    """A ``_Members`` as it is, or one built from partition indices."""
+    if isinstance(members, _Members):
+        return members
+    index = np.sort(np.asarray(members, dtype=np.int64))
+    if not index.size:
+        raise ValueError("empty cluster")
+    reps, copies = _distinct_candidates(index, cache)
+    count = np.zeros(cache.n_cid, dtype=np.int64)
+    count[cache.cid[reps]] = copies
+    first = np.full(cache.n_cid, _ABSENT)
+    first[cache.cid[reps]] = reps
+    return _Members(index, count, first, _digest(index.tobytes()))
+
+
 @dataclass(frozen=True, eq=False)
 class _Cluster:
-    members: np.ndarray  # sorted int64 partition indices
+    group: _Members
     mode: int
     mode_entropy: float
     cond_sum: float      # sum over members of H_mod(member | mode)
+
+    @property
+    def members(self) -> np.ndarray:
+        return self.group.index
 
 
 class EngineState:
@@ -83,7 +192,9 @@ class EngineState:
 
     ``priority`` holds the run's sampling priority of every partition,
     and ``mode_memo`` maps a member-set digest to the mode the sampled
-    search found for it; states derived by ``replaced`` share both."""
+    search found for it; states derived by ``replaced`` share both.
+    ``total`` is computed on first access and kept, so a state's
+    clusters are final once it is read."""
 
     def __init__(self, pset: PartitionSet, cache: PairCache, params: EngineParams,
                  priority: np.ndarray, clusters: list[_Cluster],
@@ -99,7 +210,7 @@ class EngineState:
     def K(self) -> int:
         return len(self.clusters)
 
-    @property
+    @functools.cached_property
     def total(self) -> float:
         N, S = self.pset.N, self.pset.S
         sizes = [c.members.size for c in self.clusters]
@@ -121,43 +232,25 @@ class EngineState:
                            new_clusters, self.mode_memo)
 
 
-def _sorted_members(cluster_members) -> np.ndarray:
-    members = np.sort(np.asarray(cluster_members, dtype=np.int64))
-    if not members.size:
-        raise ValueError("empty cluster")
-    return members
-
-
-def _distinct_candidates(members: np.ndarray, cache):
-    """Deduplicate a sorted member array by partition content.  Returns
-    the lowest member index of each distinct content (in order of first
-    appearance) and the content multiplicities.  Candidates of equal
-    content always score identically, so argmin over representatives
-    with this ordering reproduces the lowest-index tie-break over the
-    full member list."""
-    _, first, counts = np.unique(cache.cid[members], return_index=True,
-                                 return_counts=True)
-    order = np.argsort(first)
-    return members[first[order]], counts[order]
-
-
 def _weighted_argmin(candidates: np.ndarray, terms: np.ndarray, weights,
                      cache: PairCache) -> int:
     """The candidate p minimizing H(p) + sum_j weights[j] H_mod(terms[j] | p),
-    with one ``hmod_against_modes`` row per term.  Candidates come in
-    increasing partition-index order, so argmin keeps the lowest-index
-    tie-break."""
-    scores = cache.entropies(candidates)
-    for q, w in zip(terms, weights):
-        scores += w * cache.hmod_against_modes(q, candidates)
-    return int(candidates[int(np.argmin(scores))])
+    from one ``hmod_block`` of terms by candidates.  The weighted rows
+    are added to the entropies one after the other, in term order: a sum
+    over axis 0 of a C-contiguous block adds row after row, with no
+    pairwise regrouping.  Candidates come in increasing partition-index
+    order, so argmin keeps the lowest-index tie-break."""
+    block = cache.hmod_block(terms, candidates)
+    block *= np.asarray(weights, dtype=np.float64)[:, None]
+    block[0] += cache.entropies(candidates)
+    return int(candidates[int(np.argmin(block.sum(axis=0)))])
 
 
 def find_mode_exact(cluster_members, cache: PairCache) -> int:
     """Member partition minimizing H(p) + sum_q H_mod(q | p) over the
     whole cluster; ties broken by lowest partition index.  Each distinct
     content is scored once and weighs as many times as it occurs."""
-    reps, counts = _distinct_candidates(_sorted_members(cluster_members), cache)
+    reps, counts = _members(cluster_members, cache).candidates()
     return _weighted_argmin(reps, reps, counts, cache)
 
 
@@ -175,43 +268,45 @@ def find_mode_sampled(cluster_members, sample_size: int, priority: np.ndarray,
     uniform sample without replacement; clusters that share members
     share the part of X those members take.
 
-    The function keeps no state; the engine memoizes its result per
-    member set within a run (see ``_find_mode``)."""
-    members = _sorted_members(cluster_members)
+    ``cluster_members`` is partition indices or the engine's member set
+    with its content vectors.  The function keeps no state; the engine
+    memoizes its result per member set within a run (see
+    ``_find_mode``)."""
+    group = _members(cluster_members, cache)
+    members = group.index
     k = min(sample_size, members.size)
-    sample = members[np.argpartition(priority[members], k - 1)[:k]]
-    candidates, _ = _distinct_candidates(members, cache)
-    terms, counts = _distinct_candidates(np.sort(sample), cache)
+    sample = np.sort(members[np.argpartition(priority[members], k - 1)[:k]])
+    terms, counts = _distinct_candidates(sample, cache)
     weights = members.size / k * np.asarray(counts, dtype=np.float64)
-    return _weighted_argmin(candidates, terms, weights, cache)
+    return _weighted_argmin(group.candidates()[0], terms, weights, cache)
 
 
-def _find_mode(members: np.ndarray, state: EngineState) -> int:
-    """Mode of a sorted int64 member array: the exact search up to
+def _find_mode(members, state: EngineState) -> int:
+    """Mode of a member set: the exact search up to
     ``params.mode_sample_size`` members, the sampled search above.
 
     A sampled search depends only on the member set and the run's
     priorities, so a member set searched before in the run gets back
     the mode stored for it in ``state.mode_memo``."""
     cache, params = state.cache, state.params
-    if members.size <= params.mode_sample_size:
-        return find_mode_exact(members, cache)
-    key = hashlib.blake2b(members.tobytes(), digest_size=16).digest()
-    mode = state.mode_memo.get(key)
+    group = _members(members, cache)
+    if group.index.size <= params.mode_sample_size:
+        return find_mode_exact(group, cache)
+    mode = state.mode_memo.get(group.key)
     if mode is None:
-        mode = state.mode_memo[key] = find_mode_sampled(
-            members, params.mode_sample_size, state.priority, cache)
+        mode = state.mode_memo[group.key] = find_mode_sampled(
+            group, params.mode_sample_size, state.priority, cache)
     return mode
 
 
 def _make_cluster(members, state: EngineState, mode: int | None = None) -> _Cluster:
-    members = _sorted_members(members)
+    group = _members(members, state.cache)
     if mode is None:
-        mode = _find_mode(members, state)
+        mode = _find_mode(group, state)
     cache = state.cache
-    cond = float(cache.hmod_given_mode(members, mode).sum())
-    return _Cluster(members=members, mode=mode,
-                    mode_entropy=cache.entropy(mode), cond_sum=cond)
+    cond = float(cache.hmod_given_mode(group.index, mode).sum())
+    return _Cluster(group=group, mode=mode, mode_entropy=cache.entropy(mode),
+                    cond_sum=cond)
 
 
 # -- proposal moves --------------------------------------------------------
@@ -221,19 +316,21 @@ def propose_reassign(state: EngineState, rng: np.random.Generator) -> EngineStat
     mode (by modified conditional entropy)."""
     cache = state.cache
     p = int(rng.integers(state.pset.S))
-    modes = [c.mode for c in state.clusters]
+    c = int(cache.cid[p])
+    modes = [cl.mode for cl in state.clusters]
     dists = cache.hmod_against_modes(p, modes)
     k_to = int(np.argmin(dists))
-    k_from = next(k for k, c in enumerate(state.clusters)
-                  if (i := np.searchsorted(c.members, p)) < c.members.size
-                  and c.members[i] == p)
+    # only the clusters holding p's content can hold p
+    k_from = next(k for k, cl in enumerate(state.clusters) if cl.group.count[c]
+                  and (i := np.searchsorted(cl.members, p)) < cl.members.size
+                  and cl.members[i] == p)
     if k_to == k_from:
         return state
     new = list(state.clusters)
-    new[k_to] = _make_cluster(np.append(state.clusters[k_to].members, p), state)
-    origin = state.clusters[k_from].members
-    if origin.size > 1:
-        new[k_from] = _make_cluster(origin[origin != p], state)
+    new[k_to] = _make_cluster(state.clusters[k_to].group.added(p, c), state)
+    origin = state.clusters[k_from].group
+    if origin.index.size > 1:
+        new[k_from] = _make_cluster(origin.removed(p, c, cache.cid), state)
     else:
         del new[k_from]
     return state.replaced(new)
@@ -244,8 +341,8 @@ def propose_merge(state: EngineState, rng: np.random.Generator) -> EngineState |
     if state.K < 2:
         return None
     k1, k2 = sorted(int(k) for k in rng.choice(state.K, size=2, replace=False))
-    merged = _make_cluster(np.concatenate((state.clusters[k1].members,
-                                           state.clusters[k2].members)), state)
+    merged = _make_cluster(state.clusters[k1].group.union(state.clusters[k2].group),
+                           state)
     new = list(state.clusters)
     new[k1] = merged
     del new[k2]
@@ -272,17 +369,20 @@ def _kmeans_split(members, state: EngineState, rng: np.random.Generator):
     its part, so the two modes never coincide: the loop cannot stall on
     two halves of one content that both pick it as their mode."""
     cache = state.cache
-    arr = _sorted_members(members)
-    contents, inverse = np.unique(cache.cid[arr], return_inverse=True)
+    group = _members(members, cache)
+    contents = np.flatnonzero(group.count)
     if contents.size == 1:
         return None
     reps = cache.rep[contents]
+    arr = group.index
+    arr_cid = cache.cid[arr]
     i1, i2 = (int(i) for i in rng.choice(arr.size, size=2, replace=False))
-    if inverse[i1] == inverse[i2]:
-        others = np.flatnonzero(inverse != inverse[i1])
+    if arr_cid[i1] == arr_cid[i2]:
+        others = np.flatnonzero(arr_cid != arr_cid[i1])
         i2 = int(others[rng.integers(others.size)])
     m1, m2 = int(arr[i1]), int(arr[i2])
     assign = None
+    keep = np.zeros(cache.n_cid, dtype=bool)
     for _ in range(MAX_KMEANS_ITERS):
         d1 = cache.hmod_given_mode(reps, m1)
         d2 = cache.hmod_given_mode(reps, m2)
@@ -294,18 +394,20 @@ def _kmeans_split(members, state: EngineState, rng: np.random.Generator):
         if assign is not None and np.array_equal(side, assign):
             break
         assign = side
-        part = assign[inverse]
-        m1 = _find_mode(arr[part], state)
-        m2 = _find_mode(arr[~part], state)
-    c1 = _make_cluster(arr[part], state, mode=m1)
-    c2 = _make_cluster(arr[~part], state, mode=m2)
+        keep[contents] = assign
+        part1 = group.part(keep, arr_cid)
+        part2 = group.part(~keep, arr_cid)
+        m1 = _find_mode(part1, state)
+        m2 = _find_mode(part2, state)
+    c1 = _make_cluster(part1, state, mode=m1)
+    c2 = _make_cluster(part2, state, mode=m2)
     return c1, c2
 
 
 def propose_split(state: EngineState, rng: np.random.Generator) -> EngineState | None:
     """Move 3: split one random cluster into two."""
     k = int(rng.integers(state.K))
-    parts = _kmeans_split(state.clusters[k].members, state, rng)
+    parts = _kmeans_split(state.clusters[k].group, state, rng)
     if parts is None:
         return None
     new = list(state.clusters)
@@ -320,7 +422,7 @@ def propose_merge_split(state: EngineState, rng: np.random.Generator) -> EngineS
     if state.K < 2:
         return None
     k1, k2 = sorted(int(k) for k in rng.choice(state.K, size=2, replace=False))
-    merged = np.concatenate((state.clusters[k1].members, state.clusters[k2].members))
+    merged = state.clusters[k1].group.union(state.clusters[k2].group)
     parts = _kmeans_split(merged, state, rng)
     if parts is None:
         return None

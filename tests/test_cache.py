@@ -47,6 +47,30 @@ def test_batch_views_agree():
     assert np.allclose(against, direct)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_hmod_block_rows_are_the_per_term_lookups(data):
+    # terms repeat and some rows are warm, so the block reads set rows,
+    # unset rows and rows with a few unset cells; every cell is the float
+    # the fixed-mode lookup reads from the mode's row of a cold cache
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    pool = [random_partition(12, 4, rng) for _ in range(6)]
+    pset = PartitionSet.from_partitions(
+        [pool[i] for i in rng.integers(len(pool), size=20)])
+    terms = rng.integers(pset.S, size=data.draw(st.integers(1, 8), label="terms"))
+    cands = np.sort(rng.choice(pset.S, size=data.draw(st.integers(1, 10)),
+                               replace=False))
+    cache = PairCache(pset)
+    for q in rng.integers(pset.S, size=3):
+        cache.hmod_against_modes(int(q), rng.integers(pset.S, size=4))
+    block = cache.hmod_block(terms, cands)
+    assert block.shape == (terms.size, cands.size)
+    for row, q in zip(block, terms):
+        cold = PairCache(pset)
+        assert np.array_equal(row, [cold.hmod_given_mode([q], m)[0] for m in cands])
+    assert np.array_equal(cache.hmod_block(terms, cands), block)
+
+
 def test_duplicate_partitions_share_entries():
     base = canonicalize([0, 0, 1, 1, 2, 2])
     other = canonicalize([0, 1, 0, 1, 0, 1])

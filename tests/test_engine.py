@@ -1,3 +1,4 @@
+import hashlib
 import json
 from unittest.mock import patch
 
@@ -12,7 +13,7 @@ from partition_modes import (EngineParams, PairCache, PartitionSet,
                              modified_conditional_entropy, run, tables)
 from partition_modes.engine import (_MOVES, EngineState, _find_mode,
                                     _initial_state, _kmeans_split,
-                                    _make_cluster, propose_merge,
+                                    _make_cluster, _members, propose_merge,
                                     propose_reassign, propose_split)
 from partition_modes.sampler import PerturbationSpec, perturb_ensemble
 
@@ -138,13 +139,13 @@ def test_find_mode_sampled_keeps_its_terms_when_an_unsampled_member_leaves(data)
     priority = rng.random(S)
     cache = PairCache(pset)
     terms = []
-    lookup = cache.hmod_against_modes
+    lookup = cache.hmod_block
 
-    def spy(q_idx, m_indices):
-        terms.append(int(q_idx))
-        return lookup(q_idx, m_indices)
+    def spy(q_indices, m_indices):
+        terms.extend(int(q) for q in q_indices)
+        return lookup(q_indices, m_indices)
 
-    cache.hmod_against_modes = spy
+    cache.hmod_block = spy
     find_mode_sampled(members, n, priority, cache)
     before = set(terms)
     assert before
@@ -498,3 +499,157 @@ def test_kmeans_split_modes_never_coincide(monkeypatch):
         assert len(pairs) < engine.MAX_KMEANS_ITERS
         assert (c1.mode, c2.mode) == pairs[-1]
     assert shared_seeds > 0
+
+
+def _three_family_ensemble():
+    # clusters above the sample size of 30; the run accepts reassign,
+    # split, merge and merge-split moves
+    bases = [canonicalize(np.repeat(np.arange(3), 8)), canonicalize(np.arange(24) % 4),
+             canonicalize(np.repeat(np.arange(6), 4))]
+    spec = PerturbationSpec(bases=list(zip(bases, (0.4, 0.3, 0.3))),
+                            node_flip_rate=0.1, S=120, seed=0)
+    return perturb_ensemble(spec)[0], EngineParams(seed=0, k0=4)
+
+
+def _repeated_ensemble():
+    # 40 samples repeated 4 times, so clusters hold several copies of a
+    # content, and a reassign leaves some copies behind
+    bases = [canonicalize(np.repeat(np.arange(4), 5)), canonicalize(np.arange(20) % 3)]
+    spec = PerturbationSpec(bases=list(zip(bases, (0.6, 0.4))),
+                            node_flip_rate=0.05, S=40, seed=0)
+    once = perturb_ensemble(spec)[0]
+    return (PartitionSet.from_partitions(once.partitions * 4),
+            EngineParams(seed=0, k0=2, mode_sample_size=10))
+
+
+@pytest.mark.parametrize("ensemble, expected", [
+    (_three_family_ensemble,
+     (3, [25, 0, 12], "488e2c0ef4e7b35ce876431ddd025caafdfece4a7922cc76b04a14eb9e825c6f",
+      167, "0x1.fb7771f02adfbp+4")),
+    (_repeated_ensemble,
+     (2, [0, 1], "99e9f142de6f6804a1cc1de952e11c268664ab5e83b0589ed84f3a983f9bd92a",
+      135, "0x1.1fbadd95b4c36p+4")),
+])
+def test_run_reproduces_frozen_trajectories(ensemble, expected):
+    # K, the modes, the assignment, the number of steps and the final
+    # tracked total of two seeded runs, bit for bit
+    pset, params = ensemble()
+    res = run(pset, params)
+    c = res.clustering
+    got = (c.K, [int(m) for m in c.mode_index],
+           hashlib.sha256(np.asarray(c.assignment, dtype=np.int64).tobytes()).hexdigest(),
+           len(res.trace), float(res.trace[-1][3]).hex())
+    assert got == expected
+
+
+def _unique_candidates(members, cache):
+    # the np.unique reference: the lowest member of each content, in
+    # order of first appearance in the sorted members, and its copies
+    _, first, counts = np.unique(cache.cid[members], return_index=True,
+                                 return_counts=True)
+    order = np.argsort(first)
+    return members[first[order]], counts[order]
+
+
+def _assert_same_vectors(got, members, cache, part=False):
+    fresh = _members(members, cache)
+    # a k-means part is keyed through its parent, any other set by its
+    # indices
+    assert (got.key == fresh.key) != part
+    assert np.array_equal(got.index, fresh.index)
+    assert np.array_equal(got.count, fresh.count)
+    assert np.array_equal(got.first, fresh.first)
+    reps, counts = got.candidates()
+    want_reps, want_counts = _unique_candidates(fresh.index, cache)
+    assert np.array_equal(reps, want_reps)
+    assert np.array_equal(counts, want_counts)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_content_vectors_match_a_fresh_build(data):
+    # member sets hold only some copies of a content, as after a
+    # reassign; the candidates built from the vectors are those of
+    # np.unique, and every derived set has the vectors of a fresh build
+    N = data.draw(st.integers(2, 8), label="N")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    pool = [random_partition(N, 3, rng) for _ in range(data.draw(st.integers(1, 6)))]
+    S = data.draw(st.integers(2, 40), label="S")
+    pset = PartitionSet.from_partitions(
+        [pool[i] for i in rng.integers(len(pool), size=S)])
+    cache = PairCache(pset)
+    side = rng.integers(2, size=S)
+    if side.all() or not side.any():
+        side[0] = 1 - side[0]
+    a, b = (np.flatnonzero(side == k) for k in (0, 1))
+    ga, gb = _members(a[::-1].tolist(), cache), _members(b, cache)
+    _assert_same_vectors(ga, a, cache)
+    _assert_same_vectors(ga.union(gb), np.arange(S), cache)
+    # a k-means part keeps every copy of the contents it keeps
+    keep = rng.random(cache.n_cid) < 0.5
+    part = ga.part(keep, cache.cid[ga.index])
+    if part.index.size:
+        _assert_same_vectors(part, a[keep[cache.cid[a]]], cache, part=True)
+        # the key depends on the member set only, not on the mask's
+        # entries for contents the parent does not hold
+        absent = ga.count == 0
+        assert ga.part(keep | absent, cache.cid[ga.index]).key == part.key
+        rest = ga.part(~keep, cache.cid[ga.index])
+        assert rest.index.size == 0 or rest.key != part.key
+    # a reassign moves one copy
+    p = int(b[rng.integers(b.size)])
+    c = int(cache.cid[p])
+    _assert_same_vectors(ga.added(p, c), np.append(a, p), cache)
+    if b.size > 1:
+        _assert_same_vectors(gb.removed(p, c, cache.cid), b[b != p], cache)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_block_sum_adds_rows_in_order(data):
+    # the mode search sums its weighted block over axis 0 and relies on
+    # numpy adding the rows one after the other, as a loop would
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    T = data.draw(st.integers(1, 40), label="terms")
+    C = data.draw(st.integers(2, 300), label="candidates")
+    block = rng.random((T, C)) * 10.0 ** rng.integers(-8, 8, size=(T, 1))
+    scores = block[0].copy()
+    for row in block[1:]:
+        scores += row
+    assert np.array_equal(block.sum(axis=0), scores)
+
+
+def test_propose_reassign_finds_the_origin_among_repeated_contents():
+    # four clusters over a few contents, each content spread over
+    # several clusters, so the content vectors leave more than one
+    # cluster to search for the moved partition
+    rng = np.random.default_rng(8)
+    pool = [random_partition(12, 3, rng) for _ in range(5)]
+    pset = PartitionSet.from_partitions(
+        [pool[i] for i in rng.integers(len(pool), size=40)])
+    cache = PairCache(pset)
+    params = EngineParams(mode_sample_size=4)
+    assignment = rng.integers(4, size=40).tolist()
+    state = _state_from_assignment(pset, cache, params, assignment)
+    assert state.K == 4
+    moved = 0
+    for seed in range(40):
+        p = int(np.random.default_rng(seed).integers(pset.S))
+        out = propose_reassign(state, np.random.default_rng(seed))
+        if out is state:
+            continue
+        moved += 1
+        k_from = assignment[p]
+        k_to = int(np.argmin(cache.hmod_against_modes(
+            p, [c.mode for c in state.clusters])))
+        want = [c.members[c.members != p] if k == k_from
+                else np.append(c.members, p) if k == k_to else c.members
+                for k, c in enumerate(state.clusters)]
+        want = [m for m in want if m.size]
+        assert [c.members.tolist() for c in out.clusters] == \
+            [sorted(m.tolist()) for m in want]
+        for c, m in zip(out.clusters, want):
+            fresh = _make_cluster(m, state)
+            assert (c.mode, c.cond_sum) == (fresh.mode, fresh.cond_sum)
+            _assert_same_vectors(c.group, m, cache)
+    assert moved >= 10
