@@ -22,6 +22,9 @@ communities,
 
 so a batch needs one ``bincount`` over joint label codes and a table
 lookup per count: no division, logarithm or mask over float tables.
+The samples of a batch go through in chunks whose tables hold at most
+``_KERNEL_CELLS`` counts (one sample at least), so the kernel's
+temporaries stay bounded however many communities the partitions have.
 The entropy of every content comes from the same sums when the cache is
 built, as H(p) = log2 N - sum_k a_k log2 a_k / N.
 
@@ -59,6 +62,9 @@ import numpy as np
 
 from .partitions import PartitionSet
 from .tables import Margin, log2_omega
+
+# largest contingency table, in cells, that one kernel chunk counts
+_KERNEL_CELLS = 1 << 20
 
 
 def _intern(keys) -> tuple[np.ndarray, list]:
@@ -208,11 +214,15 @@ class PairCache:
         # label pair is free: code = pair * width + mode * q_width + sample
         q_width = int(self._ncomm[q_cids].max())
         width = int(self._ncomm[m_cid]) * q_width
-        codes = (np.arange(q_cids.size) * width)[:, None] \
-            + self._labels[m_cid].astype(np.int64) * q_width
-        codes += self._labels[q_cids]
-        t = np.bincount(codes.ravel(), minlength=q_cids.size * width)
-        joint = self._xlogx[t].reshape(q_cids.size, width).sum(axis=1)
+        mode_codes = self._labels[m_cid].astype(np.int64) * q_width
+        step = max(1, _KERNEL_CELLS // width)
+        joint = np.empty(q_cids.size, dtype=np.int64)
+        for lo in range(0, q_cids.size, step):
+            chunk = q_cids[lo:lo + step]
+            codes = (np.arange(chunk.size) * width)[:, None] + mode_codes
+            codes += self._labels[chunk]
+            t = np.bincount(codes.ravel(), minlength=chunk.size * width)
+            joint[lo:lo + step] = self._xlogx[t].reshape(chunk.size, width).sum(axis=1)
         N = self.pset.N
         return (self.omega_block(m_indices[0], q_indices) / N
                 - joint / (self._scale * N))

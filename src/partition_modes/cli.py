@@ -177,15 +177,30 @@ def build_parser() -> argparse.ArgumentParser:
     smp.set_defaults(func=cmd_sample)
 
     clu = sub.add_parser("cluster", help="find representative modes of an ensemble")
-    clu.add_argument("--partitions", required=True)
-    clu.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    clu.add_argument("--k0", type=int, default=1)
-    clu.add_argument("--sample-size", type=int, default=30)
-    clu.add_argument("--patience", type=int, default=100)
-    clu.add_argument("--seed", type=int, default=0)
-    clu.add_argument("--restarts", type=int, default=1)
+    clu.add_argument("--partitions", required=True,
+                     help="one partition per line, one integer label per node")
+    clu.add_argument("--lambda", dest="lam", type=float, default=1.0,
+                     help="penalty per cluster (default: 1.0)")
+    clu.add_argument("--k0", type=int, default=1,
+                     help="clusters of the random starting division "
+                          "(default: 1)")
+    clu.add_argument("--sample-size", type=int, default=30,
+                     help="members each mode search scores against; at or "
+                          "above a cluster's size the search is exact "
+                          "(default: 30)")
+    clu.add_argument("--patience", type=int, default=100,
+                     help="stop after this many rejected moves in a row "
+                          "(default: 100)")
+    clu.add_argument("--seed", type=int, default=0,
+                     help="random seed; one seed gives one result "
+                          "(default: 0)")
+    clu.add_argument("--restarts", type=int, default=1,
+                     help="independent runs, seeds seed, seed+1, ...; the "
+                          "lowest description length wins (default: 1)")
     clu.add_argument("--out", help="write the full result JSON here")
-    clu.add_argument("--format", choices=("json", "text"), default="text")
+    clu.add_argument("--format", choices=("json", "text"), default="text",
+                     help="text: K, weights and description length; json: "
+                          "the full result (default: text)")
     clu.add_argument("--modes-out", help="prefix for per-mode partition files")
     clu.add_argument("--agreement-out", help="per-node agreement table (TSV)")
     clu.set_defaults(func=cmd_cluster)

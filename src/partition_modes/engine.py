@@ -34,21 +34,11 @@ candidates (the lowest member of each content, ascending) without
 deduplicating the members again.  A search gathers one block of H_mod
 values, sample terms by candidates, in one cache call, and a state's
 total is computed once, when it is first read.
-
-With the priorities fixed, the mode of a member set is fixed for the
-run, and the search keeps proposing moves that rebuild the same
-clusters (at K=2 every merge proposal forms the same merged cluster).
-So each run keeps a memo from a member set, keyed by a digest of its
-sorted indices (for a k-means part, of its contents under its parent's
-key), to the mode the sampled search returned for it.  A hit
-returns exactly what the search would; the memo is emptied on every
-accepted move only to bound its size, and never outlives a run.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -85,39 +75,27 @@ class EngineParams:
 _ABSENT = np.iinfo(np.int64).max
 
 
-def _digest(data: bytes, key: bytes = b"") -> bytes:
-    return hashlib.blake2b(data, digest_size=16, key=key).digest()
-
-
 @dataclass(frozen=True, eq=False)
 class _Members:
     """A member set: sorted int64 partition indices, and over all content
     ids the copies of each content in the set (``count``) and its lowest
-    member index (``first``, ``_ABSENT`` where the count is 0).
-
-    ``key`` identifies the member set: a digest of its indices, or for a
-    k-means part, which holds every copy of the contents it keeps, a
-    digest of the contents it holds keyed with its parent's key."""
+    member index (``first``, ``_ABSENT`` where the count is 0)."""
     index: np.ndarray
     count: np.ndarray
     first: np.ndarray
-    key: bytes
 
     def union(self, other: "_Members") -> "_Members":
         """The union with a disjoint member set."""
         # a stable sort merges the two sorted runs in linear time
         index = np.sort(np.concatenate((self.index, other.index)), kind="stable")
         return _Members(index, self.count + other.count,
-                        np.minimum(self.first, other.first),
-                        _digest(index.tobytes()))
+                        np.minimum(self.first, other.first))
 
     def part(self, keep: np.ndarray, index_cid: np.ndarray) -> "_Members":
         """The members whose content is kept by the boolean mask ``keep``
         over content ids; ``index_cid`` is the content id of each member."""
-        count = np.where(keep, self.count, 0)
-        return _Members(self.index[keep[index_cid]], count,
-                        np.where(keep, self.first, _ABSENT),
-                        _digest((count != 0).tobytes(), key=self.key))
+        return _Members(self.index[keep[index_cid]], np.where(keep, self.count, 0),
+                        np.where(keep, self.first, _ABSENT))
 
     def added(self, p: int, c: int) -> "_Members":
         """The set with partition p, of content c, added."""
@@ -125,7 +103,7 @@ class _Members:
         count, first = self.count.copy(), self.first.copy()
         count[c] += 1
         first[c] = min(first[c], p)
-        return _Members(index, count, first, _digest(index.tobytes()))
+        return _Members(index, count, first)
 
     def removed(self, p: int, c: int, cid: np.ndarray) -> "_Members":
         """The set with member p, of content c, removed; ``cid`` maps
@@ -137,7 +115,7 @@ class _Members:
             first[c] = _ABSENT
         elif first[c] == p:
             first[c] = index[cid[index] == c][0]
-        return _Members(index, count, first, _digest(index.tobytes()))
+        return _Members(index, count, first)
 
     def candidates(self) -> tuple[np.ndarray, np.ndarray]:
         """The lowest member of each content, ascending, and the content
@@ -172,7 +150,7 @@ def _members(members, cache: PairCache) -> _Members:
     count[cache.cid[reps]] = copies
     first = np.full(cache.n_cid, _ABSENT)
     first[cache.cid[reps]] = reps
-    return _Members(index, count, first, _digest(index.tobytes()))
+    return _Members(index, count, first)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,21 +168,18 @@ class _Cluster:
 class EngineState:
     """One clustering configuration plus its cached objective pieces.
 
-    ``priority`` holds the run's sampling priority of every partition,
-    and ``mode_memo`` maps a member-set digest to the mode the sampled
-    search found for it; states derived by ``replaced`` share both.
-    ``total`` is computed on first access and kept, so a state's
-    clusters are final once it is read."""
+    ``priority`` holds the run's sampling priority of every partition;
+    states derived by ``replaced`` share it.  ``total`` is computed on
+    first access and kept, so a state's clusters are final once it is
+    read."""
 
     def __init__(self, pset: PartitionSet, cache: PairCache, params: EngineParams,
-                 priority: np.ndarray, clusters: list[_Cluster],
-                 mode_memo: dict | None = None):
+                 priority: np.ndarray, clusters: list[_Cluster]):
         self.pset = pset
         self.cache = cache
         self.params = params
         self.priority = priority
         self.clusters = clusters
-        self.mode_memo = {} if mode_memo is None else mode_memo
 
     @property
     def K(self) -> int:
@@ -229,7 +204,7 @@ class EngineState:
 
     def replaced(self, new_clusters: list[_Cluster]) -> "EngineState":
         return EngineState(self.pset, self.cache, self.params, self.priority,
-                           new_clusters, self.mode_memo)
+                           new_clusters)
 
 
 def _weighted_argmin(candidates: np.ndarray, terms: np.ndarray, weights,
@@ -249,7 +224,8 @@ def _weighted_argmin(candidates: np.ndarray, terms: np.ndarray, weights,
 def find_mode_exact(cluster_members, cache: PairCache) -> int:
     """Member partition minimizing H(p) + sum_q H_mod(q | p) over the
     whole cluster; ties broken by lowest partition index.  Each distinct
-    content is scored once and weighs as many times as it occurs."""
+    content is scored once and weighs as many times as it occurs.  The
+    reference for ``find_mode_sampled``, the engine's one search."""
     reps, counts = _members(cluster_members, cache).candidates()
     return _weighted_argmin(reps, reps, counts, cache)
 
@@ -269,9 +245,7 @@ def find_mode_sampled(cluster_members, sample_size: int, priority: np.ndarray,
     share the part of X those members take.
 
     ``cluster_members`` is partition indices or the engine's member set
-    with its content vectors.  The function keeps no state; the engine
-    memoizes its result per member set within a run (see
-    ``_find_mode``)."""
+    with its content vectors."""
     group = _members(cluster_members, cache)
     members = group.index
     k = min(sample_size, members.size)
@@ -282,21 +256,10 @@ def find_mode_sampled(cluster_members, sample_size: int, priority: np.ndarray,
 
 
 def _find_mode(members, state: EngineState) -> int:
-    """Mode of a member set: the exact search up to
-    ``params.mode_sample_size`` members, the sampled search above.
-
-    A sampled search depends only on the member set and the run's
-    priorities, so a member set searched before in the run gets back
-    the mode stored for it in ``state.mode_memo``."""
-    cache, params = state.cache, state.params
-    group = _members(members, cache)
-    if group.index.size <= params.mode_sample_size:
-        return find_mode_exact(group, cache)
-    mode = state.mode_memo.get(group.key)
-    if mode is None:
-        mode = state.mode_memo[group.key] = find_mode_sampled(
-            group, params.mode_sample_size, state.priority, cache)
-    return mode
+    """Mode of a member set under the run's priorities: the sampled
+    search, exact for a set of at most ``params.mode_sample_size``."""
+    return find_mode_sampled(members, state.params.mode_sample_size,
+                             state.priority, state.cache)
 
 
 def _make_cluster(members, state: EngineState, mode: int | None = None) -> _Cluster:
@@ -473,8 +436,6 @@ def _initial_state(pset, cache, params, rng, priority) -> EngineState:
 
 
 def _run_once(pset, cache, params, rng, keep_states=False):
-    # each run draws its own sampling priorities first and starts from a
-    # new state, and so with an empty mode memo
     priority = rng.random(pset.S)
     state = _initial_state(pset, cache, params, rng, priority)
     trace = []
@@ -487,7 +448,6 @@ def _run_once(pset, cache, params, rng, keep_states=False):
         accepted = candidate is not None and candidate.total < state.total
         if accepted:
             state = candidate
-            state.mode_memo.clear()
             rejections = 0
             if keep_states:
                 accepted_states.append((state.to_clustering(), state.total))

@@ -196,6 +196,40 @@ def test_build_memory_does_not_grow_with_signature_pairs():
     assert peak < 32e6
 
 
+def test_kernel_memory_is_bounded_in_communities():
+    # random labels on 300 nodes give about 190 communities, so one
+    # pair's table has about 36,000 cells; counted in one piece, a row of
+    # 200 samples peaked at about 120 MB
+    rng = np.random.default_rng(0)
+    S = 200
+    pset = PartitionSet.from_partitions(
+        [canonicalize(rng.integers(300, size=300)) for _ in range(S + 1)])
+    cache = PairCache(pset)
+    cache.omega_block(S, np.arange(S))      # the counts are not the kernel's
+    tracemalloc.start()
+    try:
+        vals = cache.hmod_given_mode(np.arange(S), S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+    parts = pset.partitions
+    for q in (0, 99, S - 1):
+        assert vals[q] == pytest.approx(
+            modified_conditional_entropy(parts[q], parts[S]), abs=1e-9)
+
+
+@pytest.mark.parametrize("cells", [1, 60, 130])
+def test_kernel_chunks_give_the_same_values(monkeypatch, cells):
+    # tables of at most 25 cells: one sample per chunk, then a few with
+    # a shorter last chunk, against each row counted in one piece
+    pset = _random_set(30, 40, 5)
+    whole = [PairCache(pset).hmod_given_mode(np.arange(30), m) for m in (0, 7)]
+    monkeypatch.setattr(cache_module, "_KERNEL_CELLS", cells)
+    chunked = [PairCache(pset).hmod_given_mode(np.arange(30), m) for m in (0, 7)]
+    assert all(np.array_equal(a, b) for a, b in zip(chunked, whole))
+
+
 def _rows_matrix(rows, n):
     out = np.full((n, n), np.nan)
     for a, row in rows.items():

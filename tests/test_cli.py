@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import stat
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from partition_modes import Clustering, canonicalize, full_description_length
-from partition_modes.cli import main
+from partition_modes.cli import build_parser, main
 from partition_modes.sampler import (PerturbationSpec, perturb_ensemble,
                                      write_partitions)
 
@@ -180,6 +181,14 @@ def test_cluster_deterministic_across_runs(tmp_path):
         assert rc == 0
         outs.append(out.read_text())
     assert outs[0] == outs[1]
+
+
+def test_cluster_help_describes_every_option():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    cluster = sub.choices["cluster"]
+    assert [a.dest for a in cluster._actions if not a.help] == []
+    assert "the search is exact" in " ".join(cluster.format_help().split())
 
 
 def test_cluster_rejects_restarts_below_one(tmp_path, capsys):

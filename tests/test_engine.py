@@ -64,16 +64,24 @@ def test_find_mode_majority():
     assert find_mode_exact([0, 1, 2, 3], cache) == 0
 
 
-def test_find_mode_sampled_matches_exact_for_small_clusters():
-    rng = np.random.default_rng(1)
-    parts = [random_partition(30, 4, rng) for _ in range(20)]
-    pset = PartitionSet.from_partitions(parts)
-    cache = PairCache(pset)
-    members = list(range(20))
-    exact = find_mode_exact(members, cache)
-    sampled = find_mode_sampled(members, 30,
-                                np.random.default_rng(5).random(pset.S), cache)
-    assert sampled == exact
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_find_mode_sampled_matches_exact_for_small_clusters(data):
+    # a cluster no larger than the sample is its own sample, with weight
+    # 1 per member: the exact search's candidates, weights and argmin,
+    # which is why the engine runs the sampled search alone
+    N = data.draw(st.integers(2, 30), label="N")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    pool = [random_partition(N, 4, rng) for _ in range(data.draw(st.integers(1, 8)))]
+    S = data.draw(st.integers(1, 40), label="S")
+    pset = PartitionSet.from_partitions(
+        [pool[i] for i in rng.integers(len(pool), size=S)])
+    # contents repeat, and a member set may hold only some of their copies
+    members = np.sort(rng.choice(S, size=data.draw(st.integers(1, S)), replace=False))
+    n = data.draw(st.integers(members.size, members.size + 5), label="sample size")
+    sampled = find_mode_sampled(members[::-1].tolist(), n, rng.random(S),
+                                PairCache(pset))
+    assert sampled == find_mode_exact(members, PairCache(pset))
 
 
 def test_find_mode_sampled_finds_dominant_base():
@@ -361,52 +369,11 @@ def test_run_independent_of_cache_state(monkeypatch):
         assert warm.to_json_dict() == run(pset, EngineParams(seed=seed)).to_json_dict()
 
 
-def test_mode_memo_hit_returns_stored_mode_and_keeps_rng_aligned(monkeypatch):
-    rng = np.random.default_rng(6)
-    pset = PartitionSet.from_partitions(
-        [random_partition(20, 4, rng) for _ in range(50)])
-    cache = PairCache(pset)
-    params = EngineParams(mode_sample_size=10)
-    state = EngineState(pset, cache, params, rng.random(pset.S), [])
-    members = np.arange(3, 50, dtype=np.int64)   # above the sample size
-    fresh = find_mode_sampled(members, params.mode_sample_size,
-                              state.priority, cache)
-    assert _find_mode(members, state) == fresh
-    assert list(state.mode_memo.values()) == [fresh]
-    # a hit hands back whatever was stored
-    (key,) = state.mode_memo
-    state.mode_memo[key] = 7
-    assert _find_mode(members, state) == 7
-    # exact searches are not memoized
-    _find_mode(members[:params.mode_sample_size], state)
-    assert len(state.mode_memo) == 1
-    # a split replayed on the filled memo searches nothing, returns the
-    # same parts and leaves its rng where the first split left it
-    state.mode_memo.clear()
-    searches = []
-
-    def counted(*args):
-        searches.append(args)
-        return find_mode_sampled(*args)
-
-    monkeypatch.setattr(engine, "find_mode_sampled", counted)
-    first_rng, replay_rng = np.random.default_rng(11), np.random.default_rng(11)
-    first = _kmeans_split(members, state, first_rng)
-    assert searches
-    searches.clear()
-    replay = _kmeans_split(members, state, replay_rng)
-    assert not searches
-    assert [(c.mode, c.members.tolist()) for c in replay] == \
-        [(c.mode, c.members.tolist()) for c in first]
-    assert replay_rng.bit_generator.state == first_rng.bit_generator.state
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_proposals_keep_members_sorted_and_total_consistent(data):
     # a small pool of distinct partitions, so contents repeat, and a
-    # small sample, so clusters of a few members take the sampled (and
-    # memoized) mode search
+    # small sample, so clusters of a few members outgrow it
     N = data.draw(st.integers(2, 10), label="N")
     S = data.draw(st.integers(2, 30), label="S")
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
@@ -432,10 +399,7 @@ def test_proposals_keep_members_sorted_and_total_consistent(data):
             [c.members for c in candidate.clusters])), np.arange(S))
         fresh = description_length(pset, candidate.to_clustering(), lam=params.lam)
         assert candidate.total == pytest.approx(fresh.total, abs=1e-9)
-        # walk through every proposal, emptying the memo as an accepted
-        # move does
         state = candidate
-        state.mode_memo.clear()
 
 
 @settings(max_examples=60, deadline=None)
@@ -472,9 +436,8 @@ def test_kmeans_split_modes_never_coincide(monkeypatch):
     pset_once, _ = perturb_ensemble(spec)
     pset = PartitionSet.from_partitions(pset_once.partitions * 4)
     cache = PairCache(pset)
-    # parts up to the sample size take the exact search and larger ones
-    # the sampled search or its memo; every iteration asks for the modes
-    # of both parts, so the mode queries come in pairs
+    # every iteration asks for the modes of both parts, so the mode
+    # queries come in pairs
     params = EngineParams(mode_sample_size=5)
     state = EngineState(pset, cache, params, np.random.default_rng(0).random(pset.S),
                         [])
@@ -551,11 +514,8 @@ def _unique_candidates(members, cache):
     return members[first[order]], counts[order]
 
 
-def _assert_same_vectors(got, members, cache, part=False):
+def _assert_same_vectors(got, members, cache):
     fresh = _members(members, cache)
-    # a k-means part is keyed through its parent, any other set by its
-    # indices
-    assert (got.key == fresh.key) != part
     assert np.array_equal(got.index, fresh.index)
     assert np.array_equal(got.count, fresh.count)
     assert np.array_equal(got.first, fresh.first)
@@ -589,13 +549,7 @@ def test_content_vectors_match_a_fresh_build(data):
     keep = rng.random(cache.n_cid) < 0.5
     part = ga.part(keep, cache.cid[ga.index])
     if part.index.size:
-        _assert_same_vectors(part, a[keep[cache.cid[a]]], cache, part=True)
-        # the key depends on the member set only, not on the mask's
-        # entries for contents the parent does not hold
-        absent = ga.count == 0
-        assert ga.part(keep | absent, cache.cid[ga.index]).key == part.key
-        rest = ga.part(~keep, cache.cid[ga.index])
-        assert rest.index.size == 0 or rest.key != part.key
+        _assert_same_vectors(part, a[keep[cache.cid[a]]], cache)
     # a reassign moves one copy
     p = int(b[rng.integers(b.size)])
     c = int(cache.cid[p])
