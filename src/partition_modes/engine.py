@@ -27,11 +27,11 @@ hits.
 
 Each cluster holds its members as a sorted int64 array together with
 two vectors over the cache's content ids: the number of copies of each
-content in the cluster and the lowest member index of each.  They are
-built once with ``np.unique``; merges, reassigns and k-means parts
-derive them from their parents' vectors, so a mode search reads its
-candidates (the lowest member of each content, ascending) without
-deduplicating the members again.  A search gathers one block of H_mod
+content in the cluster and the lowest member index of each.  One
+builder, ``_members``, makes them from partition indices for every
+cluster, merge, reassign side, k-means part and search sample, so a
+mode search reads its candidates (the lowest member of each content,
+ascending) from the vectors.  A search gathers one block of H_mod
 values, sample terms by candidates, in one cache call, and a state's
 total is computed once, when it is first read.
 """
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,9 +66,12 @@ class EngineParams:
     restarts: int = 1
 
     def __post_init__(self):
-        if not math.isfinite(self.lam) or self.lam < 0 or self.k0 < 1 \
-                or self.mode_sample_size < 1 \
-                or self.patience < 1 or self.restarts < 1:
+        try:
+            ok = operator.index(self.seed) >= 0 and min(map(operator.index, (
+                self.k0, self.mode_sample_size, self.patience, self.restarts))) >= 1
+        except TypeError:
+            ok = False
+        if not ok or not math.isfinite(self.lam) or self.lam < 0:
             raise ValueError("invalid engine parameters")
 
 
@@ -79,43 +83,11 @@ _ABSENT = np.iinfo(np.int64).max
 class _Members:
     """A member set: sorted int64 partition indices, and over all content
     ids the copies of each content in the set (``count``) and its lowest
-    member index (``first``, ``_ABSENT`` where the count is 0)."""
+    member index (``first``, ``_ABSENT`` where the count is 0).  Made
+    only by ``_members``."""
     index: np.ndarray
     count: np.ndarray
     first: np.ndarray
-
-    def union(self, other: "_Members") -> "_Members":
-        """The union with a disjoint member set."""
-        # a stable sort merges the two sorted runs in linear time
-        index = np.sort(np.concatenate((self.index, other.index)), kind="stable")
-        return _Members(index, self.count + other.count,
-                        np.minimum(self.first, other.first))
-
-    def part(self, keep: np.ndarray, index_cid: np.ndarray) -> "_Members":
-        """The members whose content is kept by the boolean mask ``keep``
-        over content ids; ``index_cid`` is the content id of each member."""
-        return _Members(self.index[keep[index_cid]], np.where(keep, self.count, 0),
-                        np.where(keep, self.first, _ABSENT))
-
-    def added(self, p: int, c: int) -> "_Members":
-        """The set with partition p, of content c, added."""
-        index = np.insert(self.index, np.searchsorted(self.index, p), p)
-        count, first = self.count.copy(), self.first.copy()
-        count[c] += 1
-        first[c] = min(first[c], p)
-        return _Members(index, count, first)
-
-    def removed(self, p: int, c: int, cid: np.ndarray) -> "_Members":
-        """The set with member p, of content c, removed; ``cid`` maps
-        partition indices to content ids."""
-        index = self.index[self.index != p]
-        count, first = self.count.copy(), self.first.copy()
-        count[c] -= 1
-        if not count[c]:
-            first[c] = _ABSENT
-        elif first[c] == p:
-            first[c] = index[cid[index] == c][0]
-        return _Members(index, count, first)
 
     def candidates(self) -> tuple[np.ndarray, np.ndarray]:
         """The lowest member of each content, ascending, and the content
@@ -127,30 +99,20 @@ class _Members:
         return self.first[ids], self.count[ids]
 
 
-def _distinct_candidates(members: np.ndarray, cache):
-    """Deduplicate a sorted member array by partition content with one
-    ``np.unique``.  Returns the lowest member index of each distinct
-    content (in order of first appearance) and the content
-    multiplicities."""
-    _, first, counts = np.unique(cache.cid[members], return_index=True,
-                                 return_counts=True)
-    order = np.argsort(first)
-    return members[first[order]], counts[order]
-
-
 def _members(members, cache: PairCache) -> _Members:
-    """A ``_Members`` as it is, or one built from partition indices."""
+    """A ``_Members`` as it is, or the member set of partition indices
+    given in any order, with its content vectors."""
     if isinstance(members, _Members):
         return members
-    index = np.sort(np.asarray(members, dtype=np.int64))
+    # a stable sort merges already-sorted runs in linear time; every
+    # caller but the search sample passes one or two of them
+    index = np.sort(np.asarray(members, dtype=np.int64), kind="stable")
     if not index.size:
         raise ValueError("empty cluster")
-    reps, copies = _distinct_candidates(index, cache)
-    count = np.zeros(cache.n_cid, dtype=np.int64)
-    count[cache.cid[reps]] = copies
+    cid = cache.cid[index]
     first = np.full(cache.n_cid, _ABSENT)
-    first[cache.cid[reps]] = reps
-    return _Members(index, count, first)
+    np.minimum.at(first, cid, index)
+    return _Members(index, np.bincount(cid, minlength=cache.n_cid), first)
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,11 +208,13 @@ def find_mode_sampled(cluster_members, sample_size: int, priority: np.ndarray,
 
     ``cluster_members`` is partition indices or the engine's member set
     with its content vectors."""
+    if sample_size < 1:
+        raise ValueError("sample size must be at least 1")
     group = _members(cluster_members, cache)
     members = group.index
     k = min(sample_size, members.size)
-    sample = np.sort(members[np.argpartition(priority[members], k - 1)[:k]])
-    terms, counts = _distinct_candidates(sample, cache)
+    sample = members[np.argpartition(priority[members], k - 1)[:k]]
+    terms, counts = _members(sample, cache).candidates()
     weights = members.size / k * np.asarray(counts, dtype=np.float64)
     return _weighted_argmin(group.candidates()[0], terms, weights, cache)
 
@@ -290,10 +254,10 @@ def propose_reassign(state: EngineState, rng: np.random.Generator) -> EngineStat
     if k_to == k_from:
         return state
     new = list(state.clusters)
-    new[k_to] = _make_cluster(state.clusters[k_to].group.added(p, c), state)
-    origin = state.clusters[k_from].group
-    if origin.index.size > 1:
-        new[k_from] = _make_cluster(origin.removed(p, c, cache.cid), state)
+    new[k_to] = _make_cluster(np.append(state.clusters[k_to].members, p), state)
+    origin = state.clusters[k_from].members
+    if origin.size > 1:
+        new[k_from] = _make_cluster(origin[origin != p], state)
     else:
         del new[k_from]
     return state.replaced(new)
@@ -304,8 +268,8 @@ def propose_merge(state: EngineState, rng: np.random.Generator) -> EngineState |
     if state.K < 2:
         return None
     k1, k2 = sorted(int(k) for k in rng.choice(state.K, size=2, replace=False))
-    merged = _make_cluster(state.clusters[k1].group.union(state.clusters[k2].group),
-                           state)
+    merged = _make_cluster(np.concatenate((state.clusters[k1].members,
+                                           state.clusters[k2].members)), state)
     new = list(state.clusters)
     new[k1] = merged
     del new[k2]
@@ -358,8 +322,8 @@ def _kmeans_split(members, state: EngineState, rng: np.random.Generator):
             break
         assign = side
         keep[contents] = assign
-        part1 = group.part(keep, arr_cid)
-        part2 = group.part(~keep, arr_cid)
+        part1 = _members(arr[keep[arr_cid]], cache)
+        part2 = _members(arr[~keep[arr_cid]], cache)
         m1 = _find_mode(part1, state)
         m2 = _find_mode(part2, state)
     c1 = _make_cluster(part1, state, mode=m1)
@@ -385,7 +349,7 @@ def propose_merge_split(state: EngineState, rng: np.random.Generator) -> EngineS
     if state.K < 2:
         return None
     k1, k2 = sorted(int(k) for k in rng.choice(state.K, size=2, replace=False))
-    merged = state.clusters[k1].group.union(state.clusters[k2].group)
+    merged = np.concatenate((state.clusters[k1].members, state.clusters[k2].members))
     parts = _kmeans_split(merged, state, rng)
     if parts is None:
         return None

@@ -336,6 +336,7 @@ def _set(key, value):
     (_set("modes", 5), "modes must be a list"),
     # 0.6 would be truncated to the stored mode's label 0
     (_set("modes", [[0.6, 0, 0, 1, 1, 1]]), "mode 0 must be a list of integers"),
+    (_set("modes", [[0, 1, 0, 1, 0, 1]]), "mode 0 does not match the ensemble"),
     # the stored penalty weight must be a JSON number, not parsed from
     # a string or a bool
     (_set("lambda", [1]), "lambda must be a finite non-negative number"),
@@ -345,8 +346,8 @@ def _set(key, value):
 ], ids=["mode_index=4", "mode_index=-1", "mode_index=0.6", "mode_index='0'",
         "mode_index=true", "assignment=0.6", "assignment='0'", "assignment=0",
         "K=1.7", "K=true", "list", "assignment=10**30", "mode_index=10**30",
-        "K=10**30", "modes=5", "modes=0.6", "lambda=[1]", "lambda=null",
-        "lambda='1.5'", "lambda=true"])
+        "K=10**30", "modes=5", "modes=0.6", "modes=other", "lambda=[1]",
+        "lambda=null", "lambda='1.5'", "lambda=true"])
 def test_describe_rejects_a_malformed_result(tmp_path, capsys, edit, message):
     path = tmp_path / "p.txt"
     _write_identical_ensemble(path, S=4)

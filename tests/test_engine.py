@@ -43,7 +43,21 @@ def test_engine_params_validation():
     for lam in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             EngineParams(lam=lam)
+    # counts and the seed must be integers, not truncated or rounded
+    for bad in (dict(k0=2.5), dict(mode_sample_size=2.5), dict(patience=1.5),
+                dict(seed=1.5), dict(restarts=2.0), dict(seed=-1)):
+        with pytest.raises(ValueError, match="invalid engine parameters"):
+            EngineParams(**bad)
     EngineParams(mode_sample_size=1)
+    EngineParams(k0=np.int64(2), seed=np.int32(3))
+    # the public search and the member-set builder check their own input
+    pset = PartitionSet.from_partitions([canonicalize([0, 0, 1, 1])] * 3)
+    cache = PairCache(pset)
+    for size in (0, -1):
+        with pytest.raises(ValueError, match="sample size must be at least 1"):
+            find_mode_sampled([0, 1, 2], size, np.zeros(3), cache)
+    with pytest.raises(ValueError, match="empty cluster"):
+        _members([], cache)
 
 
 def test_find_mode_singleton_and_ties():
@@ -505,32 +519,32 @@ def test_run_reproduces_frozen_trajectories(ensemble, expected):
     assert got == expected
 
 
-def _unique_candidates(members, cache):
-    # the np.unique reference: the lowest member of each content, in
-    # order of first appearance in the sorted members, and its copies
-    _, first, counts = np.unique(cache.cid[members], return_index=True,
-                                 return_counts=True)
+def _assert_unique_vectors(got, members, cache):
+    # the np.unique reference for the member set ``got`` of ``members``:
+    # the sorted members, the copies of each content, its lowest member,
+    # and the candidates in order of first appearance in the sorted members
+    index = np.sort(np.asarray(members, dtype=np.int64))
+    ids, first, copies = np.unique(cache.cid[index], return_index=True,
+                                   return_counts=True)
+    count = np.zeros(cache.n_cid, dtype=np.int64)
+    count[ids] = copies
+    lowest = np.full(cache.n_cid, np.iinfo(np.int64).max)
+    lowest[ids] = index[first]
+    assert np.array_equal(got.index, index)
+    assert np.array_equal(got.count, count)
+    assert np.array_equal(got.first, lowest)
     order = np.argsort(first)
-    return members[first[order]], counts[order]
-
-
-def _assert_same_vectors(got, members, cache):
-    fresh = _members(members, cache)
-    assert np.array_equal(got.index, fresh.index)
-    assert np.array_equal(got.count, fresh.count)
-    assert np.array_equal(got.first, fresh.first)
     reps, counts = got.candidates()
-    want_reps, want_counts = _unique_candidates(fresh.index, cache)
-    assert np.array_equal(reps, want_reps)
-    assert np.array_equal(counts, want_counts)
+    assert np.array_equal(reps, index[first[order]])
+    assert np.array_equal(counts, copies[order])
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_content_vectors_match_a_fresh_build(data):
-    # member sets hold only some copies of a content, as after a
-    # reassign; the candidates built from the vectors are those of
-    # np.unique, and every derived set has the vectors of a fresh build
+    # member sets in any order, holding only some copies of a content
+    # (as a reassign leaves them), and the concatenation of two disjoint
+    # sets that a merge passes
     N = data.draw(st.integers(2, 8), label="N")
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     pool = [random_partition(N, 3, rng) for _ in range(data.draw(st.integers(1, 6)))]
@@ -542,20 +556,9 @@ def test_content_vectors_match_a_fresh_build(data):
     if side.all() or not side.any():
         side[0] = 1 - side[0]
     a, b = (np.flatnonzero(side == k) for k in (0, 1))
-    ga, gb = _members(a[::-1].tolist(), cache), _members(b, cache)
-    _assert_same_vectors(ga, a, cache)
-    _assert_same_vectors(ga.union(gb), np.arange(S), cache)
-    # a k-means part keeps every copy of the contents it keeps
-    keep = rng.random(cache.n_cid) < 0.5
-    part = ga.part(keep, cache.cid[ga.index])
-    if part.index.size:
-        _assert_same_vectors(part, a[keep[cache.cid[a]]], cache)
-    # a reassign moves one copy
-    p = int(b[rng.integers(b.size)])
-    c = int(cache.cid[p])
-    _assert_same_vectors(ga.added(p, c), np.append(a, p), cache)
-    if b.size > 1:
-        _assert_same_vectors(gb.removed(p, c, cache.cid), b[b != p], cache)
+    some = b[b != b[rng.integers(b.size)]] if b.size > 1 else b
+    for members in (rng.permutation(a).tolist(), b, np.concatenate((b, a)), some):
+        _assert_unique_vectors(_members(members, cache), members, cache)
 
 
 @settings(max_examples=60, deadline=None)
@@ -605,5 +608,5 @@ def test_propose_reassign_finds_the_origin_among_repeated_contents():
         for c, m in zip(out.clusters, want):
             fresh = _make_cluster(m, state)
             assert (c.mode, c.cond_sum) == (fresh.mode, fresh.cond_sum)
-            _assert_same_vectors(c.group, m, cache)
+            _assert_unique_vectors(c.group, m, cache)
     assert moved >= 10

@@ -72,6 +72,9 @@ def test_clustering_validation():
                                          for _ in range(6)])
     with pytest.raises(ValueError, match="non-empty"):
         description_length(pset, Clustering(np.zeros(6, dtype=np.int64), [0, 1], 2))
+    for ids in ([0, 0, 0, 1, 1, 2], [0, 0, 0, 1, 1, -1]):
+        with pytest.raises(ValueError, match="cluster id out of range"):
+            description_length(pset, Clustering(np.array(ids), [0, 3], 2))
     bad_mode = Clustering(np.array([0, 0, 0, 1, 1, 1]), [0, 0], 2)
     with pytest.raises(ValueError, match="not a member"):
         description_length(pset, bad_mode)

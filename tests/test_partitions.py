@@ -122,8 +122,10 @@ def test_partition_set_validation():
     b = canonicalize([0, 1])
     with pytest.raises(ValueError, match="incompatible"):
         PartitionSet(partitions=[a, b], N=3)
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(ValueError, match="empty partition set"):
         PartitionSet.from_partitions([])
+    with pytest.raises(ValueError, match="empty partition set"):
+        PartitionSet(partitions=[], N=3)
     pset = PartitionSet.from_partitions([a, a])
     assert pset.S == 2 and pset.N == 3
 
@@ -169,6 +171,8 @@ def test_contingency_table_margins():
 def test_contingency_table_mismatched_N():
     with pytest.raises(ValueError, match="incompatible"):
         contingency_table(canonicalize([0, 1]), canonicalize([0, 1, 2]))
+    with pytest.raises(ValueError, match="incompatible partitions"):
+        modified_conditional_entropy(canonicalize([0, 1]), canonicalize([0, 1, 2]))
 
 
 def test_conditional_entropy_examples():

@@ -62,6 +62,8 @@ def test_perturbation_spec_validation():
         PerturbationSpec(bases=[(base, 1.0)], node_flip_rate=1.0, S=10)
     with pytest.raises(ValueError, match="ensemble size"):
         PerturbationSpec(bases=[(base, 1.0)], node_flip_rate=0.1, S=0)
+    with pytest.raises(ValueError, match="need at least one base partition"):
+        PerturbationSpec(bases=[], node_flip_rate=0.1, S=10)
     other = canonicalize([0, 1, 2])
     with pytest.raises(ValueError, match="share one node set"):
         PerturbationSpec(bases=[(base, 0.5), (other, 0.5)],
@@ -122,6 +124,8 @@ def test_mcmc_sample_validation():
         mcmc_sample(graph, S=0)
     with pytest.raises(ValueError):
         mcmc_sample(graph, S=5, sweeps_between=0)
+    with pytest.raises(ValueError, match="empty graph"):
+        mcmc_sample(Graph(N=0, edges=set()), S=5)
 
 
 def test_mcmc_sample_shapes_and_determinism():
