@@ -38,10 +38,14 @@ and Omega symmetric under transposition,
 where A_m is the mode's size sum.  The row of content c holds W(c, x),
 so a sample scored against a fixed mode reads the mode's row, a fixed
 sample scored against candidate modes reads its own row, and both give
-the same float for one pair.  A pair missing from one row is copied
-from the other content's row when that row holds it, and computed
-otherwise, so the kernel computes each unordered pair once.  When q is
-a function of m, J = A_m exactly and the sum cannot round below zero.
+the same float for one pair: J is an exact integer sum and Omega is
+symmetric, so the value does not depend on which row computed it.  A
+row computes its own missing pairs rather than copying them from the
+other content's row.  On the ``distinct_bimodal`` benchmark workload a
+copy was found for 32% of the lookups and cost about as much as the
+kernel pair it saved; where the hit rate is higher, as on
+``repeated_unimodal`` (61%), the kernel computes more pairs.  When q is a
+function of m, J = A_m exactly and the sum cannot round below zero.
 
 Table counts depend only on the community sizes, which many contents
 share, so they are kept per margin signature: the sorted size vector,
@@ -50,8 +54,10 @@ interned when the cache is built.  A signature's ``Margin`` (see
 cost-model and estimator pieces are computed once, not once per pair.
 The counts live in rows of the same kind, one per signature that has
 been the mode side of a lookup: the row of a holds log2 Omega(a, b),
-NaN where unset.  Memory grows with the signatures that serve as modes,
-not with the square of all of them.
+NaN where unset.  A count costs far more than a kernel pair, so a count
+missing from a's row is copied from b's row when that row holds it, and
+each unordered signature pair is counted once.  Memory grows with the
+signatures that serve as modes, not with the square of all of them.
 """
 
 from __future__ import annotations
@@ -75,25 +81,21 @@ def _intern(keys) -> tuple[np.ndarray, list]:
                     dtype=np.int64), list(ids)
 
 
-def _pair_row(rows: dict, has_row: np.ndarray, a: int, bs: np.ndarray,
+def _pair_row(rows: dict, size: int, a: int, bs: np.ndarray,
               compute) -> np.ndarray:
-    """Values of the symmetric pairs (a, b) for ``bs``, gathered from the
-    row of a, which is allocated on first use.  An unset cell is copied
-    from b's row when b has one, and otherwise filled by one
-    ``compute(a, missing)`` call over the distinct missing b."""
+    """Values of the pairs (a, b) for ``bs``, gathered from the row of a,
+    which is allocated on first use; its distinct unset b are filled by
+    one ``compute(a, missing)`` call."""
     row = rows.get(a)
     if row is None:
-        row = rows[a] = np.full(has_row.size, np.nan)
-        has_row[a] = True
+        row = rows[a] = np.full(size, np.nan)
     vals = row[bs]
     unset = np.isnan(vals)
-    if unset.any():
-        missing = np.flatnonzero(np.bincount(bs[unset], minlength=has_row.size))
-        mirrored = missing[has_row[missing]]
-        row[mirrored] = [rows[b][a] for b in mirrored.tolist()]
-        missing = missing[np.isnan(row[missing])]
-        if missing.size:
-            row[missing] = compute(a, missing)
+    # hmod_block reads every term row here: count_nonzero is one C call,
+    # about half the cost of ``unset.any()``
+    if np.count_nonzero(unset):
+        missing = np.flatnonzero(np.bincount(bs[unset]))
+        row[missing] = compute(a, missing)
         vals = row[bs]
     return vals
 
@@ -127,7 +129,6 @@ class PairCache:
         # W(c, x) in a dense row per content c, so batch lookups are
         # contiguous numpy gathers; unset cells are NaN
         self._by_mode: dict[int, np.ndarray] = {}
-        self._has_row = np.zeros(self.n_cid, dtype=bool)
         # always empty: perfbench/tracing.py::cache_snapshot still reads it
         self._by_sample: dict[int, np.ndarray] = {}
         # margin signatures and their log2 Omega rows (see the module
@@ -135,17 +136,15 @@ class PairCache:
         self._margin_id, self._margins = _intern(
             tuple(sorted(pset.partitions[r].counts.tolist())) for r in self.rep)
         self._omega_rows: dict[int, np.ndarray] = {}
-        self._omega_has_row = np.zeros(len(self._margins), dtype=bool)
 
     def omega_block(self, m_idx: int, q_indices) -> np.ndarray:
         """log2 table counts of mode m against samples q, a gather from
         the row of m's margin signature."""
         sig, cid = self._margin_id, self.cid
-        return _pair_row(
-            self._omega_rows, self._omega_has_row, int(sig[cid[m_idx]]),
-            sig[cid[np.asarray(q_indices, dtype=np.int64)]],
-            lambda a, bs: [log2_omega(self._margin(a), self._margin(b))
-                           for b in bs.tolist()])
+        return _pair_row(self._omega_rows, len(self._margins),
+                         int(sig[cid[m_idx]]),
+                         sig[cid[np.asarray(q_indices, dtype=np.int64)]],
+                         self._count_omegas)
 
     # -- entropies ---------------------------------------------------------
 
@@ -156,10 +155,6 @@ class PairCache:
         return self._entropy[self.cid[np.asarray(indices, dtype=np.int64)]]
 
     # -- modified conditional entropies ------------------------------------
-
-    def hmod(self, q_idx: int, m_idx: int) -> float:
-        """H_mod(q | m): cost of transmitting partition q given mode m."""
-        return float(self.hmod_given_mode([q_idx], m_idx)[0])
 
     def hmod_given_mode(self, q_indices, m_idx: int) -> np.ndarray:
         """H_mod(q | m) for many q against one fixed mode m, from m's row."""
@@ -180,14 +175,7 @@ class PairCache:
         q_cids = self.cid[np.asarray(q_indices, dtype=np.int64)].tolist()
         block = np.empty((len(q_cids), m_cids.size))
         for j, c in enumerate(q_cids):
-            row = self._by_mode.get(c)
-            if row is None:
-                block[j] = np.nan
-            else:
-                np.take(row, m_cids, out=block[j])
-        # rows with an unset cell are filled through the row memo
-        for j in np.flatnonzero(np.isnan(block).any(axis=1)).tolist():
-            block[j] = self._pair_part(q_cids[j], m_cids)
+            block[j] = self._pair_part(c, m_cids)
         block += self._mode_part[m_cids]
         return block
 
@@ -195,9 +183,19 @@ class PairCache:
 
     def _pair_part(self, c: int, xs: np.ndarray) -> np.ndarray:
         """W(c, x) for contents ``xs`` from the row of content c."""
-        return _pair_row(self._by_mode, self._has_row, c, xs,
+        return _pair_row(self._by_mode, self.n_cid, c, xs,
                          lambda a, bs: self._compute_block(
                              np.full(bs.size, self.rep[a]), self.rep[bs]))
+
+    def _count_omegas(self, a: int, bs: np.ndarray) -> list:
+        """log2 Omega of signature a against signatures ``bs``, each
+        copied from b's row where that row holds it, counted otherwise."""
+        def value(b):
+            row = self._omega_rows.get(b)
+            if row is not None and not np.isnan(row[a]):
+                return row[a]
+            return log2_omega(self._margin(a), self._margin(b))
+        return [value(b) for b in bs.tolist()]
 
     def _margin(self, a: int) -> Margin:
         m = self._margins[a]

@@ -115,6 +115,25 @@ def _members(members, cache: PairCache) -> _Members:
     return _Members(index, np.bincount(cid, minlength=cache.n_cid), first)
 
 
+def _given_members(members, cache: PairCache) -> _Members:
+    """``_members`` of a member set given to a public search, checked
+    first: ``_members`` would truncate a float index, wrap a negative
+    one and count a repeated one twice.  The engine's own index arrays
+    are valid by construction and skip the checks."""
+    if isinstance(members, _Members):
+        return members
+    members = np.asarray(members)
+    if members.size:
+        if members.dtype.kind not in "iu":
+            raise ValueError("member indices must be integers")
+        index = np.sort(members.astype(np.int64))
+        if index[0] < 0 or index[-1] >= cache.cid.size:
+            raise ValueError("member index out of range")
+        if np.count_nonzero(index[1:] == index[:-1]):
+            raise ValueError("duplicate member index")
+    return _members(members, cache)
+
+
 @dataclass(frozen=True, eq=False)
 class _Cluster:
     group: _Members
@@ -188,7 +207,7 @@ def find_mode_exact(cluster_members, cache: PairCache) -> int:
     whole cluster; ties broken by lowest partition index.  Each distinct
     content is scored once and weighs as many times as it occurs.  The
     reference for ``find_mode_sampled``, the engine's one search."""
-    reps, counts = _members(cluster_members, cache).candidates()
+    reps, counts = _given_members(cluster_members, cache).candidates()
     return _weighted_argmin(reps, reps, counts, cache)
 
 
@@ -210,7 +229,7 @@ def find_mode_sampled(cluster_members, sample_size: int, priority: np.ndarray,
     with its content vectors."""
     if sample_size < 1:
         raise ValueError("sample size must be at least 1")
-    group = _members(cluster_members, cache)
+    group = _given_members(cluster_members, cache)
     members = group.index
     k = min(sample_size, members.size)
     sample = members[np.argpartition(priority[members], k - 1)[:k]]

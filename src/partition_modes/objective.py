@@ -10,6 +10,7 @@ standard library's ``math.lgamma``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,15 @@ class Clustering:
         S = pset.S
         if self.assignment.shape != (S,):
             raise ValueError("assignment length does not match ensemble size")
+        # numpy raises TypeError or IndexError on non-integers further down
+        if (self.assignment.dtype.kind not in "iu"
+                or not np.can_cast(self.assignment.dtype, np.int64)):
+            raise ValueError("cluster ids must be integers")
+        try:
+            modes = [operator.index(m) for m in self.mode_index]
+            operator.index(self.K)
+        except TypeError:
+            raise ValueError("K and the mode indices must be integers") from None
         # K and the cluster ids are bounded before bincount allocates K counts
         if len(self.mode_index) != self.K:
             raise ValueError("every cluster must be non-empty with one mode")
@@ -41,7 +51,7 @@ class Clustering:
             raise ValueError("cluster id out of range")
         if np.any(self.cluster_sizes() == 0):
             raise ValueError("every cluster must be non-empty with one mode")
-        for k, m in enumerate(self.mode_index):
+        for k, m in enumerate(modes):
             if not 0 <= m < S:
                 raise ValueError("mode index %d out of range" % m)
             if self.assignment[m] != k:

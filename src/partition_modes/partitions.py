@@ -42,7 +42,7 @@ def canonicalize(raw_labels) -> Partition:
     appearance and drop empty communities."""
     arr = np.asarray(raw_labels, dtype=np.int64)
     if arr.ndim != 1:
-        raise ValueError("empty partition")
+        raise ValueError("partition labels must be a 1-D sequence")
     return canonicalize_rows(arr[None, :])[0]
 
 
@@ -51,7 +51,9 @@ def canonicalize_rows(raw_rows) -> list[Partition]:
     ``canonicalize`` does one row, a block of rows per numpy pass.  The
     returned partitions' labels are rows of one S x N array."""
     raw = np.asarray(raw_rows, dtype=np.int64)
-    if raw.ndim != 2 or raw.size == 0:
+    if raw.ndim != 2:
+        raise ValueError("partition rows must be a 2-D S x N label matrix")
+    if raw.size == 0:
         raise ValueError("empty partition")
     S, N = raw.shape
     labels = np.empty((S, N), dtype=np.int64)

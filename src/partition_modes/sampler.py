@@ -5,6 +5,7 @@ for self-contained demos."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,12 +72,19 @@ class PerturbationSpec:
         if not self.bases:
             raise ValueError("need at least one base partition")
         weights = [w for _, w in self.bases]
-        if any(w <= 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
+        # NaN fails every comparison, so finiteness is tested on its own
+        if (not all(math.isfinite(w) and w > 0 for w in weights)
+                or abs(sum(weights) - 1.0) > 1e-9):
             raise ValueError("mixture weights must be positive and sum to 1")
         if not (0 <= self.node_flip_rate < 1):
             raise ValueError("node_flip_rate must be in [0, 1)")
-        if self.S < 1:
-            raise ValueError("ensemble size must be positive")
+        try:
+            ok = operator.index(self.S) >= 1 and operator.index(self.seed) >= 0
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError("ensemble size must be positive and the seed "
+                             "non-negative, both integers")
         ns = {p.N for p, _ in self.bases}
         if len(ns) != 1:
             raise ValueError("base partitions must share one node set")
@@ -103,12 +111,17 @@ def mcmc_sample(graph: Graph, S: int, sweeps_between: int = 1, beta: float = 1.0
     exp(beta * modularity); records a partition every ``sweeps_between``
     sweeps after a burn-in of 10x that many sweeps.  The samples depend
     only on the arguments: one seed gives the same samples every time."""
+    try:
+        for v in (S, sweeps_between, q_max, seed):
+            operator.index(v)
+    except TypeError:
+        raise ValueError("invalid sampler parameters") from None
     if S < 1:
         raise ValueError("need at least one sample")
     if graph.N < 1:
         raise ValueError("empty graph")
     # NaN would reject every downhill move; inf is the zero-temperature limit
-    if sweeps_between < 1 or q_max < 1 or math.isnan(beta):
+    if sweeps_between < 1 or q_max < 1 or seed < 0 or math.isnan(beta):
         raise ValueError("invalid sampler parameters")
     N = graph.N
     adj = [[] for _ in range(N)]

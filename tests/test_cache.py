@@ -30,7 +30,8 @@ def test_cache_matches_direct_functions():
         for m in range(pset.S):
             direct = modified_conditional_entropy(pset.partitions[q],
                                                   pset.partitions[m])
-            assert cache.hmod(q, m) == pytest.approx(direct, abs=1e-10), (q, m)
+            got = cache.hmod_given_mode([q], m)[0]
+            assert got == pytest.approx(direct, abs=1e-10), (q, m)
 
 
 def test_batch_views_agree():
@@ -39,11 +40,11 @@ def test_batch_views_agree():
     cache_b = PairCache(pset)
     qs = list(range(pset.S))
     by_mode = cache_a.hmod_given_mode(qs, 3)
-    by_q = np.array([cache_b.hmod(q, 3) for q in qs])
+    by_q = np.array([cache_b.hmod_given_mode([q], 3)[0] for q in qs])
     assert np.allclose(by_mode, by_q)
     ms = list(range(pset.S))
     against = cache_a.hmod_against_modes(4, ms)
-    direct = np.array([cache_b.hmod(4, m) for m in ms])
+    direct = np.array([cache_b.hmod_given_mode([4], m)[0] for m in ms])
     assert np.allclose(against, direct)
 
 
@@ -83,7 +84,7 @@ def test_duplicate_partitions_share_entries():
     assert len(cache._by_mode) == 1
     row = cache._by_mode[int(cache.cid[0])]
     assert np.isfinite(row).sum() == 2
-    assert cache.hmod(0, 0) == cache.hmod(49, 49)
+    assert cache.hmod_given_mode([0], 0)[0] == cache.hmod_given_mode([49], 49)[0]
 
 
 # exact Omega only for small tables, so wide margins stay fast; the
@@ -248,26 +249,26 @@ def test_omega_matrix_symmetric_after_run(monkeypatch):
     kernel = PairCache._compute_block
 
     def spy(self, m_indices, q_indices):
-        computed.extend(frozenset(self.cid[[m, q]].tolist())
-                        for m, q in zip(m_indices, q_indices))
+        computed.extend(zip(self.cid[m_indices].tolist(),
+                            self.cid[q_indices].tolist()))
         return kernel(self, m_indices, q_indices)
 
     monkeypatch.setattr(PairCache, "_compute_block", spy)
     pset = _random_set(60, 16, 2)
     cache = PairCache(pset)
     run(pset, EngineParams(seed=0, k0=3), cache=cache)
-    # each unordered content pair reached the kernel once, and a pair set
-    # in the rows of both its contents holds one float
+    # a second run on the warm cache computes only cells it has not seen
+    run(pset, EngineParams(seed=1, k0=2), cache=cache)
+    # each (row content, column content) cell reached the kernel at most
+    # once, the set cells are exactly the computed ones, and a pair
+    # computed in the rows of both its contents gave the same float
     assert len(computed) == len(set(computed))
     hmod = _rows_matrix(cache._by_mode, cache.n_cid)
     is_set = ~np.isnan(hmod)
+    assert set(zip(*np.nonzero(is_set))) == set(computed)
     both = is_set & is_set.T & ~np.eye(cache.n_cid, dtype=bool)
     assert both.any()
     assert hmod[both].tolist() == hmod.T[both].tolist()
-    assert {frozenset(p) for p in zip(*np.nonzero(is_set))} == set(computed)
-    # a second run on the warm cache computes only pairs it has not seen
-    run(pset, EngineParams(seed=1, k0=2), cache=cache)
-    assert len(computed) == len(set(computed))
     n = len(cache._margins)
     omega = _rows_matrix(cache._omega_rows, n)
     is_set = ~np.isnan(omega)

@@ -58,6 +58,17 @@ def test_engine_params_validation():
             find_mode_sampled([0, 1, 2], size, np.zeros(3), cache)
     with pytest.raises(ValueError, match="empty cluster"):
         _members([], cache)
+    # a negative index would wrap, a float truncate, a repeat count twice
+    for bad, msg in (([], "empty cluster"),
+                     ([-1], "out of range"), ([-1, 0], "out of range"),
+                     ([3], "out of range"),
+                     ([0.5], "must be integers"), ([True], "must be integers"),
+                     ([0, 0, 1], "duplicate member"),
+                     ([2, 1, 2], "duplicate member")):
+        with pytest.raises(ValueError, match=msg):
+            find_mode_exact(bad, cache)
+        with pytest.raises(ValueError, match=msg):
+            find_mode_sampled(bad, 2, np.zeros(3), cache)
 
 
 def test_find_mode_singleton_and_ties():

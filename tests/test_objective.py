@@ -75,6 +75,15 @@ def test_clustering_validation():
     for ids in ([0, 0, 0, 1, 1, 2], [0, 0, 0, 1, 1, -1]):
         with pytest.raises(ValueError, match="cluster id out of range"):
             description_length(pset, Clustering(np.array(ids), [0, 3], 2))
+    # non-integer types reach numpy's bincount or indexing otherwise
+    with pytest.raises(ValueError, match="cluster ids must be integers"):
+        description_length(pset, Clustering(np.array([0., 0, 0, 1, 1, 1]), [0, 3], 2))
+    for modes, K in (([0, 3.0], 2), ([0, np.float64(3)], 2), ([0, 3], 2.0)):
+        with pytest.raises(ValueError, match="must be integers"):
+            full_description_length(
+                pset, Clustering(np.array([0, 0, 0, 1, 1, 1]), modes, K))
+    description_length(pset, Clustering(np.array([0, 0, 0, 1, 1, 1], np.uint8),
+                                        [np.int64(0), 3], 2))
     bad_mode = Clustering(np.array([0, 0, 0, 1, 1, 1]), [0, 0], 2)
     with pytest.raises(ValueError, match="not a member"):
         description_length(pset, bad_mode)

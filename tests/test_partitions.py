@@ -58,6 +58,10 @@ def test_canonicalize_examples():
 def test_canonicalize_empty_input():
     with pytest.raises(ValueError, match="empty partition"):
         canonicalize([])
+    # a label array of the wrong shape is not reported as empty
+    for raw in (np.zeros((2, 3), dtype=np.int64), 5):
+        with pytest.raises(ValueError, match="must be a 1-D sequence"):
+            canonicalize(raw)
 
 
 @given(label_lists)
@@ -103,9 +107,11 @@ def test_load_partitions_matches_first_appearance(rows):
 
 
 def test_canonicalize_rows_empty_input():
-    for raw in (np.zeros((0, 3), dtype=np.int64), np.zeros((2, 0), dtype=np.int64),
-                np.zeros(3, dtype=np.int64)):
+    for raw in (np.zeros((0, 3), dtype=np.int64), np.zeros((2, 0), dtype=np.int64)):
         with pytest.raises(ValueError, match="empty partition"):
+            canonicalize_rows(raw)
+    for raw in (np.zeros(3, dtype=np.int64), np.zeros((1, 2, 3), dtype=np.int64)):
+        with pytest.raises(ValueError, match="must be a 2-D S x N label matrix"):
             canonicalize_rows(raw)
 
 

@@ -64,6 +64,19 @@ def test_perturbation_spec_validation():
         PerturbationSpec(bases=[(base, 1.0)], node_flip_rate=0.1, S=0)
     with pytest.raises(ValueError, match="need at least one base partition"):
         PerturbationSpec(bases=[], node_flip_rate=0.1, S=10)
+    # NaN passes both w <= 0 and the sum test
+    for w in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="weights"):
+            PerturbationSpec(bases=[(base, w)], node_flip_rate=0.1, S=10)
+    with pytest.raises(ValueError, match="weights"):
+        PerturbationSpec(bases=[(base, 1.0), (base, float("nan"))],
+                         node_flip_rate=0.1, S=10)
+    for bad in (dict(S=2.5), dict(S=10.0), dict(S=10, seed=1.5),
+                dict(S=10, seed=-1)):
+        with pytest.raises(ValueError, match="ensemble size"):
+            PerturbationSpec(bases=[(base, 1.0)], node_flip_rate=0.1, **bad)
+    PerturbationSpec(bases=[(base, 1.0)], node_flip_rate=0.1, S=np.int64(10),
+                     seed=np.int32(3))
     other = canonicalize([0, 1, 2])
     with pytest.raises(ValueError, match="share one node set"):
         PerturbationSpec(bases=[(base, 0.5), (other, 0.5)],
@@ -126,6 +139,12 @@ def test_mcmc_sample_validation():
         mcmc_sample(graph, S=5, sweeps_between=0)
     with pytest.raises(ValueError, match="empty graph"):
         mcmc_sample(Graph(N=0, edges=set()), S=5)
+    # counts and the seed must be integers, not truncated
+    for bad in (dict(S=2.5), dict(S=5, sweeps_between=1.5),
+                dict(S=5, q_max=3.0), dict(S=5, seed=0.5), dict(S=5, seed=-1)):
+        with pytest.raises(ValueError, match="invalid sampler parameters"):
+            mcmc_sample(graph, **bad)
+    assert mcmc_sample(graph, S=np.int64(2), seed=np.int64(1)).S == 2
 
 
 def test_mcmc_sample_shapes_and_determinism():
