@@ -3,8 +3,9 @@ conditional entropies.
 
 Values are keyed by partition content, so duplicated partitions in an
 ensemble cost nothing extra.  Each partition index is mapped once to a
-small integer content id; lookups are then dictionary hits on id pairs
-and numpy gathers.
+small integer content id.  Per-content and per-signature values are
+built with the cache; lookups gather pair values from rows, computing
+only the unset ones.
 
 Missing H_mod pairs are computed in batches at the content level.  The
 cache holds one label row per distinct content, in the narrowest
@@ -49,9 +50,9 @@ function of m, J = A_m exactly and the sum cannot round below zero.
 
 Table counts depend only on the community sizes, which many contents
 share, so they are kept per margin signature: the sorted size vector,
-interned when the cache is built.  A signature's ``Margin`` (see
-``tables``) is built the first time the signature is counted, so its
-cost-model and estimator pieces are computed once, not once per pair.
+interned when the cache is built.  Each signature's ``Margin`` (see
+``tables``) is built with the cache, so its cost-model and estimator
+pieces are computed once per signature, not once per pair.
 The counts live in rows of the same kind, one per signature that has
 been the mode side of a lookup: the row of a holds log2 Omega(a, b),
 NaN where unset.  A count costs far more than a kernel pair, so a count
@@ -131,10 +132,10 @@ class PairCache:
         self._by_mode: dict[int, np.ndarray] = {}
         # always empty: perfbench/tracing.py::cache_snapshot still reads it
         self._by_sample: dict[int, np.ndarray] = {}
-        # margin signatures and their log2 Omega rows (see the module
-        # docstring); ``_margins[a]`` becomes a ``Margin`` when first counted
-        self._margin_id, self._margins = _intern(
+        # margin signatures, one Margin each, and their log2 Omega rows
+        self._margin_id, sigs = _intern(
             tuple(sorted(pset.partitions[r].counts.tolist())) for r in self.rep)
+        self._margins = [Margin(s) for s in sigs]
         self._omega_rows: dict[int, np.ndarray] = {}
 
     def omega_block(self, m_idx: int, q_indices) -> np.ndarray:
@@ -194,14 +195,8 @@ class PairCache:
             row = self._omega_rows.get(b)
             if row is not None and not np.isnan(row[a]):
                 return row[a]
-            return log2_omega(self._margin(a), self._margin(b))
+            return log2_omega(self._margins[a], self._margins[b])
         return [value(b) for b in bs.tolist()]
-
-    def _margin(self, a: int) -> Margin:
-        m = self._margins[a]
-        if not isinstance(m, Margin):
-            m = self._margins[a] = Margin(m)
-        return m
 
     def _compute_block(self, m_indices, q_indices) -> np.ndarray:
         """Vectorized W(q, m) for pairs of one fixed mode, repeated in

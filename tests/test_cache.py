@@ -195,6 +195,10 @@ def test_build_memory_does_not_grow_with_signature_pairs():
         tracemalloc.stop()
     assert len(cache._margins) > 3900
     assert peak < 32e6
+    # one Margin per distinct sorted size vector, built with the cache
+    assert all(isinstance(m, Margin) for m in cache._margins)
+    assert sorted(cache._margins) == sorted(
+        {tuple(sorted(p.counts.tolist())) for p in pset.partitions})
 
 
 def test_kernel_memory_is_bounded_in_communities():

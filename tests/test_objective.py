@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from partition_modes import (Clustering, PartitionSet, canonicalize,
+from partition_modes import (Clustering, EngineParams, PairCache,
+                             PartitionSet, canonicalize,
                              cluster_label_entropy, contingency_table,
                              description_length, full_description_length,
-                             log2_omega, tables)
-from partition_modes.tables import DEFAULT_MAX_COST
+                             log2_omega, run, tables)
+from partition_modes.tables import (DEFAULT_MAX_COST, _clean_margins,
+                                    _exact_orientation)
 from partition_modes.sampler import PerturbationSpec, perturb_ensemble
 
 from conftest import random_partition
@@ -162,3 +164,36 @@ def test_per_sample_objective_tracks_exact_encoding():
         enc = full_description_length(pset, clustering)
         exact_per_sample = (enc["L2"] + enc["L3"] + enc["L4"]) / pset.S
         assert abs(bd.total - exact_per_sample) / exact_per_sample <= 0.05
+
+
+def test_description_independent_of_cache_state(monkeypatch):
+    # the ensemble of test_run_independent_of_cache_state: the budget
+    # splits the clustering's (mode, member) margin pairs between the
+    # exact count and the estimate
+    monkeypatch.setattr(tables, "DEFAULT_MAX_COST", 1e4)
+    rng = np.random.default_rng(4)
+    pset = PartitionSet.from_partitions(
+        [random_partition(16, 5, rng) for _ in range(80)])
+    clustering = run(pset, EngineParams(seed=4, k0=2)).clustering
+    pairs = [(m, q) for k, m in enumerate(clustering.mode_index)
+             for q in clustering.members(k).tolist()]
+    exact = {_exact_orientation(*_clean_margins(pset.partitions[m].counts,
+                                                pset.partitions[q].counts))
+             is not None for m, q in pairs}
+    assert exact == {True, False}
+
+    def describe(cache):
+        return (description_length(pset, clustering, lam=1.0, cache=cache),
+                full_description_length(pset, clustering, cache=cache))
+
+    fresh = describe(PairCache(pset))
+    warm = PairCache(pset)
+    run(pset, EngineParams(seed=9, lam=0.0, k0=3), cache=warm)
+    # every (mode, member) pair first computed with the sides swapped, so
+    # each mode's rows copy or recompute what the member's rows hold
+    swapped = PairCache(pset)
+    for m, q in pairs:
+        swapped.omega_block(q, [m])
+        swapped.hmod_given_mode([m], q)
+    assert describe(warm) == fresh
+    assert describe(swapped) == fresh

@@ -302,6 +302,64 @@ def test_log2_omega_reproduces_frozen_values():
             assert log2_omega(cols, rows).hex() == value, (rows, cols)
 
 
+# (rows, cols, exact log2 count as float.hex) of margin pairs that
+# log2_omega estimates in one run() of the benchmark workloads at sub-seed
+# 1001: all six of repeated_unimodal (N=48), then 12 4x4, 12 4x5 and 6 5x5
+# pairs drawn at random from distinct_bimodal's 2,184 (N=100).  Counted
+# once by _count_exact_int in the cheaper orientation; the 5x5 pairs take
+# 1-3 s each, so the test runs only the estimator.
+_ENGINE_ESTIMATED = [
+    ([6, 6, 12, 24], [6, 6, 12, 24], "0x1.3b2c96b047c98p+4"),
+    ([6, 6, 12, 24], [6, 6, 18, 18], "0x1.3e2544f227e87p+4"),
+    ([6, 6, 12, 24], [6, 12, 12, 18], "0x1.4a83cfd036978p+4"),
+    ([6, 6, 18, 18], [6, 6, 18, 18], "0x1.4621402cad40bp+4"),
+    ([6, 6, 18, 18], [6, 12, 12, 18], "0x1.5286ae418b5c3p+4"),
+    ([6, 12, 12, 18], [6, 12, 12, 18], "0x1.6245a588e42a8p+4"),
+    ([19, 23, 26, 32], [23, 23, 27, 27], "0x1.02eff7937294ep+5"),
+    ([19, 26, 27, 28], [22, 24, 25, 29], "0x1.03c41681d1ecbp+5"),
+    ([20, 24, 26, 30], [22, 24, 26, 28], "0x1.03fa57f6ac3e3p+5"),
+    ([20, 26, 26, 28], [23, 25, 26, 26], "0x1.04df265309f1ep+5"),
+    ([21, 25, 26, 28], [21, 25, 26, 28], "0x1.0494867dda50dp+5"),
+    ([21, 25, 26, 28], [24, 24, 26, 26], "0x1.054c5237bbbfap+5"),
+    ([22, 23, 26, 29], [23, 23, 27, 27], "0x1.04d453a243e42p+5"),
+    ([22, 24, 25, 29], [24, 24, 24, 28], "0x1.0519a32aea9abp+5"),
+    ([22, 24, 26, 28], [23, 23, 26, 28], "0x1.05134c6258ec3p+5"),
+    ([23, 23, 24, 30], [23, 25, 25, 27], "0x1.04fe7ba04acc0p+5"),
+    ([23, 23, 25, 29], [23, 24, 26, 27], "0x1.05389b8430202p+5"),
+    ([23, 24, 25, 28], [23, 24, 25, 28], "0x1.056891a5ad866p+5"),
+    ([19, 23, 26, 32], [18, 19, 20, 21, 22], "0x1.3fbdab91bf0d7p+5"),
+    ([20, 24, 26, 30], [19, 19, 20, 20, 22], "0x1.4165ed75a24c8p+5"),
+    ([20, 25, 27, 28], [17, 18, 21, 21, 23], "0x1.4117edf864c30p+5"),
+    ([21, 24, 25, 30], [18, 19, 20, 21, 22], "0x1.41ac3ab75f66cp+5"),
+    ([21, 26, 26, 27], [18, 19, 19, 20, 24], "0x1.41ea0c9e35cfap+5"),
+    ([22, 25, 25, 28], [18, 19, 19, 20, 24], "0x1.421e0ade2cbb4p+5"),
+    ([23, 23, 26, 28], [20, 20, 20, 20, 20], "0x1.430fa842bacdap+5"),
+    ([23, 25, 25, 27], [17, 19, 20, 21, 23], "0x1.428e1babbcab2p+5"),
+    ([23, 25, 26, 26], [17, 18, 19, 21, 25], "0x1.41cebe5fe260fp+5"),
+    ([24, 24, 25, 27], [17, 18, 19, 22, 24], "0x1.420a86ba8d3b3p+5"),
+    ([24, 24, 25, 27], [17, 19, 20, 21, 23], "0x1.42a3c7fdd359ap+5"),
+    ([24, 24, 25, 27], [18, 19, 19, 20, 24], "0x1.429a154f0cc01p+5"),
+    ([17, 18, 19, 21, 25], [17, 19, 19, 22, 23], "0x1.8abdfd02d8abap+5"),
+    ([17, 18, 21, 21, 23], [18, 18, 19, 21, 24], "0x1.8b79107334149p+5"),
+    ([17, 19, 20, 21, 23], [17, 20, 20, 20, 23], "0x1.8c19070519154p+5"),
+    ([17, 19, 21, 21, 22], [19, 19, 19, 21, 22], "0x1.8ce214010d31bp+5"),
+    ([17, 20, 20, 20, 23], [18, 20, 20, 21, 21], "0x1.8ce3592483b1fp+5"),
+    ([18, 18, 19, 21, 24], [19, 20, 20, 20, 21], "0x1.8cb9ba4e28da3p+5"),
+]
+
+# the band count_tables_gaussian's docstring states for these shapes
+_ENGINE_BAND = 0.009
+
+
+def test_estimate_within_its_stated_band_on_engine_pairs():
+    assert "within %.1f%%" % (100 * _ENGINE_BAND) in count_tables_gaussian.__doc__
+    for rows, cols, exact in _ENGINE_ESTIMATED:
+        assert _exact_orientation(*_clean_margins(rows, cols)) is None, (rows, cols)
+        truth = float.fromhex(exact)
+        est = count_tables_gaussian(rows, cols)
+        assert abs(est - truth) <= _ENGINE_BAND * truth, (rows, cols, est, truth)
+
+
 def test_exact_counter_merges_states_split_across_chunks(monkeypatch):
     # one composition and one state per chunk: every level is merged from
     # single-transition parts; the margins and zero pads are those of the
