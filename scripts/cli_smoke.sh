@@ -4,8 +4,10 @@
 # it twice with one seed, cluster them and describe the stored
 # clustering; then sample a planted graph with an isolated node.  Fails
 # if a step exits non-zero, if the two samples differ, if describe does
-# not score the stored clustering as cluster did, to within 1e-9, or if
-# a sampled partition of the planted graph does not cover its 40 nodes.
+# not score the stored clustering as cluster did, to within 1e-9, if the
+# agreement table lacks its header, a line per node or values in [0, 1],
+# or if a sampled partition of the planted graph does not cover its 40
+# nodes.
 #
 #   bash scripts/cli_smoke.sh
 set -euo pipefail
@@ -14,7 +16,8 @@ partition-modes generate cliques --cliques 4 --size 5 --out ring
 partition-modes sample --graph ring.edges --s 50 --beta 50 --out ring.parts
 partition-modes sample --graph ring.edges --s 50 --beta 50 --out again.parts
 cmp ring.parts again.parts
-partition-modes cluster --partitions ring.parts --out result.json
+partition-modes cluster --partitions ring.parts --out result.json \
+    --agreement-out agree.tsv
 partition-modes describe --partitions ring.parts --clustering result.json > described.json
 python - <<'PY'
 import json
@@ -22,6 +25,17 @@ stored = json.load(open("result.json"))["objective"]["total"]
 described = json.load(open("described.json"))["objective"]["total"]
 if abs(stored - described) > 1e-9:
     raise SystemExit("describe total %r != cluster total %r" % (described, stored))
+K = json.load(open("result.json"))["K"]
+lines = open("agree.tsv").read().splitlines()
+if lines[0].split("\t") != ["node"] + ["mode%d" % k for k in range(K)]:
+    raise SystemExit("agreement header %r" % lines[0])
+if len(lines) != 1 + 20:
+    raise SystemExit("agreement table has %d lines, expected 21" % len(lines))
+for i, line in enumerate(lines[1:]):
+    node, *values = line.split("\t")
+    if int(node) != i or len(values) != K or not all(
+            0 <= float(v) <= 1 for v in values):
+        raise SystemExit("agreement line %r" % line)
 PY
 # node 39 of this planted graph has no edge
 partition-modes generate planted --n 40 --q 4 --pin 0.1 --pout 0 --seed 0 --out planted

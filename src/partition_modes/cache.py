@@ -26,6 +26,8 @@ lookup per count: no division, logarithm or mask over float tables.
 The samples of a batch go through in chunks whose tables hold at most
 ``_KERNEL_CELLS`` counts (one sample at least), so the kernel's
 temporaries stay bounded however many communities the partitions have.
+One builder, ``PairCache._tables``, yields these tables to W, the exact
+encoding's L4 and the CLI's agreement table, one per distinct content.
 The entropy of every content comes from the same sums when the cache is
 built, as H(p) = log2 N - sum_k a_k log2 a_k / N.
 
@@ -64,6 +66,7 @@ signatures that serve as modes, not with the square of all of them.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,6 +102,53 @@ def _pair_row(rows: dict, size: int, a: int, bs: np.ndarray,
         row[missing] = compute(a, missing)
         vals = row[bs]
     return vals
+
+
+# content vectors hold this first member index where a content is absent
+_ABSENT = np.iinfo(np.int64).max
+
+
+@dataclass(frozen=True, eq=False)
+class _Members:
+    """A member set: sorted int64 partition indices, and over all content
+    ids the copies of each content in the set (``count``) and its lowest
+    member index (``first``, ``_ABSENT`` where the count is 0).  Made
+    only by ``_members``."""
+    index: np.ndarray
+    count: np.ndarray
+    first: np.ndarray
+
+    def candidates(self) -> tuple[np.ndarray, np.ndarray]:
+        """The lowest member of each content, ascending, and the content
+        multiplicities.  Candidates of equal content always score
+        identically, so argmin over these representatives in this order
+        reproduces the lowest-index tie-break over the full member list."""
+        ids = np.flatnonzero(self.count)
+        ids = ids[np.argsort(self.first[ids])]
+        return self.first[ids], self.count[ids]
+
+
+def _members(members, cache: PairCache) -> _Members:
+    """A ``_Members`` as it is, or the member set of partition indices
+    given in any order, with its content vectors."""
+    if isinstance(members, _Members):
+        return members
+    # a stable sort merges already-sorted runs in linear time; every
+    # caller but the search sample passes one or two of them
+    index = np.sort(np.asarray(members, dtype=np.int64), kind="stable")
+    if not index.size:
+        raise ValueError("empty cluster")
+    cid = cache.cid[index]
+    first = np.full(cache.n_cid, _ABSENT)
+    np.minimum.at(first, cid, index)
+    return _Members(index, np.bincount(cid, minlength=cache.n_cid), first)
+
+
+def _cache_for(pset: PartitionSet, cache: PairCache | None) -> PairCache:
+    """``cache``, checked to be built for ``pset``, or a new one."""
+    if cache is not None and cache.pset is not pset:
+        raise ValueError("the cache was built for another partition set")
+    return PairCache(pset) if cache is None else cache
 
 
 class PairCache:
@@ -201,21 +251,26 @@ class PairCache:
     def _compute_block(self, m_indices, q_indices) -> np.ndarray:
         """Vectorized W(q, m) for pairs of one fixed mode, repeated in
         ``m_indices``, and many samples ``q_indices``."""
-        m_cid = self.cid[m_indices[0]]
-        q_cids = self.cid[q_indices]
+        joint = np.empty(len(q_indices), dtype=np.int64)
+        for lo, t in self._tables(self.cid[m_indices[0]], self.cid[q_indices]):
+            joint[lo:lo + len(t)] = self._xlogx[t].reshape(len(t), -1).sum(axis=1)
+        N = self.pset.N
+        return (self.omega_block(m_indices[0], q_indices) / N
+                - joint / (self._scale * N))
+
+    def _tables(self, m_cid: int, q_cids: np.ndarray):
+        """(start, t) chunks of at most ``_KERNEL_CELLS`` counts: t[i, k, l]
+        counts the nodes in community k of content m and l of content
+        ``q_cids[start + i]``, zero-padded to the widest of ``q_cids``."""
         # t_kl sums over joint codes, so the layout of the (mode, sample)
         # label pair is free: code = pair * width + mode * q_width + sample
         q_width = int(self._ncomm[q_cids].max())
         width = int(self._ncomm[m_cid]) * q_width
         mode_codes = self._labels[m_cid].astype(np.int64) * q_width
         step = max(1, _KERNEL_CELLS // width)
-        joint = np.empty(q_cids.size, dtype=np.int64)
         for lo in range(0, q_cids.size, step):
             chunk = q_cids[lo:lo + step]
             codes = (np.arange(chunk.size) * width)[:, None] + mode_codes
             codes += self._labels[chunk]
             t = np.bincount(codes.ravel(), minlength=chunk.size * width)
-            joint[lo:lo + step] = self._xlogx[t].reshape(chunk.size, width).sum(axis=1)
-        N = self.pset.N
-        return (self.omega_block(m_indices[0], q_indices) / N
-                - joint / (self._scale * N))
+            yield lo, t.reshape(chunk.size, -1, q_width)

@@ -11,11 +11,11 @@ import sys
 import numpy as np
 
 from . import graphs, sampler
-from .cache import PairCache
+from .cache import PairCache, _members
 from .engine import EngineParams, run
 from .fileio import atomic_text_file
 from .objective import Clustering, description_length, full_description_length
-from .partitions import PartitionSet, canonicalize, contingency_table
+from .partitions import canonicalize
 
 
 def cmd_generate(args) -> int:
@@ -44,20 +44,20 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _agreement_table(pset: PartitionSet, clustering: Clustering) -> np.ndarray:
+def _agreement_table(clustering: Clustering, cache: PairCache) -> np.ndarray:
     """Per node and cluster: fraction of the cluster's partitions whose
     community (mapped onto the mode by maximum overlap) matches the
     mode's label at that node."""
-    agree = np.zeros((pset.N, clustering.K))
+    agree = np.zeros((cache.pset.N, clustering.K))
     for k, m in enumerate(clustering.mode_index):
-        mode = pset.partitions[m]
-        members = clustering.members(k)
-        for p_idx in members:
-            p = pset.partitions[p_idx]
-            t = contingency_table(mode, p).t
-            mapped = t.argmax(axis=0)[p.labels]   # sample community -> mode community
-            agree[:, k] += mapped == mode.labels
-        agree[:, k] /= len(members)
+        reps, copies = _members(clustering.members(k), cache).candidates()
+        labels = cache._labels[cache.cid[reps]]
+        for lo, t in cache._tables(cache.cid[m], cache.cid[reps]):
+            # sample community -> mode community, read at each node
+            mapped = np.take_along_axis(t.argmax(axis=1), labels[lo:lo + len(t)], 1)
+            hits = mapped == cache.pset.partitions[m].labels
+            agree[:, k] += copies[lo:lo + len(t)] @ hits
+        agree[:, k] /= copies.sum()
     return agree
 
 
@@ -67,7 +67,8 @@ def cmd_cluster(args) -> int:
                           mode_sample_size=args.sample_size,
                           patience=args.patience, seed=args.seed,
                           restarts=args.restarts)
-    result = run(pset, params)
+    cache = PairCache(pset)
+    result = run(pset, params, cache=cache)
     data = result.to_json_dict()
     if args.out:
         with atomic_text_file(args.out) as fh:
@@ -83,11 +84,10 @@ def cmd_cluster(args) -> int:
             with atomic_text_file("%s.mode%d.txt" % (args.modes_out, k)) as fh:
                 fh.write(" ".join(str(int(x)) for x in mode.labels) + "\n")
     if args.agreement_out:
-        agree = _agreement_table(pset, result.clustering)
+        agree = _agreement_table(result.clustering, cache)
         header = "node\t" + "\t".join("mode%d" % k for k in range(result.clustering.K))
-        lines = [header]
-        for i in range(pset.N):
-            lines.append("%d\t%s" % (i, "\t".join("%.4f" % a for a in agree[i])))
+        lines = [header] + ["%d\t%s" % (i, "\t".join("%.4f" % a for a in row))
+                            for i, row in enumerate(agree)]
         with atomic_text_file(args.agreement_out) as fh:
             fh.write("\n".join(lines) + "\n")
     return 0

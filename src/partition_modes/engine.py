@@ -28,7 +28,7 @@ hits.
 Each cluster holds its members as a sorted int64 array together with
 two vectors over the cache's content ids: the number of copies of each
 content in the cluster and the lowest member index of each.  One
-builder, ``_members``, makes them from partition indices for every
+builder, ``cache._members``, makes them from partition indices for every
 cluster, merge, reassign side, k-means part and search sample, so a
 mode search reads its candidates (the lowest member of each content,
 ascending) from the vectors.  A search gathers one block of H_mod
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cache import PairCache
+from .cache import PairCache, _cache_for, _members, _Members
 from .objective import (Clustering, ObjectiveBreakdown, cluster_label_entropy,
                         description_length)
 from .partitions import Partition, PartitionSet
@@ -73,46 +73,6 @@ class EngineParams:
             ok = False
         if not ok or not math.isfinite(self.lam) or self.lam < 0:
             raise ValueError("invalid engine parameters")
-
-
-# content vectors hold this first member index where a content is absent
-_ABSENT = np.iinfo(np.int64).max
-
-
-@dataclass(frozen=True, eq=False)
-class _Members:
-    """A member set: sorted int64 partition indices, and over all content
-    ids the copies of each content in the set (``count``) and its lowest
-    member index (``first``, ``_ABSENT`` where the count is 0).  Made
-    only by ``_members``."""
-    index: np.ndarray
-    count: np.ndarray
-    first: np.ndarray
-
-    def candidates(self) -> tuple[np.ndarray, np.ndarray]:
-        """The lowest member of each content, ascending, and the content
-        multiplicities.  Candidates of equal content always score
-        identically, so argmin over these representatives in this order
-        reproduces the lowest-index tie-break over the full member list."""
-        ids = np.flatnonzero(self.count)
-        ids = ids[np.argsort(self.first[ids])]
-        return self.first[ids], self.count[ids]
-
-
-def _members(members, cache: PairCache) -> _Members:
-    """A ``_Members`` as it is, or the member set of partition indices
-    given in any order, with its content vectors."""
-    if isinstance(members, _Members):
-        return members
-    # a stable sort merges already-sorted runs in linear time; every
-    # caller but the search sample passes one or two of them
-    index = np.sort(np.asarray(members, dtype=np.int64), kind="stable")
-    if not index.size:
-        raise ValueError("empty cluster")
-    cid = cache.cid[index]
-    first = np.full(cache.n_cid, _ABSENT)
-    np.minimum.at(first, cid, index)
-    return _Members(index, np.bincount(cid, minlength=cache.n_cid), first)
 
 
 def _given_members(members, cache: PairCache) -> _Members:
@@ -450,8 +410,7 @@ def run(pset: PartitionSet, params: EngineParams | None = None,
     """
     if params is None:
         params = EngineParams()
-    if cache is None:
-        cache = PairCache(pset)
+    cache = _cache_for(pset, cache)
     best = None
     for r in range(params.restarts):
         rng = np.random.default_rng(params.seed + r)

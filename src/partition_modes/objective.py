@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import PairCache
-from .partitions import PartitionSet, contingency_table
+from .cache import PairCache, _cache_for, _members
+from .partitions import PartitionSet
 from .tables import _log2_binom
 
 _LN2 = math.log(2.0)
@@ -101,8 +101,7 @@ def description_length(pset: PartitionSet, clustering: Clustering,
     clustering.validate(pset)
     if not math.isfinite(lam) or lam < 0:
         raise ValueError("penalty weight must be finite and non-negative")
-    if cache is None:
-        cache = PairCache(pset)
+    cache = _cache_for(pset, cache)
     N, S = pset.N, pset.S
     sizes = clustering.cluster_sizes()
 
@@ -141,10 +140,11 @@ def full_description_length(pset: PartitionSet, clustering: Clustering,
     in optimization comparisons.  L4 takes its table counts from
     ``cache``, by default a fresh ``PairCache``; past the exact-count
     budget of ``log2_omega`` they are estimates, so L4 is then approximate.
+    L4 scores each distinct content of a cluster once, weighted by its
+    copies, so it can differ from a per-member sum in its last bits.
     """
     clustering.validate(pset)
-    if cache is None:
-        cache = PairCache(pset)
+    cache = _cache_for(pset, cache)
     N, S, K = pset.N, pset.S, clustering.K
     sizes = clustering.cluster_sizes()
     lf = _log2_factorials(max(N, S))
@@ -155,12 +155,10 @@ def full_description_length(pset: PartitionSet, clustering: Clustering,
     L3 = _log2_binom(S - 1, K - 1) + float(lf[S] - lf[sizes].sum())
     L4 = 0.0
     for k, m in enumerate(clustering.mode_index):
-        mode = pset.partitions[m]
-        members = clustering.members(k)
-        omegas = cache.omega_block(m, members)
-        for p_idx, omega in zip(members, omegas):
-            t = contingency_table(mode, pset.partitions[p_idx]).t
-            L4 += float(lf[mode.counts].sum() - lf[t].sum())
-            L4 += float(omega)
+        reps, copies = _members(clustering.members(k), cache).candidates()
+        bits = lf[pset.partitions[m].counts].sum() + cache.omega_block(m, reps)
+        for lo, t in cache._tables(cache.cid[m], cache.cid[reps]):
+            bits[lo:lo + len(t)] -= lf[t].reshape(len(t), -1).sum(axis=1)
+        L4 += float(copies @ bits)
     return {"L1": L1, "L2": L2, "L3": L3, "L4": L4,
             "total": L1 + L2 + L3 + L4}

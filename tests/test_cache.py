@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partition_modes import (EngineParams, PairCache, PartitionSet,
-                             canonicalize, entropy, log2_omega,
+                             canonicalize, contingency_table, entropy, log2_omega,
                              modified_conditional_entropy, run, tables)
 from partition_modes import cache as cache_module
 from partition_modes.tables import DEFAULT_MAX_COST, Margin, _exact_orientation
@@ -233,6 +233,29 @@ def test_kernel_chunks_give_the_same_values(monkeypatch, cells):
     monkeypatch.setattr(cache_module, "_KERNEL_CELLS", cells)
     chunked = [PairCache(pset).hmod_given_mode(np.arange(30), m) for m in (0, 7)]
     assert all(np.array_equal(a, b) for a, b in zip(chunked, whole))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ensembles(), st.sampled_from([None, 1, 7, 40]))
+def test_tables_are_the_contingency_tables(pset, cells):
+    # each yielded table, cut to the pair's communities, is the reference
+    # table and is zero past them; small budgets split the samples over
+    # several chunks, so the start offsets are checked too
+    cells = cells or cache_module._KERNEL_CELLS
+    cache = PairCache(pset)
+    width = max(p.n for p in pset.partitions)
+    with patch.object(cache_module, "_KERNEL_CELLS", cells):
+        for m, mode in enumerate(pset.partitions):
+            seen = 0
+            for lo, t in cache._tables(cache.cid[m], cache.cid):
+                assert lo == seen and t.shape[1:] == (mode.n, width)
+                assert len(t) == 1 or t.size <= cells
+                for table, p in zip(t, pset.partitions[lo:]):
+                    assert np.array_equal(table[:, :p.n],
+                                          contingency_table(mode, p).t)
+                    assert not table[:, p.n:].any()
+                seen += len(t)
+            assert seen == pset.S
 
 
 def _rows_matrix(rows, n):

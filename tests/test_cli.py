@@ -6,8 +6,11 @@ import stat
 import numpy as np
 import pytest
 
-from partition_modes import Clustering, canonicalize, full_description_length
-from partition_modes.cli import build_parser, main
+from partition_modes import (Clustering, EngineParams, PairCache, PartitionSet,
+                             canonicalize, contingency_table,
+                             full_description_length, run)
+from partition_modes import cache as cache_module
+from partition_modes.cli import _agreement_table, build_parser, main
 from partition_modes.sampler import (PerturbationSpec, perturb_ensemble,
                                      write_partitions)
 
@@ -164,6 +167,34 @@ def test_cluster_json_output_and_artifacts(tmp_path, capsys):
     assert agree[0] == "node\tmode0"
     assert len(agree) == 1 + 6
     assert all(line.endswith("1.0000") for line in agree[1:])
+
+
+@pytest.mark.parametrize("cells", [None, 40])
+def test_agreement_table_matches_a_per_member_reference(monkeypatch, cells):
+    # two perturbed bases, repeated, so each cluster holds repeated
+    # contents; 40 cells fit one 5x5 or two 4x4 tables per kernel chunk
+    if cells:
+        monkeypatch.setattr(cache_module, "_KERNEL_CELLS", cells)
+    base_a = canonicalize(np.repeat(np.arange(4), 10))
+    base_b = canonicalize(np.arange(40) % 5)
+    spec = PerturbationSpec(bases=[(base_a, 0.5), (base_b, 0.5)],
+                            node_flip_rate=0.05, S=40, seed=3)
+    pset = PartitionSet.from_partitions(perturb_ensemble(spec)[0].partitions * 3)
+    cache = PairCache(pset)
+    clustering = run(pset, EngineParams(seed=0), cache=cache).clustering
+    assert clustering.K >= 2
+    expect = np.zeros((pset.N, clustering.K))
+    for k, m in enumerate(clustering.mode_index):
+        mode = pset.partitions[m]
+        members = clustering.members(k)
+        assert len({pset.partitions[i].key() for i in members}) < len(members)
+        for i in members:
+            p = pset.partitions[i]
+            mapped = contingency_table(mode, p).t.argmax(axis=0)[p.labels]
+            expect[:, k] += mapped == mode.labels
+        expect[:, k] /= len(members)
+    assert (_agreement_table(clustering, cache) == expect).all()
+    assert expect.min() < 1.0
 
 
 def test_cluster_deterministic_across_runs(tmp_path):

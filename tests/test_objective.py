@@ -8,6 +8,7 @@ from partition_modes import (Clustering, EngineParams, PairCache,
                              cluster_label_entropy, contingency_table,
                              description_length, full_description_length,
                              log2_omega, run, tables)
+from partition_modes import cache as cache_module
 from partition_modes.tables import (DEFAULT_MAX_COST, _clean_margins,
                                     _exact_orientation)
 from partition_modes.sampler import PerturbationSpec, perturb_ensemble
@@ -133,20 +134,27 @@ def test_exact_encoding_l4_takes_table_counts_at_the_cache_budget(budget,
                                                                   monkeypatch):
     monkeypatch.setattr(tables, "DEFAULT_MAX_COST", budget)
     rng = np.random.default_rng(8)
-    pset = PartitionSet.from_partitions(
-        [random_partition(12, 4, rng) for _ in range(15)])
-    assignment = np.arange(pset.S) % 3
-    clustering = Clustering(assignment, [0, 1, 2], 3)
-    enc = full_description_length(pset, clustering)
-    expect = 0.0
-    for i in range(pset.S):
-        mode = pset.partitions[clustering.mode_index[assignment[i]]]
-        p = pset.partitions[i]
-        t = contingency_table(mode, p).t
-        expect += (sum(math.log2(math.factorial(a)) for a in mode.counts)
-                   - sum(math.log2(math.factorial(x)) for x in t.ravel())
-                   + log2_omega(mode.counts, p.counts))
-    assert enc["L4"] == pytest.approx(expect, rel=1e-12)
+    distinct = [random_partition(12, 4, rng) for _ in range(15)]
+    # repeated contents are scored once and weighted by their copies
+    repeated = [distinct[i] for i in rng.integers(5, size=40)]
+    for parts, cells in ((distinct, cache_module._KERNEL_CELLS),
+                         (repeated, cache_module._KERNEL_CELLS),
+                         # tables of at most 16 cells, a few per chunk
+                         (distinct, 40), (repeated, 40)):
+        monkeypatch.setattr(cache_module, "_KERNEL_CELLS", cells)
+        pset = PartitionSet.from_partitions(parts)
+        assignment = np.arange(pset.S) % 3
+        clustering = Clustering(assignment, [0, 1, 2], 3)
+        enc = full_description_length(pset, clustering)
+        expect = 0.0
+        for i in range(pset.S):
+            mode = pset.partitions[clustering.mode_index[assignment[i]]]
+            p = pset.partitions[i]
+            t = contingency_table(mode, p).t
+            expect += (sum(math.log2(math.factorial(a)) for a in mode.counts)
+                       - sum(math.log2(math.factorial(x)) for x in t.ravel())
+                       + log2_omega(mode.counts, p.counts))
+        assert enc["L4"] == pytest.approx(expect, rel=1e-12)
 
 
 def test_per_sample_objective_tracks_exact_encoding():
@@ -197,3 +205,21 @@ def test_description_independent_of_cache_state(monkeypatch):
         swapped.hmod_given_mode([m], q)
     assert describe(warm) == fresh
     assert describe(swapped) == fresh
+
+
+def test_a_cache_of_another_partition_set_is_rejected():
+    # unchecked, a cache of this set with its first partition merged into
+    # one community makes description_length read 5.0 bits instead of
+    # 10.172, and run() 5.0 instead of 8.942
+    parts = [canonicalize(x) for x in ([0, 0, 1, 1, 2, 2], [0, 0, 0, 1, 1, 1],
+                                       [0, 1, 0, 1, 0, 1])]
+    pset = PartitionSet.from_partitions(parts)
+    other = PairCache(PartitionSet.from_partitions(
+        [canonicalize([0] * 6)] + parts[1:]))
+    clustering = Clustering(np.zeros(3, dtype=np.int64), [0], 1)
+    for call in (lambda c: description_length(pset, clustering, cache=c),
+                 lambda c: full_description_length(pset, clustering, cache=c),
+                 lambda c: run(pset, EngineParams(), cache=c)):
+        with pytest.raises(ValueError, match="another partition set"):
+            call(other)
+        call(PairCache(pset))
