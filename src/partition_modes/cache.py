@@ -10,26 +10,25 @@ only the unset ones.
 Missing H_mod pairs are computed in batches at the content level.  The
 cache holds one label row per distinct content, in the narrowest
 unsigned dtype that fits the largest community count, a table of
-x log2 x for the integers 0..N, and per content the sum a log2 a over
-its community sizes a.  The table is in int64 fixed point: x log2 x
-times the largest power of two 2^k with 2^k N log2 N <= 2^62, rounded.
-Integer sums are exact in any order, so a value does not depend on the
-batch that computed it.  With t the contingency table of sample q
-against mode m and a_k = sum_l t_kl the sizes of the mode's
-communities,
+x log2 x for the integers 0..N, and per margin signature (below) the
+sum a log2 a over its community sizes a.  The table is in int64 fixed
+point: x log2 x times the largest power of two 2^k with
+2^k N log2 N <= 2^62, rounded.  Integer sums are exact in any order, so
+a value does not depend on the batch that computed it.  With t the
+contingency table of sample q against mode m and a_k = sum_l t_kl the
+sizes of the mode's communities,
 
     H(q | m) = -sum_kl t_kl log2(t_kl / a_k) / N
              = (sum_k a_k log2 a_k - sum_kl t_kl log2 t_kl) / N,
 
 so a batch needs one ``bincount`` over joint label codes and a table
 lookup per count: no division, logarithm or mask over float tables.
-The samples of a batch go through in chunks whose tables hold at most
-``_KERNEL_CELLS`` counts (one sample at least), so the kernel's
-temporaries stay bounded however many communities the partitions have.
+The samples of a batch go through in chunks whose tables and label
+codes hold at most ``_KERNEL_CELLS`` elements (one sample at least), so
+the kernel's temporaries stay bounded however many communities or nodes
+the partitions have.
 One builder, ``PairCache._tables``, yields these tables to W, the exact
 encoding's L4 and the CLI's agreement table, one per distinct content.
-The entropy of every content comes from the same sums when the cache is
-built, as H(p) = log2 N - sum_k a_k log2 a_k / N.
 
 H_mod values live in one store of a direction-free part.  With J(q, m)
 the fixed-point joint sum, which is the same integer either way round,
@@ -53,8 +52,9 @@ function of m, J = A_m exactly and the sum cannot round below zero.
 Table counts depend only on the community sizes, which many contents
 share, so they are kept per margin signature: the sorted size vector,
 interned when the cache is built.  Each signature's ``Margin`` (see
-``tables``) is built with the cache, so its cost-model and estimator
-pieces are computed once per signature, not once per pair.
+``tables``), with its cost-model and estimator pieces, is built then,
+as are its size sum, community count and entropy
+H(p) = log2 N - sum_k a_k log2 a_k / N, gathered to its contents.
 The counts live in rows of the same kind, one per signature that has
 been the mode side of a lookup: the row of a holds log2 Omega(a, b),
 NaN where unset.  A count costs far more than a kernel pair, so a count
@@ -157,36 +157,33 @@ class PairCache:
 
     def __init__(self, pset: PartitionSet):
         self.pset = pset
-        self.cid, keys = _intern(p.key() for p in pset.partitions)
+        self.cid = _intern(p.key() for p in pset.partitions)[0]
         self.rep = np.unique(self.cid, return_index=True)[1]  # lowest index per id
-        self.n_cid = len(keys)
-        self._ncomm = np.array([pset.partitions[r].n for r in self.rep])
+        self.n_cid = len(self.rep)
+        # margin signatures, one Margin each, and their log2 Omega rows
+        self._margin_id, sigs = _intern(
+            tuple(sorted(pset.partitions[r].counts.tolist())) for r in self.rep)
+        self._margins = [Margin(s) for s in sigs]
+        self._omega_rows: dict[int, np.ndarray] = {}
         # content-level kernel tables (see the module docstring)
-        width = int(self._ncomm.max())
-        self._labels = np.stack([pset.partitions[r].labels for r in self.rep]).astype(
-            np.min_scalar_type(width))
         x = np.arange(pset.N + 1, dtype=np.float64)
         x[0] = 1.0                          # 0 log 0 = 0
         top = pset.N * math.log2(max(pset.N, 2))
         self._scale = 2.0 ** (62 - math.ceil(math.log2(top)))
         self._xlogx = np.rint(np.arange(pset.N + 1) * np.log2(x)
                               * self._scale).astype(np.int64)
-        offsets = (np.arange(self.n_cid) * width)[:, None]
-        sizes = np.bincount((self._labels + offsets).ravel(),
-                            minlength=self.n_cid * width)
-        size_xlogx = self._xlogx[sizes].reshape(self.n_cid, width).sum(axis=1)
-        self._mode_part = size_xlogx / (self._scale * pset.N)    # a(c)
+        # size-only values once per signature, gathered to its contents
+        self._ncomm = np.array([len(m) for m in self._margins])[self._margin_id]
+        size_xlogx = np.array([self._xlogx[list(m)].sum() for m in self._margins])
+        self._mode_part = size_xlogx[self._margin_id] / (self._scale * pset.N)  # a(c)
         self._entropy = np.maximum(0.0, np.log2(pset.N) - self._mode_part)
+        self._labels = np.stack([pset.partitions[r].labels for r in self.rep]).astype(
+            np.min_scalar_type(int(self._ncomm.max())))
         # W(c, x) in a dense row per content c, so batch lookups are
         # contiguous numpy gathers; unset cells are NaN
         self._by_mode: dict[int, np.ndarray] = {}
         # always empty: perfbench/tracing.py::cache_snapshot still reads it
         self._by_sample: dict[int, np.ndarray] = {}
-        # margin signatures, one Margin each, and their log2 Omega rows
-        self._margin_id, sigs = _intern(
-            tuple(sorted(pset.partitions[r].counts.tolist())) for r in self.rep)
-        self._margins = [Margin(s) for s in sigs]
-        self._omega_rows: dict[int, np.ndarray] = {}
 
     def omega_block(self, m_idx: int, q_indices) -> np.ndarray:
         """log2 table counts of mode m against samples q, a gather from
@@ -259,15 +256,15 @@ class PairCache:
                 - joint / (self._scale * N))
 
     def _tables(self, m_cid: int, q_cids: np.ndarray):
-        """(start, t) chunks of at most ``_KERNEL_CELLS`` counts: t[i, k, l]
-        counts the nodes in community k of content m and l of content
-        ``q_cids[start + i]``, zero-padded to the widest of ``q_cids``."""
+        """(start, t) chunks of at most ``_KERNEL_CELLS`` counts and label
+        codes: t[i, k, l] counts the nodes in community k of content m and
+        l of content ``q_cids[start + i]``, zero-padded to the widest."""
         # t_kl sums over joint codes, so the layout of the (mode, sample)
         # label pair is free: code = pair * width + mode * q_width + sample
         q_width = int(self._ncomm[q_cids].max())
         width = int(self._ncomm[m_cid]) * q_width
         mode_codes = self._labels[m_cid].astype(np.int64) * q_width
-        step = max(1, _KERNEL_CELLS // width)
+        step = max(1, _KERNEL_CELLS // max(width, self.pset.N))
         for lo in range(0, q_cids.size, step):
             chunk = q_cids[lo:lo + step]
             codes = (np.arange(chunk.size) * width)[:, None] + mode_codes

@@ -73,6 +73,8 @@ class EngineParams:
             ok = False
         if not ok or not math.isfinite(self.lam) or self.lam < 0:
             raise ValueError("invalid engine parameters")
+        # float64 whatever type λ came in: a float32 λ would round totals
+        self.lam = float(self.lam)
 
 
 def _given_members(members, cache: PairCache) -> _Members:
@@ -187,6 +189,10 @@ def find_mode_sampled(cluster_members, sample_size: int, priority: np.ndarray,
 
     ``cluster_members`` is partition indices or the engine's member set
     with its content vectors."""
+    try:
+        sample_size = operator.index(sample_size)
+    except TypeError:
+        raise ValueError("sample size must be an integer") from None
     if sample_size < 1:
         raise ValueError("sample size must be at least 1")
     group = _given_members(cluster_members, cache)

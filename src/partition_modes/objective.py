@@ -111,7 +111,7 @@ def description_length(pset: PartitionSet, clustering: Clustering,
     for k, m in enumerate(clustering.mode_index):
         cond += cache.hmod_given_mode(clustering.members(k), m).sum()
     cond_term = N / S * cond
-    penalty = lam * clustering.K
+    penalty = float(lam) * clustering.K
     return ObjectiveBreakdown(
         mode_entropy_term=mode_term,
         cluster_label_term=label_term,

@@ -162,6 +162,46 @@ def _check_kernel_against_reference(pset):
                        rtol=0, atol=1e-10)
 
 
+@st.composite
+def _shared_signatures(draw):
+    """Ensembles whose distinct contents share size vectors: node
+    permutations of a few bases, one of them a single community and, on
+    wide ones, one of more than 255 communities."""
+    N = draw(st.one_of(st.integers(1, 30), st.integers(260, 300)))
+    bases = [[0] * N] + draw(st.lists(
+        st.lists(st.integers(0, 6), min_size=N, max_size=N), max_size=2))
+    if N > 255:
+        bases.append(draw(_wide_labels(N)))
+    distinct = [draw(st.permutations(b)) for b in bases
+                for _ in range(draw(st.integers(1, 3)))]
+    # every base is in the set, its permutations and repeats at random
+    picks = bases + draw(st.lists(st.sampled_from(distinct), max_size=8))
+    return PartitionSet.from_partitions([canonicalize(p) for p in picks])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_shared_signatures())
+def test_size_only_values_are_the_label_bincounts(pset):
+    # computed once per margin signature, they are the same bytes as
+    # from a bincount of each content's own labels
+    cache = PairCache(pset)
+    N = pset.N
+    labels = np.stack([pset.partitions[r].labels for r in cache.rep])
+    width = int(labels.max()) + 1
+    sizes = np.bincount((labels + np.arange(cache.n_cid)[:, None] * width).ravel(),
+                        minlength=cache.n_cid * width)
+    size_xlogx = cache._xlogx[sizes].reshape(cache.n_cid, width).sum(axis=1)
+    mode_part = size_xlogx / (cache._scale * N)
+    entropy_ref = np.maximum(0.0, np.log2(N) - mode_part)
+    ncomm = np.array([pset.partitions[r].n for r in cache.rep])
+    for got, ref in ((cache._mode_part, mode_part), (cache._entropy, entropy_ref),
+                     (cache._ncomm, ncomm)):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    if N > 255:
+        assert cache._labels.dtype == np.uint16
+    assert 1 in cache._ncomm.tolist()
+
+
 @settings(max_examples=40, deadline=None)
 @given(_ensembles(), st.sampled_from([DEFAULT_MAX_COST, _COST]))
 def test_omega_block_is_log2_omega_bit_for_bit(pset, max_cost):
@@ -224,10 +264,34 @@ def test_kernel_memory_is_bounded_in_communities():
             modified_conditional_entropy(parts[q], parts[S]), abs=1e-9)
 
 
-@pytest.mark.parametrize("cells", [1, 60, 130])
+def test_kernel_memory_is_bounded_in_nodes(monkeypatch):
+    # chunks bounded by table cells alone would take 4096 // 4 samples
+    # of 2x2 tables, with one int64 label code per node of each: all 400
+    # samples of N=2000 in one chunk peaked at 7 MB
+    rng = np.random.default_rng(0)
+    S, N = 400, 2000
+    pset = PartitionSet.from_partitions(
+        [canonicalize(rng.integers(2, size=N)) for _ in range(S)])
+    assert len({p.key() for p in pset.partitions}) == S
+    whole = PairCache(pset).hmod_given_mode(range(S), 0)
+    monkeypatch.setattr(cache_module, "_KERNEL_CELLS", 4096)
+    cache = PairCache(pset)
+    cache.omega_block(0, np.arange(S))      # the counts are not the kernel's
+    tracemalloc.start()
+    try:
+        vals = cache.hmod_given_mode(range(S), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert np.array_equal(vals, whole)
+
+
+@pytest.mark.parametrize("cells", [1, 60, 130, 160])
 def test_kernel_chunks_give_the_same_values(monkeypatch, cells):
-    # tables of at most 25 cells: one sample per chunk, then a few with
-    # a shorter last chunk, against each row counted in one piece
+    # tables of at most 25 cells over 40 nodes: one sample per chunk for
+    # up to 79 cells, then chunks of 3, and of 4 with a shorter last one,
+    # against each row counted in one piece
     pset = _random_set(30, 40, 5)
     whole = [PairCache(pset).hmod_given_mode(np.arange(30), m) for m in (0, 7)]
     monkeypatch.setattr(cache_module, "_KERNEL_CELLS", cells)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from partition_modes import (Clustering, EngineParams, PairCache, PartitionSet,
-                             canonicalize, contingency_table,
+                             canonicalize, contingency_table, description_length,
                              full_description_length, run)
 from partition_modes import cache as cache_module
 from partition_modes.cli import _agreement_table, build_parser, main
@@ -296,6 +296,31 @@ def test_describe_round_trip(tmp_path, capsys):
         obj["mode_entropy"] + obj["cluster_labels"] + obj["conditional"]
         + obj["penalty"])
     assert set(desc["exact_encoding"]) == {"L1", "L2", "L3", "L4", "total"}
+
+
+@pytest.mark.parametrize("lam", [np.float32(1.0), np.int64(1), True])
+def test_lambda_of_any_number_type_gives_the_float_run(tmp_path, capsys, lam):
+    # a float32 lambda would make NumPy round every tracked total to
+    # float32 and leave a result that json cannot write; lambda=True
+    # would write "lambda": true, which describe rejects
+    bases = [(canonicalize(np.repeat(np.arange(4), 5)), 0.5),
+             (canonicalize(np.arange(20) % 5), 0.5)]
+    pset, _ = perturb_ensemble(PerturbationSpec(bases=bases, node_flip_rate=0.1,
+                                                S=120, seed=1))
+    want = run(pset, EngineParams(lam=1.0, seed=0)).to_json_dict()
+    got = run(pset, EngineParams(lam=lam, seed=0)).to_json_dict()
+    assert got == want
+    clustering = Clustering(assignment=np.array(want["assignment"]),
+                            mode_index=want["mode_index"], K=want["K"])
+    breakdown = description_length(pset, clustering, lam=lam)
+    assert json.dumps(breakdown.to_json_dict()) == json.dumps(want["objective"])
+    path, result_path = tmp_path / "p.txt", tmp_path / "result.json"
+    write_partitions(pset, path)
+    result_path.write_text(json.dumps(got))
+    rc = main(["describe", "--partitions", str(path),
+               "--clustering", str(result_path)])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["objective"] == want["objective"]
 
 
 def test_describe_ignores_a_stored_omega_budget(tmp_path, capsys):

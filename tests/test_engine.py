@@ -56,6 +56,11 @@ def test_engine_params_validation():
     for size in (0, -1):
         with pytest.raises(ValueError, match="sample size must be at least 1"):
             find_mode_sampled([0, 1, 2], size, np.zeros(3), cache)
+    # a float size would reach numpy as an index and raise its TypeError
+    for size in (2.5, 2.0, np.float64(2.0), "2", None):
+        with pytest.raises(ValueError, match="sample size must be an integer"):
+            find_mode_sampled([0, 1, 2], size, np.zeros(3), cache)
+    assert find_mode_sampled([0, 1, 2], np.int64(2), np.zeros(3), cache) == 0
     with pytest.raises(ValueError, match="empty cluster"):
         _members([], cache)
     # a negative index would wrap, a float truncate, a repeat count twice
