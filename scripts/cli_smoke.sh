@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Smoke test of the installed partition-modes command, run in a fresh
 # temporary directory: generate a ring of cliques, sample partitions of
-# it twice with one seed, cluster them and describe the stored
-# clustering; then sample a planted graph with an isolated node.  Fails
-# if a step exits non-zero, if the two samples differ, if describe does
+# it twice with one seed, cluster them twice under two hash seeds and
+# describe the stored clustering; then sample a planted graph with an
+# isolated node.  Fails if a step exits non-zero, if the two samples or
+# the two clusterings and agreement tables differ, if describe does
 # not score the stored clustering as cluster did, to within 1e-9, if the
 # agreement table lacks its header, a line per node or values in [0, 1],
 # or if a sampled partition of the planted graph does not cover its 40
@@ -16,8 +17,12 @@ partition-modes generate cliques --cliques 4 --size 5 --out ring
 partition-modes sample --graph ring.edges --s 50 --beta 50 --out ring.parts
 partition-modes sample --graph ring.edges --s 50 --beta 50 --out again.parts
 cmp ring.parts again.parts
-partition-modes cluster --partitions ring.parts --out result.json \
+PYTHONHASHSEED=0 partition-modes cluster --partitions ring.parts --out result.json \
     --agreement-out agree.tsv
+PYTHONHASHSEED=12345 partition-modes cluster --partitions ring.parts --out again.json \
+    --agreement-out again.tsv
+cmp result.json again.json
+cmp agree.tsv again.tsv
 partition-modes describe --partitions ring.parts --clustering result.json > described.json
 python - <<'PY'
 import json

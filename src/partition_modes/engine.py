@@ -7,6 +7,12 @@ accepting a proposal only if it strictly decreases the penalized
 description length.  Stops after a fixed number of consecutive
 rejections.
 
+Every edit of the cluster list goes through ``EngineState.replaced``:
+a move's first new cluster takes the index of the one it replaces, a
+dropped cluster's successors move up one, and other parts are
+appended.  Clusters a move does not name keep their order, and with it
+a seed's draws of cluster indices and so its trajectory.
+
 The k-means split works on the distinct contents of a cluster: its two
 seeds differ in content, every copy of a partition goes to the same
 part, and each part keeps its mode's content, so the two modes never
@@ -41,7 +47,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -108,6 +114,7 @@ class _Cluster:
         return self.group.index
 
 
+@dataclass(eq=False)
 class EngineState:
     """One clustering configuration plus its cached objective pieces.
 
@@ -116,13 +123,10 @@ class EngineState:
     first access and kept, so a state's clusters are final once it is
     read."""
 
-    def __init__(self, pset: PartitionSet, cache: PairCache, params: EngineParams,
-                 priority: np.ndarray, clusters: list[_Cluster]):
-        self.pset = pset
-        self.cache = cache
-        self.params = params
-        self.priority = priority
-        self.clusters = clusters
+    cache: PairCache
+    params: EngineParams
+    priority: np.ndarray
+    clusters: list[_Cluster]
 
     @property
     def K(self) -> int:
@@ -130,7 +134,7 @@ class EngineState:
 
     @functools.cached_property
     def total(self) -> float:
-        N, S = self.pset.N, self.pset.S
+        N, S = self.cache.pset.N, self.cache.pset.S
         sizes = [c.members.size for c in self.clusters]
         mode_term = N / S * sum(c.mode_entropy for c in self.clusters)
         cond_term = N / S * sum(c.cond_sum for c in self.clusters)
@@ -138,16 +142,20 @@ class EngineState:
         return mode_term + label_term + cond_term + self.params.lam * self.K
 
     def to_clustering(self) -> Clustering:
-        assignment = np.empty(self.pset.S, dtype=np.int64)
+        assignment = np.empty(self.cache.pset.S, dtype=np.int64)
         for k, c in enumerate(self.clusters):
             assignment[c.members] = k
         return Clustering(assignment=assignment,
                           mode_index=[c.mode for c in self.clusters],
                           K=self.K)
 
-    def replaced(self, new_clusters: list[_Cluster]) -> "EngineState":
-        return EngineState(self.pset, self.cache, self.params, self.priority,
-                           new_clusters)
+    def replaced(self, k: int, parts, drop: int | None = None) -> EngineState:
+        """``parts[0]`` at index k, cluster ``drop`` removed, the rest appended."""
+        clusters = list(self.clusters)
+        clusters[k] = parts[0]
+        if drop is not None:
+            del clusters[drop]
+        return replace(self, clusters=clusters + list(parts[1:]))
 
 
 def _weighted_argmin(candidates: np.ndarray, terms: np.ndarray, weights,
@@ -227,7 +235,7 @@ def propose_reassign(state: EngineState, rng: np.random.Generator) -> EngineStat
     """Move 1: move one random partition to the cluster with the nearest
     mode (by modified conditional entropy)."""
     cache = state.cache
-    p = int(rng.integers(state.pset.S))
+    p = int(rng.integers(cache.pset.S))
     c = int(cache.cid[p])
     modes = [cl.mode for cl in state.clusters]
     dists = cache.hmod_against_modes(p, modes)
@@ -238,14 +246,12 @@ def propose_reassign(state: EngineState, rng: np.random.Generator) -> EngineStat
                   and cl.members[i] == p)
     if k_to == k_from:
         return state
-    new = list(state.clusters)
-    new[k_to] = _make_cluster(np.append(state.clusters[k_to].members, p), state)
+    to = _make_cluster(np.append(state.clusters[k_to].members, p), state)
     origin = state.clusters[k_from].members
-    if origin.size > 1:
-        new[k_from] = _make_cluster(origin[origin != p], state)
-    else:
-        del new[k_from]
-    return state.replaced(new)
+    if origin.size == 1:
+        return state.replaced(k_to, [to], drop=k_from)
+    rest = _make_cluster(origin[origin != p], state)
+    return state.replaced(k_to, [to]).replaced(k_from, [rest])
 
 
 def propose_merge(state: EngineState, rng: np.random.Generator) -> EngineState | None:
@@ -255,10 +261,7 @@ def propose_merge(state: EngineState, rng: np.random.Generator) -> EngineState |
     k1, k2 = sorted(int(k) for k in rng.choice(state.K, size=2, replace=False))
     merged = _make_cluster(np.concatenate((state.clusters[k1].members,
                                            state.clusters[k2].members)), state)
-    new = list(state.clusters)
-    new[k1] = merged
-    del new[k2]
-    return state.replaced(new)
+    return state.replaced(k1, [merged], drop=k2)
 
 
 def _kmeans_split(members, state: EngineState, rng: np.random.Generator):
@@ -320,12 +323,7 @@ def propose_split(state: EngineState, rng: np.random.Generator) -> EngineState |
     """Move 3: split one random cluster into two."""
     k = int(rng.integers(state.K))
     parts = _kmeans_split(state.clusters[k].group, state, rng)
-    if parts is None:
-        return None
-    new = list(state.clusters)
-    new[k], c2 = parts
-    new.append(c2)
-    return state.replaced(new)
+    return None if parts is None else state.replaced(k, parts)
 
 
 def propose_merge_split(state: EngineState, rng: np.random.Generator) -> EngineState | None:
@@ -336,13 +334,7 @@ def propose_merge_split(state: EngineState, rng: np.random.Generator) -> EngineS
     k1, k2 = sorted(int(k) for k in rng.choice(state.K, size=2, replace=False))
     merged = np.concatenate((state.clusters[k1].members, state.clusters[k2].members))
     parts = _kmeans_split(merged, state, rng)
-    if parts is None:
-        return None
-    new = list(state.clusters)
-    new[k1], c2 = parts
-    del new[k2]
-    new.append(c2)
-    return state.replaced(new)
+    return None if parts is None else state.replaced(k1, parts, drop=k2)
 
 
 _MOVES = (propose_reassign, propose_merge, propose_split, propose_merge_split)
@@ -374,9 +366,9 @@ class ClusteringResult:
         }
 
 
-def _initial_state(pset, cache, params, rng, priority) -> EngineState:
-    state = EngineState(pset, cache, params, priority, [])
-    assignment = rng.integers(params.k0, size=pset.S)
+def _initial_state(cache, params, rng, priority) -> EngineState:
+    state = EngineState(cache, params, priority, [])
+    assignment = rng.integers(params.k0, size=cache.pset.S)
     for k in range(params.k0):
         members = np.flatnonzero(assignment == k)
         if members.size:
@@ -384,13 +376,10 @@ def _initial_state(pset, cache, params, rng, priority) -> EngineState:
     return state
 
 
-def _run_once(pset, cache, params, rng, keep_states=False):
-    priority = rng.random(pset.S)
-    state = _initial_state(pset, cache, params, rng, priority)
-    trace = []
-    accepted_states = []
+def _run_once(cache, params, rng, keep_states=False):
+    state = _initial_state(cache, params, rng, rng.random(cache.pset.S))
+    trace, accepted_states = [], []
     rejections = 0
-    step = 0
     while rejections < params.patience:
         move_id = int(rng.integers(len(_MOVES)))
         candidate = _MOVES[move_id](state, rng)
@@ -402,8 +391,7 @@ def _run_once(pset, cache, params, rng, keep_states=False):
                 accepted_states.append((state.to_clustering(), state.total))
         else:
             rejections += 1
-        trace.append((step, MOVE_NAMES[move_id], accepted, state.total))
-        step += 1
+        trace.append((len(trace), MOVE_NAMES[move_id], accepted, state.total))
     return state, trace, accepted_states
 
 
@@ -412,19 +400,14 @@ def run(pset: PartitionSet, params: EngineParams | None = None,
     """Optimize the penalized description length over clusterings.
 
     Deterministic given ``params.seed``; with restarts > 1 the run with
-    the lowest final objective wins.
+    the lowest final objective wins, the earliest of equal ones.
     """
     if params is None:
         params = EngineParams()
     cache = _cache_for(pset, cache)
-    best = None
-    for r in range(params.restarts):
-        rng = np.random.default_rng(params.seed + r)
-        state, trace, accepted = _run_once(pset, cache, params, rng,
-                                           keep_states=keep_states)
-        if best is None or state.total < best[0].total:
-            best = (state, trace, accepted)
-    state, trace, accepted = best
+    runs = (_run_once(cache, params, np.random.default_rng(params.seed + r), keep_states)
+            for r in range(params.restarts))
+    state, trace, accepted = min(runs, key=lambda r: r[0].total)
     clustering = state.to_clustering()
     breakdown = description_length(pset, clustering, lam=params.lam, cache=cache)
     return ClusteringResult(

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import atomic_text_file
-from .partitions import Partition, canonicalize
+from .partitions import Partition, _int64_values, canonicalize
 
 
 @dataclass
@@ -45,7 +45,9 @@ def planted_partition(N: int, q: int, p_in: float, p_out: float,
 def sbm(group_sizes, omega: np.ndarray, seed: int = 0) -> tuple[Graph, Partition]:
     """General stochastic block model with mixing matrix ``omega``:
     each pair i < j gets an edge with probability omega[g_i][g_j]."""
-    sizes = [int(s) for s in group_sizes]
+    sizes = _int64_values(group_sizes, "group sizes")
+    if np.any(sizes < 0):
+        raise ValueError("group sizes must be non-negative")
     omega = np.asarray(omega, dtype=np.float64)
     if omega.shape != (len(sizes), len(sizes)):
         raise ValueError("mixing matrix dimension does not match group count")

@@ -90,7 +90,8 @@ def cluster_label_entropy(cluster_sizes, S: int) -> float:
     if sizes.sum() != S or np.any(sizes < 1):
         raise ValueError("cluster sizes must be positive and sum to S")
     f = sizes / S
-    return float(-np.sum(f * np.log2(f)))
+    # 0 - x, not -x: a single cluster's entropy is 0.0, not -0.0
+    return float(0.0 - np.sum(f * np.log2(f)))
 
 
 def description_length(pset: PartitionSet, clustering: Clustering,

@@ -37,10 +37,21 @@ class Partition:
         return hash(self.key())
 
 
+def _int64_values(raw, what="partition labels") -> np.ndarray:
+    """``raw`` as int64, int64 input not copied.  A float is taken only
+    at an integral value within int64: truncated, two labels could merge
+    their communities."""
+    arr = np.asarray(raw)
+    if arr.dtype.kind not in "bi" and not (arr.dtype.kind in "fu" and np.all(
+            (arr == np.floor(arr)) & (arr >= -2 ** 63) & (arr < 2 ** 63))):
+        raise ValueError(what + " must be integers")
+    return arr.astype(np.int64, copy=False)
+
+
 def canonicalize(raw_labels) -> Partition:
     """Relabel arbitrary integer community labels to 0..n-1 by first
     appearance and drop empty communities."""
-    arr = np.asarray(raw_labels, dtype=np.int64)
+    arr = np.asarray(raw_labels)
     if arr.ndim != 1:
         raise ValueError("partition labels must be a 1-D sequence")
     return canonicalize_rows(arr[None, :])[0]
@@ -50,7 +61,7 @@ def canonicalize_rows(raw_rows) -> list[Partition]:
     """Canonicalize every row of an S x N label matrix, as
     ``canonicalize`` does one row, a block of rows per numpy pass.  The
     returned partitions' labels are rows of one S x N array."""
-    raw = np.asarray(raw_rows, dtype=np.int64)
+    raw = _int64_values(raw_rows)
     if raw.ndim != 2:
         raise ValueError("partition rows must be a 2-D S x N label matrix")
     if raw.size == 0:

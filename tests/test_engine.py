@@ -22,7 +22,7 @@ from conftest import random_partition
 
 def _state_from_assignment(pset, cache, params, assignment):
     priority = np.random.default_rng(0).random(pset.S)
-    state = EngineState(pset, cache, params, priority, [])
+    state = EngineState(cache, params, priority, [])
     for k in sorted(set(assignment)):
         members = [i for i, a in enumerate(assignment) if a == k]
         state.clusters.append(_make_cluster(members, state))
@@ -342,6 +342,9 @@ def test_result_json_schema():
     assert data["lambda"] == 2.0
     assert len(data["assignment"]) == 5
     assert data["modes"][0] == [0, 0, 1, 1]
+    # one cluster's label entropy is written 0.0, not -0.0
+    assert data["objective"]["cluster_labels"] == 0.0
+    assert "-0.0" not in json.dumps(data)
 
 
 def test_restarts_keep_the_best_run_deterministically():
@@ -399,6 +402,28 @@ def test_run_independent_of_cache_state(monkeypatch):
         assert warm.to_json_dict() == run(pset, EngineParams(seed=seed)).to_json_dict()
 
 
+def test_replaced_keeps_the_clusters_it_does_not_name_in_order():
+    # stand-ins for clusters, compared by identity
+    a, b, c, d, x, y = (object() for _ in range(6))
+    pset = PartitionSet.from_partitions([canonicalize([0, 1])])
+    state = EngineState(PairCache(pset), EngineParams(), np.zeros(1), [a, b, c, d])
+
+    def ids(clusters):
+        return [id(cl) for cl in clusters]
+
+    cases = [((1, [x]), [a, x, c, d]),          # replace
+             ((1, [x], 3), [a, x, c]),           # replace, drop after k
+             ((2, [x], 0), [b, x, d]),           # replace, drop before k
+             ((1, [x, y]), [a, x, c, d, y]),     # replace and append
+             ((1, [x, y], 2), [a, x, d, y]),     # replace, drop after k, append
+             ((3, [x, y], 0), [b, c, x, y])]     # replace, drop before k, append
+    for args, want in cases:
+        new = state.replaced(*args)
+        assert ids(new.clusters) == ids(want)
+        assert new.cache is state.cache and new.priority is state.priority
+    assert ids(state.clusters) == ids([a, b, c, d])
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_proposals_keep_members_sorted_and_total_consistent(data):
@@ -414,7 +439,7 @@ def test_proposals_keep_members_sorted_and_total_consistent(data):
                           k0=data.draw(st.integers(1, 4)),
                           mode_sample_size=data.draw(st.integers(1, 4)))
     cache = PairCache(pset)
-    state = _initial_state(pset, cache, params, rng, rng.random(S))
+    state = _initial_state(cache, params, rng, rng.random(S))
     moves = data.draw(st.lists(st.integers(0, len(_MOVES) - 1), min_size=1,
                                max_size=12), label="moves")
     for move in moves:
@@ -429,6 +454,10 @@ def test_proposals_keep_members_sorted_and_total_consistent(data):
             [c.members for c in candidate.clusters])), np.arange(S))
         fresh = description_length(pset, candidate.to_clustering(), lam=params.lam)
         assert candidate.total == pytest.approx(fresh.total, abs=1e-9)
+        # the clusters a move leaves alone keep their relative order
+        old = {id(c): k for k, c in enumerate(state.clusters)}
+        kept = [old[id(c)] for c in candidate.clusters if id(c) in old]
+        assert kept == sorted(kept)
         state = candidate
 
 
@@ -444,7 +473,7 @@ def test_kmeans_split_keeps_every_content_on_one_side(data):
     params = EngineParams(mode_sample_size=data.draw(st.integers(1, 4)))
     cache = PairCache(pset)
     members = np.sort(rng.choice(S, size=data.draw(st.integers(1, S)), replace=False))
-    state = EngineState(pset, cache, params, rng.random(S), [])
+    state = EngineState(cache, params, rng.random(S), [])
     with patch.object(engine, "MAX_KMEANS_ITERS", data.draw(st.integers(1, 4))):
         parts = _kmeans_split(members, state, rng)
     if len(set(cache.cid[members].tolist())) == 1:
@@ -469,8 +498,7 @@ def test_kmeans_split_modes_never_coincide(monkeypatch):
     # every iteration asks for the modes of both parts, so the mode
     # queries come in pairs
     params = EngineParams(mode_sample_size=5)
-    state = EngineState(pset, cache, params, np.random.default_rng(0).random(pset.S),
-                        [])
+    state = EngineState(cache, params, np.random.default_rng(0).random(pset.S), [])
     searches = []
 
     def counted(members, *args):

@@ -93,6 +93,19 @@ def test_sbm_validation_and_edges():
     assert empty.num_edges == 0
     lonely, _ = sbm([1, 1, 1], np.eye(3))
     assert lonely.num_edges == 0
+    # a size is not truncated: [2.7, 2] would build a 2-node first group
+    for sizes in ([2.7, 2], [2, float("nan")], [float("inf")], [1e300], ["2", 2],
+                  [None], np.array([1.5, 2.0])):
+        with pytest.raises(ValueError, match="group sizes must be integers"):
+            sbm(sizes, np.eye(len(sizes)))
+    for sizes in ([-1, 3], [2.0, -2.0]):
+        with pytest.raises(ValueError, match="group sizes must be non-negative"):
+            sbm(sizes, np.eye(2))
+    # integral floats and NumPy integers are sizes
+    _, truth = sbm([2.0, np.int64(3), np.uint8(0), 1], np.eye(4))
+    assert truth.counts.tolist() == [2, 3, 1]
+    _, truth = planted_partition(4.0, 2, 1.0, 0.0)
+    assert truth.counts.tolist() == [2, 2]
 
 
 def test_sbm_nested_instance_edge_count():

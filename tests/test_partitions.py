@@ -11,7 +11,7 @@ from partition_modes import (canonicalize, conditional_entropy,
                              contingency_table, entropy, log2_omega,
                              modified_conditional_entropy, Partition,
                              PartitionSet)
-from partition_modes.partitions import canonicalize_rows
+from partition_modes.partitions import _int64_values, canonicalize_rows
 from partition_modes.sampler import load_partitions
 
 from conftest import random_partition
@@ -62,6 +62,24 @@ def test_canonicalize_empty_input():
     for raw in (np.zeros((2, 3), dtype=np.int64), 5):
         with pytest.raises(ValueError, match="must be a 1-D sequence"):
             canonicalize(raw)
+
+
+def test_canonicalize_takes_only_integral_labels():
+    # a truncated label would merge communities 0.2 and 0.7
+    for raw in ([0.2, 0.7, 1.5], [0, 0.5], [np.nan, 0], [np.inf, 0], ["1", "2"],
+                [2 ** 63, 0], [2 ** 64, 0], np.array([2 ** 63, 0], dtype=np.uint64)):
+        with pytest.raises(ValueError, match="partition labels must be integers"):
+            canonicalize(raw)
+        with pytest.raises(ValueError, match="partition labels must be integers"):
+            canonicalize_rows([raw, raw])
+    # integral floats, as np.loadtxt reads them, and the int64 extremes
+    assert canonicalize([3.0, 1.0, 3.0]).labels.tolist() == [0, 1, 0]
+    assert canonicalize([-2.0 ** 63, 2 ** 62]).labels.tolist() == [0, 1]
+    assert canonicalize([INT64_MIN, INT64_MAX, INT64_MIN]).labels.tolist() == [0, 1, 0]
+    assert canonicalize(np.array([9, 2, 9], dtype=np.uint8)).labels.tolist() == [0, 1, 0]
+    # an int64 matrix, as load_partitions passes, is read in place
+    rows = np.array([[4, 4, 1], [1, 2, 3]], dtype=np.int64)
+    assert _int64_values(rows) is rows
 
 
 @given(label_lists)
