@@ -3,12 +3,14 @@
 # temporary directory: generate a ring of cliques, sample partitions of
 # it twice with one seed, cluster them twice under two hash seeds and
 # describe the stored clustering; then sample a planted graph with an
-# isolated node.  Fails if a step exits non-zero, if the two samples or
-# the two clusterings and agreement tables differ, if describe does
-# not score the stored clustering as cluster did, to within 1e-9, if the
-# agreement table lacks its header, a line per node or values in [0, 1],
-# or if a sampled partition of the planted graph does not cover its 40
-# nodes.
+# isolated node, and generate a block model whose mixing matrix is a
+# JSON object.  Fails if a step but the last exits non-zero, if the two
+# samples or the two clusterings and agreement tables differ, if
+# describe does not score the stored clustering as cluster did, to
+# within 1e-9, if the agreement table lacks its header, a line per node
+# or values in [0, 1], if a sampled partition of the planted graph does
+# not cover its 40 nodes, or if the block model does not exit 1 with
+# one stderr line that starts "error:" and no traceback.
 #
 #   bash scripts/cli_smoke.sh
 set -euo pipefail
@@ -46,3 +48,13 @@ PY
 partition-modes generate planted --n 40 --q 4 --pin 0.1 --pout 0 --seed 0 --out planted
 partition-modes sample --graph planted.edges --s 20 --out planted.parts
 awk 'NF != 40 { print "line " NR ": " NF " labels, expected 40"; exit 1 }' planted.parts
+# a mixing matrix that is not an array of numbers is one error line
+status=0
+partition-modes generate sbm --sizes 3,3 --omega '{"a": 1}' --out bad 2> bad.err \
+    || status=$?
+if [ "$status" -ne 1 ] || [ "$(wc -l < bad.err)" -ne 1 ] \
+        || ! grep -q '^error:' bad.err || grep -q Traceback bad.err; then
+    echo "generate sbm with a JSON object as omega: exit $status, stderr:"
+    cat bad.err
+    exit 1
+fi

@@ -24,8 +24,7 @@ def cmd_generate(args) -> int:
                                                 args.pout, seed=args.seed)
     elif args.kind == "sbm":
         sizes = [int(s) for s in args.sizes.split(",")]
-        omega = np.array(json.loads(args.omega))
-        graph, truth = graphs.sbm(sizes, omega, seed=args.seed)
+        graph, truth = graphs.sbm(sizes, json.loads(args.omega), seed=args.seed)
     else:
         graph, truth = graphs.ring_of_cliques(args.cliques, args.size)
     graphs.write_edge_list(graph, args.out + ".edges")
@@ -222,7 +221,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as err:
+    except (ValueError, OSError, KeyError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 1
     except MemoryError:

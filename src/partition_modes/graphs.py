@@ -13,7 +13,8 @@ from .partitions import Partition, _int64_values, canonicalize
 
 @dataclass
 class Graph:
-    """Simple undirected graph: nodes 0..N-1, edges as (u, v) with u < v."""
+    """Simple undirected graph: nodes 0..N-1, edges as (u, v) with u < v;
+    an edge with u > v raises ValueError, so no pair is stored twice."""
 
     N: int
     edges: set
@@ -22,6 +23,8 @@ class Graph:
         for u, v in self.edges:
             if u == v:
                 raise ValueError("self-loop (%d, %d)" % (u, v))
+            if u > v:
+                raise ValueError("edge (%d, %d) is not written u < v" % (u, v))
             if not (0 <= u < self.N and 0 <= v < self.N):
                 raise ValueError("edge endpoint out of range: (%d, %d)" % (u, v))
 
@@ -48,7 +51,10 @@ def sbm(group_sizes, omega: np.ndarray, seed: int = 0) -> tuple[Graph, Partition
     sizes = _int64_values(group_sizes, "group sizes")
     if np.any(sizes < 0):
         raise ValueError("group sizes must be non-negative")
-    omega = np.asarray(omega, dtype=np.float64)
+    try:
+        omega = np.asarray(omega, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError("mixing matrix must be an array of numbers") from None
     if omega.shape != (len(sizes), len(sizes)):
         raise ValueError("mixing matrix dimension does not match group count")
     if not np.all((omega >= 0) & (omega <= 1)):   # also rejects NaN

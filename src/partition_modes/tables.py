@@ -13,9 +13,9 @@ carries what the cost model and the estimator need of that margin
 alone: its total and sum of squares, its (value, multiplicity) runs,
 the cap on the recursion's states, and per other-margin length the
 composition counts of its rows and its column term, memoized on first
-use.  The functions take plain sequences or ``Margin`` objects; a plain
-sequence is cleaned into a fresh ``Margin`` on every call, so a caller
-that counts one margin against many passes the same object each time.
+use.  ``Margin`` is the one cleaner of a margin, and ``Margin(m)``
+returns a ``Margin`` m as it is, so a caller that counts one margin
+against many passes the same object each time.
 
 The module keeps no state: the memos live on the caller's ``Margin``
 objects, and ``PairCache`` memoizes the table counts of one ensemble,
@@ -93,9 +93,11 @@ class Margin(tuple):
 
     Zero sums are dropped: they force a zero row or column and do not
     affect the count.  A negative sum, or one that is not a finite
-    integral value, raises ValueError."""
+    integral value, raises ValueError; a ``Margin`` is returned as is."""
 
     def __new__(cls, values):
+        if isinstance(values, Margin):
+            return values
         values = [_integral(v) for v in values]
         if any(v < 0 for v in values):
             raise ValueError("negative margin")
@@ -130,14 +132,9 @@ class Margin(tuple):
         return out
 
 
-def _margin(values) -> Margin:
-    return values if isinstance(values, Margin) else Margin(values)
-
-
 def _clean_margins(row_sums, col_sums) -> tuple[Margin, Margin]:
-    """Both margins as ``Margin`` objects, checked to share one total;
-    ``Margin`` arguments are taken as they are."""
-    rows, cols = _margin(row_sums), _margin(col_sums)
+    """Both margins as ``Margin`` objects, checked to share one total."""
+    rows, cols = Margin(row_sums), Margin(col_sums)
     if rows.total != cols.total:
         raise ValueError("margin sums unequal")
     return rows, cols
@@ -150,7 +147,7 @@ def _recursion_cost(rows, cols) -> float:
     inclusion-exclusion terms of the closed-form second-to-last row at
     every state that reaches it; 1 when a margin is a single part or all
     unit sums, which are counted in closed form."""
-    rows, cols = _margin(rows), _margin(cols)
+    rows, cols = Margin(rows), Margin(cols)
     if len(rows) <= 1 or len(cols) <= 1 or rows[-1] == 1 or cols[-1] == 1:
         return 1.0
     cap = cols.cap
@@ -217,16 +214,6 @@ def _bounded_compositions(a: int, caps):
     counts = np.zeros(n, dtype=object)
     np.add.at(counts, row, coef.astype(object) * binoms[slot])
     return counts.tolist()
-
-
-def _state_dtype(largest: int):
-    """The narrowest signed integer type that holds every column sum up
-    to ``largest`` and its negation, so a remainder that goes below zero
-    stays representable."""
-    for dtype in (np.int8, np.int16, np.int32):
-        if largest <= np.iinfo(dtype).max:
-            return dtype
-    return np.int64
 
 
 def _compositions(a: int, k: int, max_rows: int):
@@ -322,37 +309,38 @@ def _count_exact_int(rows, cols) -> int:
     sums, level by level, with the ways to reach each state kept per
     distinct sorted vector of remaining column sums.
 
-    Rows are taken in ascending order.  The last row is forced by the
-    remaining column sums, and the second-to-last is counted in closed
-    form by ``_bounded_compositions`` under the remaining column caps,
-    for all distinct states at once, so the two largest rows, whose
-    compositions are the most numerous, are never enumerated; only the
-    small rows branch.  Each of those is one numpy step over all the
-    states of its level (``_take_row``), in chunks of at most ``_CHUNK``
-    elements.  The states are arrays of the narrowest integer type that
-    holds the column sums; the ways are int64 when a bound on them fits
-    and Python integers otherwise, so every count is exact.  Nothing
-    recurses per row or per column, so wide and tall tables are counted
-    too.
+    ``Margin`` cleans both margins: a zero sum, which forces a zero row
+    or column, is dropped, and a negative or non-integral one raises
+    ValueError.  Rows are taken in ascending order.  The last row is
+    forced by the remaining column sums, and the second-to-last is
+    counted in closed form by ``_bounded_compositions`` under the
+    remaining column caps, for all distinct states at once, so the two
+    largest rows, whose compositions are the most numerous, are never
+    enumerated; only the small rows branch.  Each of those is one numpy
+    step over all the states of its level (``_take_row``), in chunks of
+    at most ``_CHUNK`` elements.  The states are arrays of the narrowest
+    integer type that holds the column sums; the ways are int64 when a
+    bound on them fits and Python integers otherwise, so every count is
+    exact.  Nothing recurses per row or per column, so wide and tall
+    tables are counted too.
 
     When every row (or column) sum is 1, each unit row picks the column
     of its one entry, and the count is the multinomial coefficient
     N! / prod(c!) over the other margin."""
-    # a zero sum forces a zero row or column
-    rows = sorted(r for r in rows if r)
-    cols = sorted(c for c in cols if c)
+    rows, cols = Margin(rows), Margin(cols)
     if len(rows) <= 1 or len(cols) <= 1:
         return 1
     if cols[-1] == 1:
         rows, cols = cols, rows
     if rows[-1] == 1:
-        count = math.factorial(sum(rows))
+        count = math.factorial(rows.total)
         for c in cols:
             count //= math.factorial(c)
         return count
     # the states are the sorted remaining column sums; entry j of each is
-    # at most cols[j], so one cap per column serves every level
-    top = np.array(cols, _state_dtype(cols[-1]))
+    # at most cols[j], so one cap per column serves every level; its type
+    # is the narrowest signed one holding every remainder -cols[-1]..cols[-1]
+    top = np.array(cols, np.min_scalar_type(-cols[-1] - 1))
     states = top[None, :]
     # the ways sum to the partial tables of a level, which are at most the
     # product of the rows' composition counts; int64 holds them if that does
@@ -426,10 +414,8 @@ def count_tables_gaussian(row_sums, col_sums) -> float:
     the estimator by some other route (ROADMAP.md, "Benchmark
     catch-up")."""
     rows, cols = _clean_margins(row_sums, col_sums)
-    if len(rows) <= 1 or len(cols) <= 1:
-        return 0.0
-    if rows[-1] == 1 or cols[-1] == 1:
-        return _log2_int(_count_exact_int(rows, cols))  # the multinomial
+    if len(rows) <= 1 or len(cols) <= 1 or rows[-1] == 1 or cols[-1] == 1:
+        return _log2_int(_count_exact_int(rows, cols))  # 1 or the multinomial
     est = 0.5 * (_effective_columns(rows, cols) + _effective_columns(cols, rows))
     return max(0.0, est)
 
@@ -439,12 +425,13 @@ def log2_omega(row_sums, col_sums) -> float:
     exact when ``_recursion_cost`` stays within ``DEFAULT_MAX_COST``, the
     effective-columns estimate otherwise.  Nothing is memoized.
 
-    The value is computed from the sorted margins in a canonical
-    (small, large) order, so ``log2_omega(r, c)`` and
-    ``log2_omega(c, r)`` return the same float.
-    """
-    small, large = sorted(_clean_margins(row_sums, col_sums))
+    ``log2_omega(r, c) == log2_omega(c, r)`` with no canonical order:
+    the count is transpose-symmetric, ``_exact_orientation`` decides the
+    budget on the cheaper orientation of the two, and the estimate is
+    ``0.5 * (a + b)`` over both orientations, where float addition
+    commutes."""
+    rows, cols = _clean_margins(row_sums, col_sums)
     try:
-        return count_tables_exact(small, large)
+        return count_tables_exact(rows, cols)
     except ValueError:  # over the budget: the margins are already clean
-        return count_tables_gaussian(small, large)
+        return count_tables_gaussian(rows, cols)

@@ -48,6 +48,18 @@ def test_generate_sbm(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("nodes 20")
 
 
+@pytest.mark.parametrize("omega", ['{"a": 1}', '[[0.5, 0.1], [0.1]]'],
+                         ids=["object", "ragged"])
+def test_generate_sbm_rejects_a_matrix_that_is_not_numbers(tmp_path, capsys,
+                                                          omega):
+    rc = main(["generate", "sbm", "--sizes", "3,3", "--omega", omega,
+               "--out", str(tmp_path / "x")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: mixing matrix must be an array of numbers\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_generate_bad_params(tmp_path, capsys):
     rc = main(["generate", "planted", "--n", "10", "--q", "3",
                "--pin", "0.2", "--pout", "0.1", "--out", str(tmp_path / "x")])

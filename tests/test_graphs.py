@@ -10,6 +10,10 @@ def test_graph_validation():
         Graph(N=3, edges={(1, 1)})
     with pytest.raises(ValueError, match="out of range"):
         Graph(N=3, edges={(0, 5)})
+    # one pair written both ways would be two edges of a multigraph
+    for edges in ({(1, 0)}, {(0, 1), (1, 0)}):
+        with pytest.raises(ValueError, match=r"edge \(1, 0\) is not written u < v"):
+            Graph(N=3, edges=edges)
 
 
 def test_ring_of_cliques_paper_instance():
@@ -89,6 +93,9 @@ def test_sbm_validation_and_edges():
         sbm([5, 5], np.array([[0.1, 0.2], [0.3, 0.1]]))
     with pytest.raises(ValueError, match="in \\[0, 1\\]"):
         sbm([5, 5], np.array([[1.5, 0.1], [0.1, 0.2]]))
+    for omega in ({"a": 1}, [[0.5, 0.1], [0.1]], [[0.5, "x"], ["x", 0.5]]):
+        with pytest.raises(ValueError, match="mixing matrix must be an array of numbers"):
+            sbm([3, 3], omega)
     empty, _ = sbm([5, 5], np.zeros((2, 2)))
     assert empty.num_edges == 0
     lonely, _ = sbm([1, 1, 1], np.eye(3))
