@@ -15,7 +15,7 @@ from .cache import PairCache, _members
 from .engine import EngineParams, run
 from .fileio import atomic_text_file
 from .objective import Clustering, description_length, full_description_length
-from .partitions import canonicalize
+from .partitions import PartitionSet, canonicalize
 
 
 def cmd_generate(args) -> int:
@@ -28,8 +28,7 @@ def cmd_generate(args) -> int:
     else:
         graph, truth = graphs.ring_of_cliques(args.cliques, args.size)
     graphs.write_edge_list(graph, args.out + ".edges")
-    with atomic_text_file(args.out + ".truth") as fh:
-        fh.write(" ".join(str(int(x)) for x in truth.labels) + "\n")
+    sampler.write_partitions(PartitionSet.from_partitions([truth]), args.out + ".truth")
     print("nodes %d edges %d" % (graph.N, graph.num_edges))
     return 0
 
@@ -80,8 +79,8 @@ def cmd_cluster(args) -> int:
         print("description length = %.4f bits" % result.breakdown.total)
     if args.modes_out:
         for k, mode in enumerate(result.modes):
-            with atomic_text_file("%s.mode%d.txt" % (args.modes_out, k)) as fh:
-                fh.write(" ".join(str(int(x)) for x in mode.labels) + "\n")
+            sampler.write_partitions(PartitionSet.from_partitions([mode]),
+                                     "%s.mode%d.txt" % (args.modes_out, k))
     if args.agreement_out:
         agree = _agreement_table(result.clustering, cache)
         header = "node\t" + "\t".join("mode%d" % k for k in range(result.clustering.K))

@@ -1,10 +1,13 @@
-"""Atomic text output shared by the writers and the CLI."""
+"""Text files: atomic output, and the one line format of partition and
+edge-list files, whitespace-separated integers."""
 
 from __future__ import annotations
 
 import os
 import secrets
 from contextlib import contextmanager
+
+import numpy as np
 
 
 @contextmanager
@@ -24,3 +27,22 @@ def atomic_text_file(path):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def int_lines(path, what: str):
+    """Yield ``(line number, int64 array)`` per line of ``path``, skipping
+    blank lines and those whose first token starts with '#'.  A token is
+    read as Python's ``int`` reads it; one that is not an integer, or lies
+    past int64, raises ValueError naming the line and ``what``."""
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            tokens = line.split()
+            if not tokens or tokens[0].startswith("#"):
+                continue
+            try:
+                values = np.array(tokens, dtype=np.int64)
+            except ValueError:
+                raise ValueError("line %d: non-integer %s" % (lineno, what)) from None
+            except OverflowError:
+                raise ValueError("line %d: %s out of range" % (lineno, what)) from None
+            yield lineno, values

@@ -2,24 +2,34 @@
 
 from __future__ import annotations
 
+import itertools
+import operator
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import atomic_text_file
+from .fileio import atomic_text_file, int_lines
 from .partitions import Partition, _int64_values, canonicalize
 
 
 @dataclass
 class Graph:
-    """Simple undirected graph: nodes 0..N-1, edges as (u, v) with u < v;
-    an edge with u > v raises ValueError, so no pair is stored twice."""
+    """Simple undirected graph: nodes 0..N-1 for an integer N >= 0, edges
+    as integer pairs (u, v) with u < v, so no pair is stored twice; any
+    other N or edge raises ValueError."""
 
     N: int
     edges: set
 
     def __post_init__(self):
+        try:
+            for x in itertools.chain([self.N], *self.edges):
+                operator.index(x)
+        except TypeError:
+            raise ValueError("node count and endpoints must be integers") from None
+        if self.N < 0:
+            raise ValueError("negative node count")
         for u, v in self.edges:
             if u == v:
                 raise ValueError("self-loop (%d, %d)" % (u, v))
@@ -106,44 +116,32 @@ _HEADER = re.compile(r"#\s*(\d+) nodes, \d+ edges")
 
 
 def read_edge_list(path) -> Graph:
-    """Parse a whitespace-separated edge list; '#' lines are comments.
-    A first line '# N nodes, E edges', as ``write_edge_list`` writes,
-    gives the node count, so isolated nodes survive a round trip;
-    without it the count is the largest node id + 1.  Duplicate edges,
-    self-loops, node ids past the header's count and malformed lines are
-    errors."""
-    edges = set()
-    N = None
-    max_node = -1
+    """Parse an edge list, one 'u v' pair per line in the line format of
+    ``fileio.int_lines``.  A first line '# N nodes, E edges', as
+    ``write_edge_list`` writes, gives the node count, so isolated nodes
+    survive a round trip; without it the count is the largest id + 1.
+    Duplicate edges, self-loops, negative ids, ids past the header's count
+    and lines of other than two ids are errors."""
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            header = _HEADER.fullmatch(line) if lineno == 1 else None
-            if header:
-                N = int(header.group(1))
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError("line %d: expected two node ids" % lineno)
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ValueError("line %d: non-integer node id" % lineno) from None
-            if u < 0 or v < 0:
-                raise ValueError("line %d: negative node id" % lineno)
-            if N is not None and max(u, v) >= N:
-                raise ValueError("line %d: node id past the %d nodes of the header"
-                                 % (lineno, N))
-            if u == v:
-                raise ValueError("line %d: self-loop" % lineno)
-            edge = (min(u, v), max(u, v))
-            if edge in edges:
-                raise ValueError("line %d: duplicate edge %s" % (lineno, edge))
-            edges.add(edge)
-            max_node = max(max_node, u, v)
+        header = _HEADER.fullmatch(fh.readline().strip())
+    N = int(header.group(1)) if header else None
+    edges = set()
+    for lineno, ids in int_lines(path, "node id"):
+        if len(ids) != 2:
+            raise ValueError("line %d: expected two node ids" % lineno)
+        u, v = edge = tuple(sorted(ids.tolist()))
+        if u < 0:
+            raise ValueError("line %d: negative node id" % lineno)
+        if N is not None and v >= N:
+            raise ValueError("line %d: node id past the %d nodes of the header"
+                             % (lineno, N))
+        if u == v:
+            raise ValueError("line %d: self-loop" % lineno)
+        if edge in edges:
+            raise ValueError("line %d: duplicate edge %s" % (lineno, edge))
+        edges.add(edge)
     if N is None:
-        if max_node < 0:
+        if not edges:
             raise ValueError("edge list is empty")
-        N = max_node + 1
+        N = max(v for _, v in edges) + 1
     return Graph(N=N, edges=edges)

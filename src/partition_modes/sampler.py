@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import atomic_text_file
+from .fileio import atomic_text_file, int_lines
 from .graphs import Graph
 from .partitions import Partition, PartitionSet, canonicalize_rows
 
@@ -21,32 +21,19 @@ _BLOCK = 2048
 
 
 def load_partitions(path) -> PartitionSet:
-    """Read one partition per line (whitespace-separated integer labels,
-    '#' comments ignored), canonicalizing the ensemble at once."""
+    """Read one partition per line, canonicalizing the ensemble at once.
+    A line holds one integer label per node, as Python's ``int`` reads
+    it, within int64; blank lines and '#' comment lines are skipped, and
+    an error names its line (``fileio.int_lines``)."""
     rows = []
-    N = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            try:
-                raw = [int(t) for t in tokens]
-            except ValueError:
-                raise ValueError("line %d: non-integer label" % lineno) from None
-            if N is None:
-                N = len(raw)
-            elif len(raw) != N:
-                raise ValueError("line %d: expected %d labels, got %d"
-                                 % (lineno, N, len(raw)))
-            try:
-                rows.append(np.array(raw, dtype=np.int64))
-            except OverflowError:   # past the int64 labels canonicalize uses
-                raise ValueError("line %d: label out of range" % lineno) from None
+    for lineno, labels in int_lines(path, "label"):
+        if rows and len(labels) != len(rows[0]):
+            raise ValueError("line %d: expected %d labels, got %d"
+                             % (lineno, len(rows[0]), len(labels)))
+        rows.append(labels)
     if not rows:
         raise ValueError("no partitions in %s" % path)
-    return PartitionSet(partitions=canonicalize_rows(np.stack(rows)), N=N)
+    return PartitionSet(partitions=canonicalize_rows(np.stack(rows)), N=len(rows[0]))
 
 
 def write_partitions(pset: PartitionSet, path) -> None:

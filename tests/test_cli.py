@@ -8,11 +8,11 @@ import pytest
 
 from partition_modes import (Clustering, EngineParams, PairCache, PartitionSet,
                              canonicalize, contingency_table, description_length,
-                             full_description_length, run)
+                             full_description_length, ring_of_cliques, run)
 from partition_modes import cache as cache_module
 from partition_modes.cli import _agreement_table, build_parser, main
-from partition_modes.sampler import (PerturbationSpec, perturb_ensemble,
-                                     write_partitions)
+from partition_modes.sampler import (PerturbationSpec, load_partitions,
+                                     perturb_ensemble, write_partitions)
 
 
 def test_generate_cliques(tmp_path, capsys):
@@ -23,8 +23,8 @@ def test_generate_cliques(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "nodes 48 edges 128"
     edges = (tmp_path / "ring.edges").read_text()
     assert len([l for l in edges.splitlines() if not l.startswith("#")]) == 128
-    truth = (tmp_path / "ring.truth").read_text().split()
-    assert len(truth) == 48
+    truth = load_partitions(tmp_path / "ring.truth")
+    assert truth.partitions == [ring_of_cliques(8, 6)[1]]
 
 
 def test_generate_planted_reproducible(tmp_path, capsys):
@@ -172,9 +172,7 @@ def test_cluster_json_output_and_artifacts(tmp_path, capsys):
     assert printed == stored
     assert stored["K"] == 1
     assert stored["weights"] == [1.0]
-    mode_labels = [int(x) for x in
-                   (tmp_path / "m.mode0.txt").read_text().split()]
-    assert canonicalize(mode_labels) == base
+    assert load_partitions(tmp_path / "m.mode0.txt").partitions == [base]
     agree = (tmp_path / "agree.tsv").read_text().splitlines()
     assert agree[0] == "node\tmode0"
     assert len(agree) == 1 + 6
@@ -224,6 +222,25 @@ def test_cluster_deterministic_across_runs(tmp_path):
         assert rc == 0
         outs.append(out.read_text())
     assert outs[0] == outs[1]
+
+
+def test_mode_files_load_back_as_the_modes(tmp_path, capsys):
+    a = canonicalize(np.repeat(np.arange(4), 10))
+    b = canonicalize(np.tile(np.arange(2), 20))
+    spec = PerturbationSpec(bases=[(a, 0.5), (b, 0.5)], node_flip_rate=0.05,
+                            S=60, seed=3)
+    pset, _ = perturb_ensemble(spec)
+    path = tmp_path / "p.txt"
+    write_partitions(pset, path)
+    rc = main(["cluster", "--partitions", str(path), "--seed", "9",
+               "--out", str(tmp_path / "r.json"), "--modes-out", str(tmp_path / "m")])
+    assert rc == 0
+    result = json.loads((tmp_path / "r.json").read_text())
+    assert result["K"] == 2
+    for k, m in enumerate(result["mode_index"]):
+        mode = load_partitions(tmp_path / ("m.mode%d.txt" % k))
+        assert mode.partitions == [pset.partitions[m]]
+        assert mode.partitions[0].labels.tolist() == result["modes"][k]
 
 
 def test_cluster_help_describes_every_option():

@@ -205,6 +205,34 @@ def test_propose_reassign_single_cluster_is_noop():
     assert out is state
 
 
+@pytest.mark.parametrize("labels,assignment,seed,p,k_to", [
+    # p leaves its singleton for a cluster whose mode has p's content and
+    # a lower index: the move drops the emptied cluster
+    ([[0, 0, 1, 1]] * 4, [0, 0, 0, 1], 0, 3, 0),
+    # the same between two clusters the move does not name
+    ([[0, 1, 2, 3]] + [[0, 0, 1, 1]] * 4 + [[0, 0, 0, 0]], [0, 1, 1, 1, 2, 3],
+     3, 4, 1),
+], ids=["two-clusters", "between-unnamed-clusters"])
+def test_propose_reassign_that_empties_a_cluster_drops_it(labels, assignment,
+                                                         seed, p, k_to):
+    pset = PartitionSet.from_partitions([canonicalize(x) for x in labels])
+    cache = PairCache(pset)
+    state = _state_from_assignment(pset, cache, EngineParams(), assignment)
+    k_from = assignment[p]
+    out = propose_reassign(state, np.random.default_rng(seed))
+    assert out.K == state.K - 1
+    assert out.clusters[k_to].members.tolist() == sorted(
+        state.clusters[k_to].members.tolist() + [p])
+    assert np.array_equal(np.sort(np.concatenate(
+        [c.members for c in out.clusters])), np.arange(pset.S))
+    fresh = description_length(pset, out.to_clustering())
+    assert out.total == pytest.approx(fresh.total, abs=1e-9)
+    # the clusters the move does not name are the same objects, in order
+    others = [c for k, c in enumerate(state.clusters) if k not in (k_to, k_from)]
+    assert [id(c) for k, c in enumerate(out.clusters) if k != k_to] == \
+        [id(c) for c in others]
+
+
 def test_propose_merge_requires_two_clusters():
     rng = np.random.default_rng(3)
     parts = [random_partition(20, 3, rng) for _ in range(6)]
@@ -312,6 +340,8 @@ def test_run_deterministic_and_trace_decreasing():
     a = run(pset, EngineParams(seed=7))
     b = run(pset, EngineParams(seed=7))
     assert a.to_json_dict() == b.to_json_dict()
+    # no parameters are the default ones
+    assert run(pset).to_json_dict() == run(pset, EngineParams()).to_json_dict()
     accepted_totals = [tot for _, _, acc, tot in a.trace if acc]
     assert all(x > y for x, y in zip(accepted_totals, accepted_totals[1:]))
     # final objective must be reproducible from the returned clustering

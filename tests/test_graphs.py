@@ -14,6 +14,12 @@ def test_graph_validation():
     for edges in ({(1, 0)}, {(0, 1), (1, 0)}):
         with pytest.raises(ValueError, match=r"edge \(1, 0\) is not written u < v"):
             Graph(N=3, edges=edges)
+    # write_edge_list would write (0.5, 1) as "0 1", a different graph
+    for N, edges in ((3, {(0.5, 1), (1, 2)}), (2.5, {(0, 1)})):
+        with pytest.raises(ValueError, match="must be integers"):
+            Graph(N=N, edges=edges)
+    with pytest.raises(ValueError, match="negative node count"):
+        Graph(N=-1, edges=set())
 
 
 def test_ring_of_cliques_paper_instance():
@@ -161,6 +167,9 @@ def test_edge_list_parse_basic(tmp_path):
     ("-1 2\n", "line 1: negative"),
     ("# 3 nodes, 1 edges\n0 1\n1 3\n", "line 3: node id past the 3 nodes"),
     ("", "empty"),
+    ("0 99999999999999999999\n", "line 1: node id out of range"),
+    # a line of three tokens fails on its values first
+    ("0 x y\n", "line 1: non-integer node id"),
 ])
 def test_edge_list_parse_errors(tmp_path, text, msg):
     path = tmp_path / "bad.edges"

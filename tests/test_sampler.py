@@ -19,6 +19,19 @@ def test_load_partitions_basic(tmp_path):
     assert pset.partitions[0] == pset.partitions[1]
 
 
+@pytest.mark.parametrize("text", [
+    "  # c\n0 0 1 1\n\n1 1 0 0\n",  # an indented comment and a blank line
+    "0\t0 1\t1\n1 1\t0 0\n",        # tabs
+    "0 0 1 1\r\n1 1 0 0\r\n",       # CRLF line ends
+    "+0 0 1_0 10\n1 1 -0 0\n",      # as Python's int reads them
+])
+def test_load_partitions_reads_the_line_format(tmp_path, text):
+    path = tmp_path / "p.txt"
+    path.write_bytes(text.encode())
+    pset = load_partitions(path)
+    assert pset.partitions == [canonicalize([0, 0, 1, 1])] * 2
+
+
 @pytest.mark.parametrize("text,msg", [
     ("", "no partitions"),
     ("0 0 1\n0 1\n", "line 2: expected 3 labels"),
@@ -29,6 +42,9 @@ def test_load_partitions_basic(tmp_path):
     ("0 1\n0 -9223372036854775809\n", "line 2: label out of range"),
     ("0 1\n0 1 2\n0 99999999999999999999\n", "line 2: expected 2 labels, got 3"),
     ("0 1\n\n# c\n1 x\n", "line 4: non-integer label"),
+    ("0 1\n0 1.0\n", "line 2: non-integer label"),
+    # a line both too long and past int64 fails on its values first
+    ("0 1\n0 1 99999999999999999999\n", "line 2: label out of range"),
 ])
 def test_load_partitions_errors(tmp_path, text, msg):
     path = tmp_path / "p.txt"
