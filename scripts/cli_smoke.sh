@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Smoke test of the installed partition-modes command, run in a fresh
-# temporary directory: generate a ring of cliques, sample partitions of
-# it twice with one seed, cluster them twice under two hash seeds and
-# once more from a copy with a comment and a blank line inserted, and
-# describe the stored clustering; then sample a planted graph with an
-# isolated node, and run two commands on bad input: a block model whose
-# mixing matrix is a JSON object, and a partition file with a label "x".
+# temporary directory that is removed on exit: generate a ring of
+# cliques, sample partitions of it twice with one seed, cluster them
+# twice under two hash seeds and once more from a copy with a comment
+# and a blank line inserted, and describe the stored clustering; then
+# sample a planted graph with an isolated node, and run two commands on
+# bad input: a block model whose mixing matrix is a JSON object, and a
+# partition file with a label "x".
 # Fails if a step but the last two exits non-zero, if the two samples or
 # the three clusterings and two agreement tables differ, if describe
 # does not score the stored clustering as cluster did, to within 1e-9,
@@ -17,7 +18,9 @@
 #
 #   bash scripts/cli_smoke.sh
 set -euo pipefail
-cd "$(mktemp -d)"
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
+cd "$work"
 partition-modes generate cliques --cliques 4 --size 5 --out ring
 partition-modes sample --graph ring.edges --s 50 --beta 50 --out ring.parts
 partition-modes sample --graph ring.edges --s 50 --beta 50 --out again.parts

@@ -2,10 +2,11 @@
 conditional entropies.
 
 Values are keyed by partition content, so duplicated partitions in an
-ensemble cost nothing extra.  Each partition index is mapped once to a
-small integer content id.  Per-content and per-signature values are
-built with the cache; lookups gather pair values from rows, computing
-only the unset ones.
+ensemble cost nothing extra.  The ``PartitionSet`` owns the content ids:
+it numbers each sample's content once, as it is built, and the cache
+reads those ids and each content's lowest sample index.  Per-content
+and per-signature values are built with the cache; lookups gather pair
+values from rows, computing only the unset ones.
 
 Missing H_mod pairs are computed in batches at the content level.  The
 cache holds one label row per distinct content, in the narrowest
@@ -157,8 +158,7 @@ class PairCache:
 
     def __init__(self, pset: PartitionSet):
         self.pset = pset
-        self.cid = _intern(p.key() for p in pset.partitions)[0]
-        self.rep = np.unique(self.cid, return_index=True)[1]  # lowest index per id
+        self.cid, self.rep = pset.cid, pset.rep     # the set's content ids
         self.n_cid = len(self.rep)
         # margin signatures, one Margin each, and their log2 Omega rows
         self._margin_id, sigs = _intern(

@@ -141,8 +141,9 @@ def full_description_length(pset: PartitionSet, clustering: Clustering,
     in optimization comparisons.  L4 takes its table counts from
     ``cache``, by default a fresh ``PairCache``; past the exact-count
     budget of ``log2_omega`` they are estimates, so L4 is then approximate.
-    L4 scores each distinct content of a cluster once, weighted by its
-    copies, so it can differ from a per-member sum in its last bits.
+    L1 scores each distinct content of the ensemble, and L4 each distinct
+    content of a cluster, once, weighted by its copies, so either can
+    differ from a per-member sum in its last bits.
     """
     clustering.validate(pset)
     cache = _cache_for(pset, cache)
@@ -150,7 +151,8 @@ def full_description_length(pset: PartitionSet, clustering: Clustering,
     sizes = clustering.cluster_sizes()
     lf = _log2_factorials(max(N, S))
 
-    L1 = float(sum(_log2_binom(N - 1, p.n - 1) for p in pset.partitions))
+    L1 = float(np.bincount(pset.cid) @ [_log2_binom(N - 1, pset.partitions[r].n - 1)
+                                        for r in pset.rep.tolist()])
     L2 = float(sum(lf[N] - lf[pset.partitions[m].counts].sum()
                    for m in clustering.mode_index))
     L3 = _log2_binom(S - 1, K - 1) + float(lf[S] - lf[sizes].sum())

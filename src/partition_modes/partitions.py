@@ -54,23 +54,32 @@ def canonicalize(raw_labels) -> Partition:
     arr = np.asarray(raw_labels)
     if arr.ndim != 1:
         raise ValueError("partition labels must be a 1-D sequence")
-    return canonicalize_rows(arr[None, :])[0]
+    return canonicalize_rows(arr[None, :]).partitions[0]
 
 
-def canonicalize_rows(raw_rows) -> list[Partition]:
-    """Canonicalize every row of an S x N label matrix, as
-    ``canonicalize`` does one row, a block of rows per numpy pass.  The
-    returned partitions' labels are rows of one S x N array."""
+def canonicalize_rows(raw_rows) -> PartitionSet:
+    """The ``PartitionSet`` of an S x N label matrix: every row
+    canonicalized as ``canonicalize`` does one, a block of rows per numpy
+    pass, and interned as its block is done.  A row whose content was
+    seen before takes that content's id; a new content becomes one
+    ``Partition`` whose labels and counts are views of its block's
+    arrays.  So the set keeps at most one block of labels per distinct
+    content, and never more than the S x N input."""
     raw = _int64_values(raw_rows)
     if raw.ndim != 2:
         raise ValueError("partition rows must be a 2-D S x N label matrix")
     if raw.size == 0:
         raise ValueError("empty partition")
     S, N = raw.shape
-    labels = np.empty((S, N), dtype=np.int64)
     rows = max(1, _PASS_LABELS // N)
     flat = np.arange(min(S, rows) * N)
-    out = []
+    # a row's key: its canonical labels, all below N, as bytes of the
+    # narrowest type that holds N - 1
+    key_type = np.min_scalar_type(N - 1)
+    row_key = np.dtype((np.void, key_type.itemsize * N))
+    ids: dict[bytes, int] = {}
+    cid = np.empty(S, dtype=np.int64)
+    contents, rep, partitions = [], [], []
     for lo in range(0, S, rows):
         block = raw[lo:lo + rows]
         idx = flat[:block.size]
@@ -89,37 +98,51 @@ def canonicalize_rows(raw_rows) -> list[Partition]:
         first[pos] = pos[head]
         # communities numbered from 1 across the block by first
         # appearance; a row's first node opens its first community
-        rank = np.cumsum(first == idx)
-        block_labels = labels[lo:lo + rows]
-        np.take(rank, first, out=block_labels.reshape(-1))
-        counts = np.bincount(block_labels.reshape(-1))
+        rank = np.cumsum(first == idx, dtype=np.int64)
+        labels = rank[first]
+        counts = np.bincount(labels)
         row_first = rank[::N]
-        block_labels -= row_first[:, None]
-        n = rank[N - 1::N] - row_first + 1
-        out += [Partition(labels=row, n=k, counts=counts[f:f + k])
-                for row, k, f in zip(block_labels, n.tolist(), row_first.tolist())]
-    return out
+        labels = labels.reshape(block.shape)
+        labels -= row_first[:, None]
+        n = (rank[N - 1::N] - row_first + 1).tolist()
+        block_cid = [ids.setdefault(k, len(ids))
+                     for k in labels.astype(key_type).view(row_key).ravel().tolist()]
+        for i, c in enumerate(block_cid):
+            if c == len(contents):
+                f = int(row_first[i])
+                contents.append(Partition(labels=labels[i], n=n[i],
+                                          counts=counts[f:f + n[i]]))
+                rep.append(lo + i)
+        cid[lo:lo + len(block_cid)] = block_cid
+        partitions += [contents[c] for c in block_cid]
+    return PartitionSet(partitions=partitions, N=N, cid=cid,
+                        rep=np.array(rep, dtype=np.int64))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PartitionSet:
-    """An ordered collection of partitions over one shared node set."""
+    """An ordered ensemble of S partitions over one node set, held at
+    content level: ``partitions`` has one entry per sample, and all
+    copies of a content are one shared ``Partition``.  ``cid`` numbers
+    each sample's content 0, 1, ... in order of first appearance, and
+    ``rep`` holds each content's lowest sample index.  Built only by
+    ``canonicalize_rows``, the one place that decides which samples are
+    equal; ``from_partitions`` goes through it."""
 
     partitions: list[Partition]
     N: int
-
-    def __post_init__(self):
-        if not self.partitions:
-            raise ValueError("empty partition set")
-        for p in self.partitions:
-            if p.N != self.N:
-                raise ValueError("incompatible partitions")
+    cid: np.ndarray
+    rep: np.ndarray
 
     @classmethod
     def from_partitions(cls, partitions: list[Partition]) -> "PartitionSet":
         if not partitions:
             raise ValueError("empty partition set")
-        return cls(partitions=list(partitions), N=partitions[0].N)
+        N = partitions[0].N
+        if any(p.N != N for p in partitions):
+            raise ValueError("incompatible partitions")
+        return canonicalize_rows(np.concatenate(
+            [p.labels for p in partitions]).reshape(len(partitions), N))
 
     @property
     def S(self) -> int:

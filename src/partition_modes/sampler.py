@@ -33,15 +33,16 @@ def load_partitions(path) -> PartitionSet:
         rows.append(labels)
     if not rows:
         raise ValueError("no partitions in %s" % path)
-    return PartitionSet(partitions=canonicalize_rows(np.stack(rows)), N=len(rows[0]))
+    return canonicalize_rows(np.stack(rows))
 
 
 def write_partitions(pset: PartitionSet, path) -> None:
     """Write one partition per line, atomically: a failure leaves no
-    partial file."""
+    partial file.  Each distinct content's line is formatted once."""
+    lines = [" ".join(map(str, pset.partitions[r].labels.tolist())) + "\n"
+             for r in pset.rep.tolist()]
     with atomic_text_file(path) as fh:
-        for p in pset.partitions:
-            fh.write(" ".join(map(str, p.labels.tolist())) + "\n")
+        fh.writelines(map(lines.__getitem__, pset.cid.tolist()))
 
 
 @dataclass
@@ -89,7 +90,7 @@ def perturb_ensemble(spec: PerturbationSpec) -> tuple[PartitionSet, np.ndarray]:
         labels[:] = base.labels
         flip = rng.random(base.N) < spec.node_flip_rate
         labels[flip] = rng.integers(0, base.n, size=int(flip.sum()))
-    return PartitionSet.from_partitions(canonicalize_rows(samples)), base_idx
+    return canonicalize_rows(samples), base_idx
 
 
 def mcmc_sample(graph: Graph, S: int, sweeps_between: int = 1, beta: float = 1.0,
@@ -163,4 +164,4 @@ def mcmc_sample(graph: Graph, S: int, sweeps_between: int = 1, beta: float = 1.0
             deg_sums[old] -= k
             deg_sums[new] += k
     samples[recorded] = labels
-    return PartitionSet.from_partitions(canonicalize_rows(samples))
+    return canonicalize_rows(samples)

@@ -10,7 +10,7 @@ from partition_modes import (Clustering, EngineParams, PairCache,
                              log2_omega, run, tables)
 from partition_modes import cache as cache_module
 from partition_modes.tables import (DEFAULT_MAX_COST, _clean_margins,
-                                    _exact_orientation)
+                                    _exact_orientation, _log2_binom)
 from partition_modes.sampler import PerturbationSpec, perturb_ensemble
 
 from conftest import random_partition
@@ -127,6 +127,19 @@ def test_exact_encoding_duplicates():
     from partition_modes import log2_omega
     assert enc["L4"] == pytest.approx(20 * log2_omega(p.counts, p.counts))
     assert enc["L3"] == pytest.approx(0.0)
+
+
+def test_exact_encoding_l1_scores_each_content_once():
+    # L1 weights each distinct content by its copies: within 1e-12 of the
+    # per-sample sum, on an ensemble of few contents with many copies
+    base = canonicalize(np.repeat(np.arange(5), 8))
+    spec = PerturbationSpec(bases=[(base, 1.0)], node_flip_rate=0.01,
+                            S=3000, seed=4)
+    pset, _ = perturb_ensemble(spec)
+    assert len(pset.rep) < pset.S / 5
+    L1 = full_description_length(pset, _uniform_clustering(pset.S))["L1"]
+    per_sample = sum(_log2_binom(pset.N - 1, p.n - 1) for p in pset.partitions)
+    assert L1 == pytest.approx(per_sample, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("budget", [0, DEFAULT_MAX_COST])

@@ -1,6 +1,8 @@
 import math
 import os
 import tempfile
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +11,9 @@ from hypothesis import strategies as st
 
 from partition_modes import (canonicalize, conditional_entropy,
                              contingency_table, entropy, log2_omega,
-                             modified_conditional_entropy, Partition,
-                             PartitionSet)
+                             modified_conditional_entropy, PairCache,
+                             Partition, PartitionSet)
+from partition_modes import partitions as partitions_module
 from partition_modes.partitions import _int64_values, canonicalize_rows
 from partition_modes.sampler import load_partitions
 
@@ -98,7 +101,7 @@ def test_canonicalize_preserves_structure(raw):
 
 @given(label_matrices())
 def test_canonicalize_rows_matches_first_appearance(rows):
-    parts = canonicalize_rows(np.array(rows, dtype=np.int64))
+    parts = canonicalize_rows(np.array(rows, dtype=np.int64)).partitions
     assert len(parts) == len(rows)
     for row, p in zip(rows, parts):
         labels, n, counts = first_appearance(row)
@@ -144,14 +147,78 @@ def test_partition_equality_and_hash():
 def test_partition_set_validation():
     a = canonicalize([0, 0, 1])
     b = canonicalize([0, 1])
-    with pytest.raises(ValueError, match="incompatible"):
-        PartitionSet(partitions=[a, b], N=3)
+    for parts in ([a, b], [b, a]):
+        with pytest.raises(ValueError, match="incompatible"):
+            PartitionSet.from_partitions(parts)
     with pytest.raises(ValueError, match="empty partition set"):
         PartitionSet.from_partitions([])
-    with pytest.raises(ValueError, match="empty partition set"):
-        PartitionSet(partitions=[], N=3)
-    pset = PartitionSet.from_partitions([a, a])
+    pset = PartitionSet.from_partitions([a, canonicalize([4, 4, 2])])
     assert pset.S == 2 and pset.N == 3
+    # equal contents are one content: one id, one shared Partition
+    assert pset.cid.tolist() == [0, 0] and pset.rep.tolist() == [0]
+    assert pset.partitions[0] is pset.partitions[1] and pset.partitions[0] == a
+
+
+@st.composite
+def repeated_label_matrices(draw):
+    """S x N int64 label matrices whose rows copy a few base rows, each
+    copy under its own relabeling, and a block size for the numpy pass."""
+    N = draw(st.integers(min_value=1, max_value=8))
+    bases = draw(st.lists(st.lists(st.integers(min_value=0, max_value=3),
+                                   min_size=N, max_size=N),
+                          min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(min_value=0, max_value=len(bases) - 1),
+                          min_size=1, max_size=30))
+    relabel = st.tuples(st.permutations(range(4)),
+                        st.sampled_from([0, 7, -3, INT64_MAX - 3]))
+    relabels = draw(st.lists(relabel, min_size=len(picks), max_size=len(picks)))
+    rows = [[perm[x] + shift for x in bases[b]]
+            for b, (perm, shift) in zip(picks, relabels)]
+    return rows, draw(st.integers(min_value=1, max_value=40))
+
+
+@given(repeated_label_matrices())
+def test_canonicalize_rows_interns_contents(case):
+    rows, pass_labels = case
+    with mock.patch.object(partitions_module, "_PASS_LABELS", pass_labels):
+        pset = canonicalize_rows(np.array(rows, dtype=np.int64))
+    # reference ids: canonical label tuples numbered by first appearance
+    ids, rep = {}, []
+    for i, row in enumerate(rows):
+        key = tuple(first_appearance(row)[0])
+        if key not in ids:
+            ids[key] = len(ids)
+            rep.append(i)
+        assert pset.partitions[i] == canonicalize(row)
+    assert pset.cid.dtype == np.int64
+    assert pset.cid.tolist() == [ids[tuple(first_appearance(r)[0])] for r in rows]
+    assert pset.rep.tolist() == rep
+    # copies share one object, and the cache reads the set's ids
+    assert len({id(p) for p in pset.partitions}) == len(pset.rep)
+    assert all(pset.partitions[i] is pset.partitions[r]
+               for i, r in enumerate(pset.rep[pset.cid].tolist()))
+    cache = PairCache(pset)
+    assert np.array_equal(cache.cid, pset.cid) and cache.n_cid == len(rep)
+
+
+def test_repeated_ensemble_memory_is_bounded_by_its_contents():
+    # 50,000 relabeled copies of 74 contents of 48 nodes: the raw matrix
+    # is 19.2 MB, and one Partition per sample held twice that
+    rng = np.random.default_rng(5)
+    contents = rng.integers(0, 6, size=(74, 48))
+    assert len({c.tobytes() for c in contents}) == 74
+    S = 50_000
+    raw = contents[rng.integers(74, size=S)] * 3 + 11
+    tracemalloc.start()
+    try:
+        pset = canonicalize_rows(raw)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 4e6 and peak < 8e6, (held, peak)
+    assert pset.S == S and len(pset.rep) == 74
+    assert len({id(p) for p in pset.partitions}) == 74
+    assert pset.partitions[-1] == canonicalize(raw[-1])
 
 
 def test_entropy_examples():

@@ -70,6 +70,20 @@ def test_partitions_round_trip(tmp_path):
     assert all(a == b for a, b in zip(back.partitions, pset.partitions))
 
 
+def test_write_partitions_repeats_each_content_line(tmp_path):
+    # a line per sample, as a per-sample join writes it, though each
+    # content's line is formatted once
+    rng = np.random.default_rng(3)
+    bases = [canonicalize(rng.integers(0, 5, size=15)) for _ in range(4)]
+    pset = PartitionSet.from_partitions(
+        [bases[i] for i in rng.integers(4, size=40)] + [canonicalize(np.arange(15))])
+    assert len(pset.rep) < pset.S
+    path = tmp_path / "p.txt"
+    write_partitions(pset, path)
+    assert path.read_bytes() == "".join(
+        " ".join(map(str, p.labels.tolist())) + "\n" for p in pset.partitions).encode()
+
+
 def test_perturbation_spec_validation():
     base = canonicalize([0, 0, 1, 1])
     with pytest.raises(ValueError, match="weights"):
