@@ -4,17 +4,22 @@
 # cliques, sample partitions of it twice with one seed, cluster them
 # twice under two hash seeds and once more from a copy with a comment
 # and a blank line inserted, and describe the stored clustering; then
-# sample a planted graph with an isolated node, and run two commands on
-# bad input: a block model whose mixing matrix is a JSON object, and a
-# partition file with a label "x".
-# Fails if a step but the last two exits non-zero, if the two samples or
-# the three clusterings and two agreement tables differ, if describe
-# does not score the stored clustering as cluster did, to within 1e-9,
-# if the agreement table lacks its header, a line per node or values in
-# [0, 1], if a sampled partition of the planted graph does not cover its
-# 40 nodes, or if a bad-input command does not exit 1 with one stderr
-# line, starting "error:" ("error: line 2: non-integer label" for the
-# label), and no traceback.
+# sample a planted graph with an isolated node, and run seven commands
+# on bad input: a block model whose mixing matrix is a JSON object, a
+# ring of two cliques, zero samples, a mode search over zero samples, a
+# partition file with a label "x" on line 2, and a 250-line copy of the
+# ring's samples with an "x" on line 230, past the first chunk of 204
+# lines that the loader reads at 20 nodes.
+# Fails if a step but the bad-input ones exits non-zero, if the two
+# samples or the three clusterings and two agreement tables differ, if
+# describe does not score the stored clustering as cluster did, to
+# within 1e-9, if the agreement table lacks its header, a line per node
+# or values in [0, 1], if a sampled partition of the planted graph does
+# not cover its 40 nodes, or if a bad-input command does not exit 1 with
+# one stderr line, starting "error:" ("error: invalid engine parameters"
+# for the mode search, "error: line 2: non-integer label" for the short
+# file), and no traceback; the long file must fail with exactly
+# "error: line 230: non-integer label" and leave no result file.
 #
 #   bash scripts/cli_smoke.sh
 set -euo pipefail
@@ -72,5 +77,18 @@ expect_error() {
 }
 # a mixing matrix that is not an array of numbers
 expect_error "error:" generate sbm --sizes 3,3 --omega '{"a": 1}' --out bad
+expect_error "error:" generate cliques --cliques 2 --size 3 --out bad
+expect_error "error:" sample --graph ring.edges --s 0 --out bad.parts
+expect_error "error: invalid engine parameters" cluster --partitions ring.parts \
+    --sample-size 0
 printf '0 0 1\n0 x 1\n' > bad.parts
 expect_error "error: line 2: non-integer label" cluster --partitions bad.parts
+# the loader streams its file: an error past the first chunk names its line
+cat ring.parts ring.parts ring.parts ring.parts ring.parts \
+    | awk 'NR == 230 { $1 = "x" } 1' > long.parts
+expect_error "error: line 230: non-integer label" cluster --partitions long.parts \
+    --out long.json
+if [ "$(cat bad.err)" != "error: line 230: non-integer label" ] || [ -e long.json ]; then
+    echo "cluster of long.parts: stderr $(cat bad.err), result file left: $(ls long.json 2>/dev/null)"
+    exit 1
+fi

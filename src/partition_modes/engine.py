@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -54,7 +54,7 @@ import numpy as np
 from .cache import PairCache, _cache_for, _members, _Members
 from .objective import (Clustering, ObjectiveBreakdown, cluster_label_entropy,
                         description_length)
-from .partitions import Partition, PartitionSet
+from .partitions import Partition, PartitionSet, _ints
 
 MOVE_NAMES = ("reassign", "merge", "split", "merge_split")
 
@@ -72,12 +72,12 @@ class EngineParams:
     restarts: int = 1
 
     def __post_init__(self):
-        try:
-            ok = operator.index(self.seed) >= 0 and min(map(operator.index, (
-                self.k0, self.mode_sample_size, self.patience, self.restarts))) >= 1
-        except TypeError:
-            ok = False
-        if not ok or not math.isfinite(self.lam) or self.lam < 0:
+        seed, *counts = _ints((self.seed, self.k0, self.mode_sample_size, self.patience,
+                               self.restarts), "invalid engine parameters")
+        # a bool is a flag, and a string or None no number
+        if (seed < 0 or min(counts) < 1 or isinstance(self.lam, bool)
+                or not isinstance(self.lam, numbers.Real)
+                or not math.isfinite(self.lam) or self.lam < 0):
             raise ValueError("invalid engine parameters")
         # float64 whatever type λ came in: a float32 λ would round totals
         self.lam = float(self.lam)
@@ -197,10 +197,7 @@ def find_mode_sampled(cluster_members, sample_size: int, priority: np.ndarray,
 
     ``cluster_members`` is partition indices or the engine's member set
     with its content vectors."""
-    try:
-        sample_size = operator.index(sample_size)
-    except TypeError:
-        raise ValueError("sample size must be an integer") from None
+    sample_size, = _ints([sample_size], "sample size must be an integer")
     if sample_size < 1:
         raise ValueError("sample size must be at least 1")
     group = _given_members(cluster_members, cache)

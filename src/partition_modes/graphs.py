@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import itertools
-import operator
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fileio import atomic_text_file, int_lines
-from .partitions import Partition, _int64_values, canonicalize
+from .partitions import Partition, _int64_values, _ints, canonicalize
 
 
 @dataclass
@@ -23,11 +22,9 @@ class Graph:
     edges: set
 
     def __post_init__(self):
-        try:
-            for x in itertools.chain([self.N], *self.edges):
-                operator.index(x)
-        except TypeError:
-            raise ValueError("node count and endpoints must be integers") from None
+        # chained lazily, so edges that are not iterable fail inside _ints too
+        _ints(itertools.chain.from_iterable(itertools.chain([[self.N]], self.edges)),
+              "node count and endpoints must be integers")
         if self.N < 0:
             raise ValueError("negative node count")
         for u, v in self.edges:
@@ -50,6 +47,7 @@ def planted_partition(N: int, q: int, p_in: float, p_out: float,
                       seed: int = 0) -> tuple[Graph, Partition]:
     """Symmetric stochastic block model: N nodes split equally into q
     groups, edge probability p_in within groups and p_out between."""
+    q, = _ints([q], "group count must be an integer")
     if q < 1 or N % q != 0:
         raise ValueError("group count must divide node count")
     return sbm([N // q] * q, np.where(np.eye(q, dtype=bool), p_in, p_out), seed)
@@ -59,6 +57,7 @@ def sbm(group_sizes, omega: np.ndarray, seed: int = 0) -> tuple[Graph, Partition
     """General stochastic block model with mixing matrix ``omega``:
     each pair i < j gets an edge with probability omega[g_i][g_j]."""
     sizes = _int64_values(group_sizes, "group sizes")
+    seed, = _ints([seed], "seed must be an integer")
     if np.any(sizes < 0):
         raise ValueError("group sizes must be non-negative")
     try:
@@ -85,6 +84,8 @@ def ring_of_cliques(num_cliques: int, clique_size: int) -> tuple[Graph, Partitio
 
     The ring leaves each clique at node 0 and enters at node 1, so no
     node carries more than one ring edge."""
+    num_cliques, clique_size = _ints((num_cliques, clique_size),
+                                     "clique count and size must be integers")
     if num_cliques < 3 or clique_size < 2:
         raise ValueError("need at least 3 cliques of at least 2 nodes")
     N = num_cliques * clique_size

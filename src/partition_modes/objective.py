@@ -9,14 +9,15 @@ standard library's ``math.lgamma``.
 
 from __future__ import annotations
 
+import itertools
 import math
-import operator
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cache import PairCache, _cache_for, _members
-from .partitions import PartitionSet
+from .partitions import PartitionSet, _ints
 from .tables import _log2_binom
 
 _LN2 = math.log(2.0)
@@ -39,15 +40,12 @@ class Clustering:
         if (self.assignment.dtype.kind not in "iu"
                 or not np.can_cast(self.assignment.dtype, np.int64)):
             raise ValueError("cluster ids must be integers")
-        try:
-            modes = [operator.index(m) for m in self.mode_index]
-            operator.index(self.K)
-        except TypeError:
-            raise ValueError("K and the mode indices must be integers") from None
+        K, *modes = _ints(itertools.chain([self.K], self.mode_index),
+                          "K and the mode indices must be integers")
         # K and the cluster ids are bounded before bincount allocates K counts
-        if len(self.mode_index) != self.K:
+        if len(modes) != K:
             raise ValueError("every cluster must be non-empty with one mode")
-        if self.assignment.min() < 0 or self.assignment.max() >= self.K:
+        if self.assignment.min() < 0 or self.assignment.max() >= K:
             raise ValueError("cluster id out of range")
         if np.any(self.cluster_sizes() == 0):
             raise ValueError("every cluster must be non-empty with one mode")
@@ -100,7 +98,9 @@ def description_length(pset: PartitionSet, clustering: Clustering,
     """Penalized per-sample description length of the ensemble under the
     given clustering, broken into its four terms."""
     clustering.validate(pset)
-    if not math.isfinite(lam) or lam < 0:
+    # a bool is a flag, and a string or None no number
+    if (isinstance(lam, bool) or not isinstance(lam, numbers.Real)
+            or not math.isfinite(lam) or lam < 0):
         raise ValueError("penalty weight must be finite and non-negative")
     cache = _cache_for(pset, cache)
     N, S = pset.N, pset.S

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +51,29 @@ def _int64_values(raw, what="partition labels") -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def _ints(values, message) -> list[int]:
+    """A caller's counts, seeds and indices as Python ints.  A value not
+    of an integer type, or a bool or ``np.bool_`` (a flag, not a count),
+    raises ``ValueError(message)`` rather than being truncated; labels
+    and sizes are data, and take integral floats (``_int64_values``)."""
+    try:
+        return [operator.index(None if isinstance(v, (bool, np.bool_)) else v)
+                for v in values]
+    except TypeError:
+        raise ValueError(message) from None
+
+
+def _chunks(rows) -> Iterator[np.ndarray]:
+    """The equal-length label rows of an iterable, stacked into S x N
+    chunks of about ``_PASS_LABELS`` labels, one numpy pass of
+    ``canonicalize_rows`` each, so rows are read as they are consumed."""
+    rows = iter(rows)
+    for first in rows:
+        size = max(1, _PASS_LABELS // first.shape[0])
+        chunk = [first, *itertools.islice(rows, size - 1)]
+        yield np.concatenate(chunk).reshape(len(chunk), -1)
+
+
 def canonicalize(raw_labels) -> Partition:
     """Relabel arbitrary integer community labels to 0..n-1 by first
     appearance and drop empty communities."""
@@ -57,32 +83,40 @@ def canonicalize(raw_labels) -> Partition:
     return canonicalize_rows(arr[None, :]).partitions[0]
 
 
+def _blocks(raw_rows) -> Iterator[np.ndarray]:
+    """The int64 blocks of rows of ``canonicalize_rows``' input, about
+    ``_PASS_LABELS`` labels each: views of a matrix, or of each chunk
+    of an iterator in turn."""
+    N = None
+    for chunk in raw_rows if isinstance(raw_rows, Iterator) else [raw_rows]:
+        raw = _int64_values(chunk)
+        if raw.ndim != 2:
+            raise ValueError("partition rows must be a 2-D S x N label matrix")
+        if N is not None and raw.shape[1] != N:
+            raise ValueError("incompatible partitions")
+        N = raw.shape[1]
+        if not N:
+            raise ValueError("empty partition")
+        rows = max(1, _PASS_LABELS // N)
+        for lo in range(0, raw.shape[0], rows):
+            yield raw[lo:lo + rows]
+
+
 def canonicalize_rows(raw_rows) -> PartitionSet:
-    """The ``PartitionSet`` of an S x N label matrix: every row
-    canonicalized as ``canonicalize`` does one, a block of rows per numpy
-    pass, and interned as its block is done.  A row whose content was
-    seen before takes that content's id; a new content becomes one
-    ``Partition`` whose labels and counts are views of its block's
-    arrays.  So the set keeps at most one block of labels per distinct
-    content, and never more than the S x N input."""
-    raw = _int64_values(raw_rows)
-    if raw.ndim != 2:
-        raise ValueError("partition rows must be a 2-D S x N label matrix")
-    if raw.size == 0:
-        raise ValueError("empty partition")
-    S, N = raw.shape
-    rows = max(1, _PASS_LABELS // N)
-    flat = np.arange(min(S, rows) * N)
-    # a row's key: its canonical labels, all below N, as bytes of the
-    # narrowest type that holds N - 1
-    key_type = np.min_scalar_type(N - 1)
-    row_key = np.dtype((np.void, key_type.itemsize * N))
+    """The ``PartitionSet`` of an S x N label matrix, or of an iterator
+    of such matrices (chunks) of one N, taken in order, as ``_chunks``
+    yields them: every row canonicalized as ``canonicalize`` does one, a
+    block of rows per numpy pass, and interned as its block is done.  A
+    row whose content was seen before takes that content's id; a new
+    content becomes one ``Partition`` whose labels and counts are copied
+    out of its block with the block's other new contents.  So the set
+    holds its distinct contents and no block, and an iterator's chunks
+    are read one at a time."""
     ids: dict[bytes, int] = {}
-    cid = np.empty(S, dtype=np.int64)
-    contents, rep, partitions = [], [], []
-    for lo in range(0, S, rows):
-        block = raw[lo:lo + rows]
-        idx = flat[:block.size]
+    cid, contents, rep = [], [], []
+    for block in _blocks(raw_rows):
+        N = block.shape[1]
+        idx = np.arange(block.size)
         # flat positions in row-wise stable label order: each label's
         # first position heads its run, and each row starts a run
         pos = np.argsort(block, axis=1, kind="stable")
@@ -104,18 +138,33 @@ def canonicalize_rows(raw_rows) -> PartitionSet:
         row_first = rank[::N]
         labels = labels.reshape(block.shape)
         labels -= row_first[:, None]
-        n = (rank[N - 1::N] - row_first + 1).tolist()
-        block_cid = [ids.setdefault(k, len(ids))
-                     for k in labels.astype(key_type).view(row_key).ravel().tolist()]
+        n = rank[N - 1::N] - row_first + 1
+        # a row's key: its canonical labels, all below N, as bytes of the
+        # narrowest type that holds N - 1
+        key_type = np.min_scalar_type(N - 1)
+        keys = labels.astype(key_type).view((np.void, key_type.itemsize * N))
+        block_cid = [ids.setdefault(k, len(ids)) for k in keys.ravel().tolist()]
+        # the first row of each content new in this block, in id order
+        new = []
         for i, c in enumerate(block_cid):
-            if c == len(contents):
-                f = int(row_first[i])
-                contents.append(Partition(labels=labels[i], n=n[i],
-                                          counts=counts[f:f + n[i]]))
-                rep.append(lo + i)
-        cid[lo:lo + len(block_cid)] = block_cid
-        partitions += [contents[c] for c in block_cid]
-    return PartitionSet(partitions=partitions, N=N, cid=cid,
+            if c == len(contents) + len(new):
+                new.append(i)
+        if new:
+            # their communities' counts, row after row, in one gather
+            new = np.array(new)
+            n_new = n[new]
+            ends = np.cumsum(n_new)
+            counts = counts[np.arange(ends[-1])
+                            + np.repeat(row_first[new] - ends + n_new, n_new)]
+            for i, row, k, e in zip(new.tolist(), labels[new], n_new.tolist(),
+                                    ends.tolist()):
+                contents.append(Partition(labels=row, n=k, counts=counts[e - k:e]))
+                rep.append(len(cid) + i)
+        cid += block_cid
+    if not cid:
+        raise ValueError("empty partition")
+    return PartitionSet(partitions=[contents[c] for c in cid], N=N,
+                        cid=np.array(cid, dtype=np.int64),
                         rep=np.array(rep, dtype=np.int64))
 
 
@@ -136,13 +185,15 @@ class PartitionSet:
 
     @classmethod
     def from_partitions(cls, partitions: list[Partition]) -> "PartitionSet":
+        """The set of ``partitions``, whose labels reach
+        ``canonicalize_rows`` a chunk at a time: no S x N matrix is
+        built, and equal contents become one shared ``Partition``."""
         if not partitions:
             raise ValueError("empty partition set")
         N = partitions[0].N
         if any(p.N != N for p in partitions):
             raise ValueError("incompatible partitions")
-        return canonicalize_rows(np.concatenate(
-            [p.labels for p in partitions]).reshape(len(partitions), N))
+        return canonicalize_rows(_chunks(p.labels for p in partitions))
 
     @property
     def S(self) -> int:

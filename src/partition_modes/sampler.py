@@ -5,14 +5,14 @@ for self-contained demos."""
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fileio import atomic_text_file, int_lines
 from .graphs import Graph
-from .partitions import Partition, PartitionSet, canonicalize_rows
+from .partitions import (Partition, PartitionSet, _chunks, _ints,
+                         canonicalize_rows)
 
 # Moves per block of generator draws in mcmc_sample: large enough that
 # small graphs pay little numpy call overhead, small enough that the
@@ -21,19 +21,24 @@ _BLOCK = 2048
 
 
 def load_partitions(path) -> PartitionSet:
-    """Read one partition per line, canonicalizing the ensemble at once.
-    A line holds one integer label per node, as Python's ``int`` reads
-    it, within int64; blank lines and '#' comment lines are skipped, and
-    an error names its line (``fileio.int_lines``)."""
-    rows = []
-    for lineno, labels in int_lines(path, "label"):
-        if rows and len(labels) != len(rows[0]):
-            raise ValueError("line %d: expected %d labels, got %d"
-                             % (lineno, len(rows[0]), len(labels)))
-        rows.append(labels)
-    if not rows:
-        raise ValueError("no partitions in %s" % path)
-    return canonicalize_rows(np.stack(rows))
+    """Read one partition per line, canonicalizing the lines as they are
+    read, a chunk of rows at a time (``partitions._chunks``), so the file
+    is never held whole.  A line holds one integer label per node, as
+    Python's ``int`` reads it, within int64; blank lines and '#' comment
+    lines are skipped, and an error names its line
+    (``fileio.int_lines``)."""
+    def rows():
+        N = None
+        for lineno, labels in int_lines(path, "label"):
+            if N is None:
+                N = len(labels)
+            elif len(labels) != N:
+                raise ValueError("line %d: expected %d labels, got %d"
+                                 % (lineno, N, len(labels)))
+            yield labels
+        if N is None:
+            raise ValueError("no partitions in %s" % path)
+    return canonicalize_rows(_chunks(rows()))
 
 
 def write_partitions(pset: PartitionSet, path) -> None:
@@ -66,13 +71,11 @@ class PerturbationSpec:
             raise ValueError("mixture weights must be positive and sum to 1")
         if not (0 <= self.node_flip_rate < 1):
             raise ValueError("node_flip_rate must be in [0, 1)")
-        try:
-            ok = operator.index(self.S) >= 1 and operator.index(self.seed) >= 0
-        except TypeError:
-            ok = False
-        if not ok:
-            raise ValueError("ensemble size must be positive and the seed "
-                             "non-negative, both integers")
+        message = ("ensemble size must be positive and the seed non-negative, "
+                   "both integers")
+        S, seed = _ints((self.S, self.seed), message)
+        if S < 1 or seed < 0:
+            raise ValueError(message)
         ns = {p.N for p, _ in self.bases}
         if len(ns) != 1:
             raise ValueError("base partitions must share one node set")
@@ -99,11 +102,8 @@ def mcmc_sample(graph: Graph, S: int, sweeps_between: int = 1, beta: float = 1.0
     exp(beta * modularity); records a partition every ``sweeps_between``
     sweeps after a burn-in of 10x that many sweeps.  The samples depend
     only on the arguments: one seed gives the same samples every time."""
-    try:
-        for v in (S, sweeps_between, q_max, seed):
-            operator.index(v)
-    except TypeError:
-        raise ValueError("invalid sampler parameters") from None
+    S, sweeps_between, q_max, seed = _ints((S, sweeps_between, q_max, seed),
+                                           "invalid sampler parameters")
     if S < 1:
         raise ValueError("need at least one sample")
     if graph.N < 1:

@@ -40,8 +40,9 @@ def test_engine_params_validation():
         EngineParams(mode_sample_size=0)
     with pytest.raises(ValueError):
         EngineParams(restarts=0)
-    for lam in (float("nan"), float("inf")):
-        with pytest.raises(ValueError):
+    # math.isfinite raised TypeError on a string or None; a bool is a flag
+    for lam in (float("nan"), float("inf"), "x", None, True, np.True_):
+        with pytest.raises(ValueError, match="invalid engine parameters"):
             EngineParams(lam=lam)
     # counts and the seed must be integers, not truncated or rounded
     for bad in (dict(k0=2.5), dict(mode_sample_size=2.5), dict(patience=1.5),

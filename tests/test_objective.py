@@ -90,8 +90,10 @@ def test_clustering_validation():
     bad_mode = Clustering(np.array([0, 0, 0, 1, 1, 1]), [0, 0], 2)
     with pytest.raises(ValueError, match="not a member"):
         description_length(pset, bad_mode)
-    with pytest.raises(ValueError, match="negative"):
-        description_length(pset, _uniform_clustering(6), lam=-0.5)
+    # math.isfinite raised TypeError on a string or None; a bool is a flag
+    for lam in (-0.5, "1", None, True, np.True_):
+        with pytest.raises(ValueError, match="must be finite and non-negative"):
+            description_length(pset, _uniform_clustering(6), lam=lam)
 
 
 def test_breakdown_json_fields():

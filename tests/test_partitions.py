@@ -14,8 +14,12 @@ from partition_modes import (canonicalize, conditional_entropy,
                              modified_conditional_entropy, PairCache,
                              Partition, PartitionSet)
 from partition_modes import partitions as partitions_module
+from partition_modes.engine import EngineParams, find_mode_sampled
+from partition_modes.graphs import Graph, planted_partition, ring_of_cliques, sbm
+from partition_modes.objective import Clustering
 from partition_modes.partitions import _int64_values, canonicalize_rows
-from partition_modes.sampler import load_partitions
+from partition_modes.sampler import (PerturbationSpec, load_partitions,
+                                     mcmc_sample)
 
 from conftest import random_partition
 
@@ -83,6 +87,61 @@ def test_canonicalize_takes_only_integral_labels():
     # an int64 matrix, as load_partitions passes, is read in place
     rows = np.array([[4, 4, 1], [1, 2, 3]], dtype=np.int64)
     assert _int64_values(rows) is rows
+
+
+_SET = PartitionSet.from_partitions([canonicalize([0, 0, 1])] * 4)
+_SPEC = dict(bases=[(canonicalize([0, 0, 1]), 1.0)], node_flip_rate=0.0, S=2, seed=0)
+_CLIQUES = ring_of_cliques(3, 2)[0]
+_CLUSTERED = np.array([0, 0, 1, 1])
+
+# every caller argument that must be an integer: (site, call of one
+# value, the site's message, a valid value)
+_INT_SITES = [
+    ("Graph.N", lambda v: Graph(N=v, edges=set()), "node count and endpoints", 3),
+    ("Graph.edge", lambda v: Graph(N=3, edges={(0, v)}), "node count and endpoints", 2),
+    ("PerturbationSpec.S", lambda v: PerturbationSpec(**{**_SPEC, "S": v}),
+     "ensemble size must be positive", 2),
+    ("PerturbationSpec.seed", lambda v: PerturbationSpec(**{**_SPEC, "seed": v}),
+     "ensemble size must be positive", 2),
+    ("mcmc_sample.S", lambda v: mcmc_sample(_CLIQUES, S=v), "invalid sampler", 2),
+    ("mcmc_sample.sweeps_between",
+     lambda v: mcmc_sample(_CLIQUES, S=2, sweeps_between=v), "invalid sampler", 2),
+    ("mcmc_sample.q_max", lambda v: mcmc_sample(_CLIQUES, S=2, q_max=v),
+     "invalid sampler", 2),
+    ("mcmc_sample.seed", lambda v: mcmc_sample(_CLIQUES, S=2, seed=v),
+     "invalid sampler", 2),
+] + [
+    ("EngineParams." + name, lambda v, name=name: EngineParams(**{name: v}),
+     "invalid engine parameters", 2)
+    for name in ("seed", "k0", "mode_sample_size", "patience", "restarts")
+] + [
+    ("find_mode_sampled",
+     lambda v: find_mode_sampled([0, 1, 2], v, np.zeros(4), PairCache(_SET)),
+     "sample size must be an integer", 2),
+    ("Clustering.mode_index",
+     lambda v: Clustering(_CLUSTERED, [0, v], 2).validate(_SET),
+     "K and the mode indices must be integers", 2),
+    ("Clustering.K", lambda v: Clustering(_CLUSTERED, [0, 2], v).validate(_SET),
+     "K and the mode indices must be integers", 2),
+    ("ring_of_cliques.num_cliques", lambda v: ring_of_cliques(v, 2),
+     "clique count and size must be integers", 3),
+    ("ring_of_cliques.clique_size", lambda v: ring_of_cliques(3, v),
+     "clique count and size must be integers", 2),
+    ("planted_partition.q", lambda v: planted_partition(4, v, 1.0, 0.0),
+     "group count must be an integer", 2),
+    ("sbm.seed", lambda v: sbm([2, 2], np.eye(2), seed=v), "seed must be an integer", 2),
+]
+
+
+@pytest.mark.parametrize("site, call, message, good", _INT_SITES,
+                         ids=[site[0] for site in _INT_SITES])
+def test_integer_arguments_follow_one_rule(site, call, message, good):
+    # a float is never truncated, a bool is a flag, and neither a string
+    # nor None is a number: each raises the site's own ValueError
+    for bad in (2.0, True, np.True_, "3", None):
+        with pytest.raises(ValueError, match=message):
+            call(bad)
+    call(np.int64(good))
 
 
 @given(label_lists)
@@ -174,14 +233,21 @@ def repeated_label_matrices(draw):
     relabels = draw(st.lists(relabel, min_size=len(picks), max_size=len(picks)))
     rows = [[perm[x] + shift for x in bases[b]]
             for b, (perm, shift) in zip(picks, relabels)]
-    return rows, draw(st.integers(min_value=1, max_value=40))
+    return (rows, draw(st.integers(min_value=1, max_value=40)),
+            draw(st.integers(min_value=1, max_value=len(rows) + 2)))
 
 
 @given(repeated_label_matrices())
 def test_canonicalize_rows_interns_contents(case):
-    rows, pass_labels = case
+    rows, pass_labels, n_chunks = case
     with mock.patch.object(partitions_module, "_PASS_LABELS", pass_labels):
         pset = canonicalize_rows(np.array(rows, dtype=np.int64))
+        # the same rows as an iterator of chunks, some of them empty
+        chunked = canonicalize_rows(iter(np.array_split(rows, n_chunks)))
+    assert chunked.S == pset.S and chunked.N == pset.N
+    assert np.array_equal(chunked.cid, pset.cid) and np.array_equal(chunked.rep, pset.rep)
+    assert all(a == b and a.n == b.n and np.array_equal(a.counts, b.counts)
+               for a, b in zip(chunked.partitions, pset.partitions))
     # reference ids: canonical label tuples numbered by first appearance
     ids, rep = {}, []
     for i, row in enumerate(rows):
@@ -201,6 +267,17 @@ def test_canonicalize_rows_interns_contents(case):
     assert np.array_equal(cache.cid, pset.cid) and cache.n_cid == len(rep)
 
 
+def _traced(build):
+    """``build()``, and the bytes it held and peaked at, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = build()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
 def test_repeated_ensemble_memory_is_bounded_by_its_contents():
     # 50,000 relabeled copies of 74 contents of 48 nodes: the raw matrix
     # is 19.2 MB, and one Partition per sample held twice that
@@ -209,16 +286,46 @@ def test_repeated_ensemble_memory_is_bounded_by_its_contents():
     assert len({c.tobytes() for c in contents}) == 74
     S = 50_000
     raw = contents[rng.integers(74, size=S)] * 3 + 11
-    tracemalloc.start()
-    try:
-        pset = canonicalize_rows(raw)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    pset, held, peak = _traced(lambda: canonicalize_rows(raw))
     assert held < 4e6 and peak < 8e6, (held, peak)
     assert pset.S == S and len(pset.rep) == 74
     assert len({id(p) for p in pset.partitions}) == 74
     assert pset.partitions[-1] == canonicalize(raw[-1])
+    # 5,000 contents drawn uniformly: new contents turn up in every
+    # block, and a set that kept blocks alive for them held 13.2 MB; the
+    # contents' own labels are 1.9 MB
+    picks = rng.integers(5000, size=S)
+    raw = rng.integers(0, 6, size=(5000, 48))[picks]
+    pset, held, _ = _traced(lambda: canonicalize_rows(raw))
+    assert held < 6e6, held
+    assert len(pset.rep) == len(set(picks.tolist()))
+    assert pset.partitions[-1] == canonicalize(raw[-1])
+
+
+def test_load_partitions_streams_its_file(tmp_path):
+    # 50,000 lines of 74 contents of 48 labels: a loader that held the
+    # lines and their stacked copy peaked at 52.5 MB
+    rng = np.random.default_rng(5)
+    lines = [" ".join(map(str, row)) + "\n"
+             for row in rng.integers(0, 6, size=(74, 48)).tolist()]
+    picks = rng.integers(74, size=50_000).tolist()
+    path = tmp_path / "p.txt"
+    with open(path, "w") as fh:
+        fh.writelines(lines[i] for i in picks)
+    pset, _, peak = _traced(lambda: load_partitions(path))
+    assert peak < 4e6, peak
+    assert pset.S == 50_000 and len(pset.rep) == len(set(picks))
+    assert pset.partitions[-1] == canonicalize(list(map(int, lines[picks[-1]].split())))
+
+
+def test_from_partitions_builds_no_label_matrix():
+    # the concatenated labels of 50,000 copies of one content peaked at
+    # 20.4 MB
+    p = canonicalize(np.arange(48) % 5)
+    parts = [p] * 50_000
+    pset, _, peak = _traced(lambda: PartitionSet.from_partitions(parts))
+    assert peak < 4e6, peak
+    assert pset.S == 50_000 and pset.rep.tolist() == [0] and pset.partitions[-1] == p
 
 
 def test_entropy_examples():

@@ -53,6 +53,17 @@ def test_load_partitions_errors(tmp_path, text, msg):
         load_partitions(path)
 
 
+def test_load_partitions_errors_past_the_first_chunk(tmp_path):
+    # the loader reads 4096 labels a chunk, 204 lines of 20 labels
+    lines = ["0 " * 10 + "1 " * 10] * 250
+    for line, msg in (("0 x " + "1 " * 18, "line 230: non-integer label"),
+                      ("0 1", "line 230: expected 20 labels, got 2")):
+        path = tmp_path / "p.txt"
+        path.write_text("\n".join(lines[:229] + [line] + lines[230:]) + "\n")
+        with pytest.raises(ValueError, match="^%s$" % msg):
+            load_partitions(path)
+
+
 def test_load_partitions_accepts_the_int64_range(tmp_path):
     path = tmp_path / "p.txt"
     path.write_text("-9223372036854775808 9223372036854775807 -9223372036854775808\n")
