@@ -2,9 +2,9 @@
 conditional entropies.
 
 Values are keyed by partition content, so duplicated partitions in an
-ensemble cost nothing extra.  The ``PartitionSet`` owns the content ids:
-it numbers each sample's content once, as it is built, and the cache
-reads those ids and each content's lowest sample index.  Per-content
+ensemble cost nothing extra.  The ``PartitionSet`` owns the content ids
+and the margin signatures (below): it numbers each once, as it is built,
+and the cache reads them and each content's lowest sample.  Per-content
 and per-signature values are built with the cache; lookups gather pair
 values from rows, computing only the unset ones.
 
@@ -52,10 +52,9 @@ function of m, J = A_m exactly and the sum cannot round below zero.
 
 Table counts depend only on the community sizes, which many contents
 share, so they are kept per margin signature: the sorted size vector,
-interned when the cache is built.  Each signature's ``Margin`` (see
-``tables``), with its cost-model and estimator pieces, is built then,
-as are its size sum, community count and entropy
-H(p) = log2 N - sum_k a_k log2 a_k / N, gathered to its contents.
+whose ``Margin`` (see ``tables``) carries its cost-model and estimator
+pieces.  Its size sum, community count and entropy
+H(p) = log2 N - sum_k a_k log2 a_k / N are gathered to its contents.
 The counts live in rows of the same kind, one per signature that has
 been the mode side of a lookup: the row of a holds log2 Omega(a, b),
 NaN where unset.  A count costs far more than a kernel pair, so a count
@@ -72,18 +71,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .partitions import PartitionSet
-from .tables import Margin, log2_omega
+from .tables import log2_omega
 
 # largest contingency table, in cells, that one kernel chunk counts
 _KERNEL_CELLS = 1 << 20
-
-
-def _intern(keys) -> tuple[np.ndarray, list]:
-    """Ids 0, 1, ... in order of first appearance for a sequence of
-    hashable keys, and the distinct keys in id order."""
-    ids: dict = {}
-    return np.array([ids.setdefault(k, len(ids)) for k in keys],
-                    dtype=np.int64), list(ids)
 
 
 def _pair_row(rows: dict, size: int, a: int, bs: np.ndarray,
@@ -154,16 +145,14 @@ def _cache_for(pset: PartitionSet, cache: PairCache | None) -> PairCache:
 
 class PairCache:
     """Memoizes H(p), log2 Omega and H_mod(q | m) for partitions of one
-    PartitionSet."""
+    PartitionSet, whose content ids and margin signatures it reads."""
 
     def __init__(self, pset: PartitionSet):
         self.pset = pset
         self.cid, self.rep = pset.cid, pset.rep     # the set's content ids
         self.n_cid = len(self.rep)
-        # margin signatures, one Margin each, and their log2 Omega rows
-        self._margin_id, sigs = _intern(
-            tuple(sorted(pset.partitions[r].counts.tolist())) for r in self.rep)
-        self._margins = [Margin(s) for s in sigs]
+        # the set's margin signatures, and their log2 Omega rows
+        self._margin_id, self._margins = pset.margin_id, pset.margins
         self._omega_rows: dict[int, np.ndarray] = {}
         # content-level kernel tables (see the module docstring)
         x = np.arange(pset.N + 1, dtype=np.float64)

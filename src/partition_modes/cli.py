@@ -14,7 +14,8 @@ from . import graphs, sampler
 from .cache import PairCache, _members
 from .engine import EngineParams, run
 from .fileio import atomic_text_file
-from .objective import Clustering, description_length, full_description_length
+from .objective import (Clustering, _penalty, description_length,
+                        full_description_length)
 from .partitions import PartitionSet, canonicalize
 
 
@@ -123,10 +124,8 @@ def cmd_describe(args) -> int:
         stored = canonicalize(_int_list(data["modes"][k], "mode %d" % k))
         if stored != pset.partitions[m]:
             raise ValueError("mode %d does not match the ensemble" % k)
-    lam = args.lam if args.lam is not None else data.get("lambda", 1.0)
-    # a JSON number only: no bool, string, list or null
-    if type(lam) not in (int, float) or not 0 <= lam <= sys.float_info.max:
-        raise ValueError("lambda must be a finite non-negative number")
+    lam = _penalty(args.lam if args.lam is not None else data.get("lambda", 1.0),
+                   "lambda must be a finite non-negative number")
     cache = PairCache(pset)
     breakdown = description_length(pset, clustering, lam=lam, cache=cache)
     exact = full_description_length(pset, clustering, cache=cache)

@@ -45,15 +45,13 @@ total is computed once, when it is first read.
 from __future__ import annotations
 
 import functools
-import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .cache import PairCache, _cache_for, _members, _Members
-from .objective import (Clustering, ObjectiveBreakdown, cluster_label_entropy,
-                        description_length)
+from .objective import (Clustering, ObjectiveBreakdown, _penalty,
+                        cluster_label_entropy, description_length)
 from .partitions import Partition, PartitionSet, _ints
 
 MOVE_NAMES = ("reassign", "merge", "split", "merge_split")
@@ -74,13 +72,9 @@ class EngineParams:
     def __post_init__(self):
         seed, *counts = _ints((self.seed, self.k0, self.mode_sample_size, self.patience,
                                self.restarts), "invalid engine parameters")
-        # a bool is a flag, and a string or None no number
-        if (seed < 0 or min(counts) < 1 or isinstance(self.lam, bool)
-                or not isinstance(self.lam, numbers.Real)
-                or not math.isfinite(self.lam) or self.lam < 0):
+        if seed < 0 or min(counts) < 1:
             raise ValueError("invalid engine parameters")
-        # float64 whatever type λ came in: a float32 λ would round totals
-        self.lam = float(self.lam)
+        self.lam = _penalty(self.lam, "invalid engine parameters")
 
 
 def _given_members(members, cache: PairCache) -> _Members:

@@ -4,7 +4,6 @@ edge-list files, whitespace-separated integers."""
 from __future__ import annotations
 
 import os
-import secrets
 from contextlib import contextmanager
 
 import numpy as np
@@ -15,9 +14,11 @@ def atomic_text_file(path):
     """Open a temporary file beside ``path`` for writing and rename it
     over the target once the block completes, so a failure never leaves
     a partial file behind.  The file is created as ``open(path, "w")``
-    would create it, with the permissions the umask allows."""
+    would create it, with the permissions the umask allows.  Its name
+    takes 16 random hex digits from ``os.urandom``, as ``secrets`` would
+    draw them, without loading ``hashlib``."""
     path = os.path.abspath(path)
-    tmp = "%s.%s.tmp" % (path, secrets.token_hex(8))
+    tmp = "%s.%s.tmp" % (path, os.urandom(8).hex())
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:

@@ -92,16 +92,30 @@ def cluster_label_entropy(cluster_sizes, S: int) -> float:
     return float(0.0 - np.sum(f * np.log2(f)))
 
 
+def _penalty(lam, message) -> float:
+    """The penalty weight λ as a float64, so that a float32 λ cannot round
+    the totals it enters.  A bool or ``np.bool_`` (a flag), a value that
+    is not a real number (a string, None), NaN, a negative value, or one
+    past the float range (infinity, or an int such as 10**400) raises
+    ``ValueError(message)``."""
+    if isinstance(lam, (bool, np.bool_)) or not isinstance(lam, numbers.Real):
+        raise ValueError(message)
+    try:
+        lam = float(lam)
+    except OverflowError:
+        lam = math.inf
+    if not 0 <= lam < math.inf:
+        raise ValueError(message)
+    return lam
+
+
 def description_length(pset: PartitionSet, clustering: Clustering,
                        lam: float = 1.0,
                        cache: PairCache | None = None) -> ObjectiveBreakdown:
     """Penalized per-sample description length of the ensemble under the
     given clustering, broken into its four terms."""
     clustering.validate(pset)
-    # a bool is a flag, and a string or None no number
-    if (isinstance(lam, bool) or not isinstance(lam, numbers.Real)
-            or not math.isfinite(lam) or lam < 0):
-        raise ValueError("penalty weight must be finite and non-negative")
+    lam = _penalty(lam, "penalty weight must be finite and non-negative")
     cache = _cache_for(pset, cache)
     N, S = pset.N, pset.S
     sizes = clustering.cluster_sizes()
@@ -112,7 +126,7 @@ def description_length(pset: PartitionSet, clustering: Clustering,
     for k, m in enumerate(clustering.mode_index):
         cond += cache.hmod_given_mode(clustering.members(k), m).sum()
     cond_term = N / S * cond
-    penalty = float(lam) * clustering.K
+    penalty = lam * clustering.K
     return ObjectiveBreakdown(
         mode_entropy_term=mode_term,
         cluster_label_term=label_term,

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import itertools
 import operator
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tables import log2_omega
+from .tables import Margin, log2_omega
 
 # Labels per numpy pass of canonicalize_rows: bounds the pass's
 # temporary arrays to a few hundred kilobytes whatever the ensemble size.
@@ -109,11 +110,12 @@ def canonicalize_rows(raw_rows) -> PartitionSet:
     block of rows per numpy pass, and interned as its block is done.  A
     row whose content was seen before takes that content's id; a new
     content becomes one ``Partition`` whose labels and counts are copied
-    out of its block with the block's other new contents.  So the set
-    holds its distinct contents and no block, and an iterator's chunks
-    are read one at a time."""
-    ids: dict[bytes, int] = {}
-    cid, contents, rep = [], [], []
+    out of its block with the block's other new contents, and its margin
+    signature is interned.  So the set holds its distinct contents and no
+    block, an iterator's chunks are read one at a time, and the sample
+    ids take 8 bytes each, in an int64 buffer that becomes ``cid``."""
+    ids, sigs = {}, {}      # content keys and margin signatures, to ids
+    cid, contents, rep, margin_id = array("q"), [], [], []
     for block in _blocks(raw_rows):
         N = block.shape[1]
         idx = np.arange(block.size)
@@ -160,12 +162,16 @@ def canonicalize_rows(raw_rows) -> PartitionSet:
                                     ends.tolist()):
                 contents.append(Partition(labels=row, n=k, counts=counts[e - k:e]))
                 rep.append(len(cid) + i)
-        cid += block_cid
+                sig = tuple(sorted(counts[e - k:e].tolist()))
+                margin_id.append(sigs.setdefault(sig, len(sigs)))
+        cid.extend(block_cid)
     if not cid:
         raise ValueError("empty partition")
     return PartitionSet(partitions=[contents[c] for c in cid], N=N,
-                        cid=np.array(cid, dtype=np.int64),
-                        rep=np.array(rep, dtype=np.int64))
+                        cid=np.frombuffer(cid, dtype=np.int64),
+                        rep=np.array(rep, dtype=np.int64),
+                        margin_id=np.array(margin_id, dtype=np.int64),
+                        margins=[Margin(s) for s in sigs])
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,14 +180,18 @@ class PartitionSet:
     content level: ``partitions`` has one entry per sample, and all
     copies of a content are one shared ``Partition``.  ``cid`` numbers
     each sample's content 0, 1, ... in order of first appearance, and
-    ``rep`` holds each content's lowest sample index.  Built only by
-    ``canonicalize_rows``, the one place that decides which samples are
-    equal; ``from_partitions`` goes through it."""
+    ``rep`` holds each content's lowest sample index; ``margin_id`` and
+    ``margins`` number the margin signatures (sorted sizes) of the contents
+    alike, one ``tables.Margin`` each.  Built only by ``canonicalize_rows``,
+    which decides which samples share a content and which contents a
+    margin; ``from_partitions`` goes through it."""
 
     partitions: list[Partition]
     N: int
     cid: np.ndarray
     rep: np.ndarray
+    margin_id: np.ndarray
+    margins: list[Margin]
 
     @classmethod
     def from_partitions(cls, partitions: list[Partition]) -> "PartitionSet":

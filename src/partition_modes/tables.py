@@ -140,13 +140,18 @@ def _clean_margins(row_sums, col_sums) -> tuple[Margin, Margin]:
     return rows, cols
 
 
-def _recursion_cost(rows, cols) -> float:
+def _recursion_cost(rows, cols, limit=math.inf) -> float:
     """Estimated work of ``_count_exact_int``: the compositions
     enumerated for every row but the two largest, with the states of
     each level capped by the count of sorted column remainders, plus the
     inclusion-exclusion terms of the closed-form second-to-last row at
     every state that reaches it; 1 when a margin is a single part or all
-    unit sums, which are counted in closed form."""
+    unit sums, which are counted in closed form.
+
+    Every term is positive, so the running cost only grows: once it
+    passes ``limit`` it is returned as it stands, a partial cost above
+    the limit.  Within the limit the cost is the full one, the same
+    float as without a limit."""
     rows, cols = Margin(rows), Margin(cols)
     if len(rows) <= 1 or len(cols) <= 1 or rows[-1] == 1 or cols[-1] == 1:
         return 1.0
@@ -154,6 +159,8 @@ def _recursion_cost(rows, cols) -> float:
     states, cost = 1.0, 0.0
     for branch in rows.branches(len(cols)):
         cost += states * branch
+        if cost > limit:
+            return cost
         states = min(states * branch, cap)
     terms = math.prod(min(mult, rows[-2] // (value + 1)) + 1
                       for value, mult in cols.runs)
@@ -164,9 +171,11 @@ def _exact_orientation(rows, cols):
     """Orient cleaned margins for the exact recursion the way round for
     which ``_recursion_cost`` predicts less work, or return None when
     that cost exceeds ``DEFAULT_MAX_COST``.  The count is
-    transpose-symmetric; a tie keeps the given orientation."""
-    cost, flip = min((_recursion_cost(rows, cols), False),
-                     (_recursion_cost(cols, rows), True))
+    transpose-symmetric; a tie keeps the given orientation.  Each cost
+    stops at the budget: an orientation past it is never chosen, and one
+    within it is costed in full, so the decision is that of full costs."""
+    cost, flip = min((_recursion_cost(rows, cols, DEFAULT_MAX_COST), False),
+                     (_recursion_cost(cols, rows, DEFAULT_MAX_COST), True))
     if cost > DEFAULT_MAX_COST:
         return None
     return (cols, rows) if flip else (rows, cols)

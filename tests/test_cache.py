@@ -235,7 +235,7 @@ def test_build_memory_does_not_grow_with_signature_pairs():
         tracemalloc.stop()
     assert len(cache._margins) > 3900
     assert peak < 32e6
-    # one Margin per distinct sorted size vector, built with the cache
+    # one Margin per distinct sorted size vector, built with the set
     assert all(isinstance(m, Margin) for m in cache._margins)
     assert sorted(cache._margins) == sorted(
         {tuple(sorted(p.counts.tolist())) for p in pset.partitions})

@@ -1,6 +1,7 @@
 """The description length's log-gamma terms come from the standard
 library: the package imports no scipy, and the log-binomials and the
-log-factorial table agree with exact integer arithmetic."""
+log-factorial table agree with exact integer arithmetic.  Nor does it
+load hashlib, which only ``secrets`` would bring in."""
 
 import math
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -18,17 +20,34 @@ from partition_modes.tables import _log2_binom, _log2_int
 N_MAX = 100_000
 
 
-def test_package_imports_no_scipy():
+def _loaded_by_import(prefix, modules="partition_modes, partition_modes.cli"):
+    """The modules named ``prefix`` or ``prefix.*`` that importing
+    ``modules``, by default the package and its CLI, loads in a fresh
+    interpreter."""
     src = str(Path(partition_modes.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys, partition_modes, partition_modes.cli\n"
+    code = ("import sys, %s\n"
             "print(sorted(m for m in sys.modules\n"
-            "             if m == 'scipy' or m.startswith('scipy.')))")
+            "             if m == %r or m.startswith(%r)))"
+            % (modules, prefix, prefix + "."))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_package_imports_no_scipy():
+    assert _loaded_by_import("scipy") == "[]"
+
+
+def test_package_imports_no_hashlib():
+    # fileio's temporary names come from os.urandom; secrets.token_hex
+    # loaded hashlib and OpenSSL with it.  numpy 1.x imports numpy.random,
+    # which imports secrets, with numpy itself
+    if _loaded_by_import("hashlib", "numpy") != "[]":
+        pytest.skip("numpy loads hashlib on import")
+    assert _loaded_by_import("hashlib") == "[]"
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,3 +1,5 @@
+import argparse
+import json
 import math
 
 import numpy as np
@@ -9,6 +11,7 @@ from partition_modes import (Clustering, EngineParams, PairCache,
                              description_length, full_description_length,
                              log2_omega, run, tables)
 from partition_modes import cache as cache_module
+from partition_modes.cli import cmd_describe
 from partition_modes.tables import (DEFAULT_MAX_COST, _clean_margins,
                                     _exact_orientation, _log2_binom)
 from partition_modes.sampler import PerturbationSpec, perturb_ensemble
@@ -94,6 +97,42 @@ def test_clustering_validation():
     for lam in (-0.5, "1", None, True, np.True_):
         with pytest.raises(ValueError, match="must be finite and non-negative"):
             description_length(pset, _uniform_clustering(6), lam=lam)
+
+
+def _engine_lambda(lam, tmp_path, capsys):
+    return EngineParams(lam=lam).lam
+
+
+def _objective_lambda(lam, tmp_path, capsys):
+    pset = PartitionSet.from_partitions([canonicalize([0, 0, 1, 1])] * 3)
+    return description_length(pset, _uniform_clustering(3), lam=lam).penalty_term
+
+
+def _describe_lambda(lam, tmp_path, capsys):
+    # the --lambda value; None, which means "no flag", as a stored null
+    parts, result = tmp_path / "p.txt", tmp_path / "r.json"
+    parts.write_text("0 0 1 1\n" * 3)
+    result.write_text(json.dumps({"K": 1, "assignment": [0, 0, 0], "mode_index": [0],
+                                  "modes": [[0, 0, 1, 1]],
+                                  "lambda": None if lam is None else 1.0}))
+    cmd_describe(argparse.Namespace(partitions=str(parts), clustering=str(result),
+                                    lam=lam))
+    return json.loads(capsys.readouterr().out)["objective"]["penalty"]
+
+
+@pytest.mark.parametrize("site, message", [
+    (_engine_lambda, "invalid engine parameters"),
+    (_objective_lambda, "penalty weight must be finite and non-negative"),
+    (_describe_lambda, "lambda must be a finite non-negative number")],
+    ids=["engine", "objective", "describe"])
+def test_one_lambda_rule(site, message, tmp_path, capsys):
+    # an int past the float range raised OverflowError out of math.isfinite
+    for lam in (10 ** 400, True, np.True_, "1", None, math.inf, math.nan, -1):
+        with pytest.raises(ValueError, match=message):
+            site(lam, tmp_path, capsys)
+    # a float32 λ comes back as a float64, so no total is rounded to float32
+    got = site(np.float32(0.5), tmp_path, capsys)
+    assert type(got) is float and got == 0.5
 
 
 def test_breakdown_json_fields():

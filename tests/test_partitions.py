@@ -20,6 +20,7 @@ from partition_modes.objective import Clustering
 from partition_modes.partitions import _int64_values, canonicalize_rows
 from partition_modes.sampler import (PerturbationSpec, load_partitions,
                                      mcmc_sample)
+from partition_modes.tables import Margin
 
 from conftest import random_partition
 
@@ -259,12 +260,23 @@ def test_canonicalize_rows_interns_contents(case):
     assert pset.cid.dtype == np.int64
     assert pset.cid.tolist() == [ids[tuple(first_appearance(r)[0])] for r in rows]
     assert pset.rep.tolist() == rep
+    # reference margin ids: each content's sorted counts, numbered by
+    # first appearance over the contents
+    sigs = {}
+    margin_id = [sigs.setdefault(tuple(sorted(pset.partitions[r].counts.tolist())),
+                                 len(sigs)) for r in rep]
+    for s in (pset, chunked):
+        assert s.margin_id.dtype == np.int64 and s.margin_id.tolist() == margin_id
+        assert [tuple(m) for m in s.margins] == list(sigs)
+        assert all(isinstance(m, Margin) for m in s.margins)
     # copies share one object, and the cache reads the set's ids
     assert len({id(p) for p in pset.partitions}) == len(pset.rep)
     assert all(pset.partitions[i] is pset.partitions[r]
                for i, r in enumerate(pset.rep[pset.cid].tolist()))
     cache = PairCache(pset)
     assert np.array_equal(cache.cid, pset.cid) and cache.n_cid == len(rep)
+    # and the set's margin signatures
+    assert cache._margin_id is pset.margin_id and cache._margins is pset.margins
 
 
 def _traced(build):
@@ -300,6 +312,17 @@ def test_repeated_ensemble_memory_is_bounded_by_its_contents():
     assert held < 6e6, held
     assert len(pset.rep) == len(set(picks.tolist()))
     assert pset.partitions[-1] == canonicalize(raw[-1])
+
+
+def test_sample_ids_take_eight_bytes_each():
+    # 200,000 samples of 74 contents: sample ids collected in a Python
+    # list beside the S references peaked at 5.13 MB
+    rng = np.random.default_rng(5)
+    raw = rng.integers(0, 6, size=(74, 48))[rng.integers(74, size=200_000)]
+    pset, _, peak = _traced(lambda: canonicalize_rows(raw))
+    assert peak < 4e6, peak
+    assert pset.S == 200_000 and len(pset.rep) == 74
+    assert pset.cid.dtype == np.int64 and pset.cid.flags.writeable
 
 
 def test_load_partitions_streams_its_file(tmp_path):

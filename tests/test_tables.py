@@ -502,19 +502,24 @@ def test_estimate_is_finite_and_order_free(margins, rnd):
         count_tables_exact(r, units), rel=1e-12)
 
 
-@settings(max_examples=60, deadline=None)
-@given(_margin_pairs(), st.sampled_from([0, 1e3, 1e5, DEFAULT_MAX_COST]))
+@settings(max_examples=80, deadline=None)
+@given(_margin_pairs(), st.sampled_from([0, 1, 1e3, 1e5, DEFAULT_MAX_COST, math.inf]))
 def test_exact_orientation_keeps_budget_and_takes_cheaper_recursion(margins,
                                                                     max_cost):
     rows, cols = _clean_margins(*margins)
     with patch.object(tables, "DEFAULT_MAX_COST", max_cost):
         oriented = _exact_orientation(rows, cols)
-    # the budget decision is the recursion cost's, the cheaper way round
-    within = min(_recursion_cost(rows, cols), _recursion_cost(cols, rows)) <= max_cost
-    assert (oriented is not None) == within
-    if oriented is not None:
-        assert oriented in ((rows, cols), (cols, rows))
-        assert _recursion_cost(*oriented) <= _recursion_cost(*oriented[::-1])
+    # a cost that stops at the budget passes it exactly when the full cost
+    # does, and within it is the same float
+    for r, c in ((rows, cols), (cols, rows)):
+        full, cut = _recursion_cost(r, c), _recursion_cost(r, c, max_cost)
+        assert (cut > max_cost) == (full > max_cost)
+        assert cut == full or cut > max_cost
+    # so the decision is that of the full costs, the cheaper way round
+    cost, flip = min((_recursion_cost(rows, cols), False),
+                     (_recursion_cost(cols, rows), True))
+    assert oriented == (None if cost > max_cost
+                        else (cols, rows) if flip else (rows, cols))
 
 
 def test_exact_orientation_enumerates_the_small_rows():
