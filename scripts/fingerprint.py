@@ -19,7 +19,9 @@ The inputs: ``distinct_bimodal`` and ``repeated_unimodal`` at sub-seeds
 1001-1010, written as the benchmark writes them and read back with
 ``load_partitions``, each run at its sub-seed; the README's ring
 pipeline sample (``mcmc_sample`` of ``ring_of_cliques(8, 6)``, S=2000,
-``sweeps_between=5``, beta=200, seed 0); and a perturbed N=2000, S=500
+``sweeps_between=5``, beta=200, seed 0); a ``perturb_ensemble`` of two
+N=100 bases, 4 groups of 25 and 5 interleaved groups of 20 (weights
+0.5, flip rate 0.05, S=300, seed 0); and a perturbed N=2000, S=500
 ensemble of 20 groups of 100 (flip rate 0.05, seed 0), where every
 Omega is estimated.  ``--quick`` keeps sub-seeds 1001-1002 and drops
 the N=2000 input.
@@ -87,6 +89,10 @@ def inputs(quick: bool, work: Path):
             yield "%s-%d" % (name, s), load_partitions(path), s
     graph, _ = ring_of_cliques(8, 6)
     yield "ring", mcmc_sample(graph, S=2000, sweeps_between=5, beta=200, seed=0), 0
+    bases = [(canonicalize(np.repeat(np.arange(4), 25)), 0.5),
+             (canonicalize(np.arange(100) % 5), 0.5)]
+    spec = PerturbationSpec(bases=bases, node_flip_rate=0.05, S=300, seed=0)
+    yield "perturbed", perturb_ensemble(spec)[0], 0
     if not quick:
         base = canonicalize(np.repeat(np.arange(20), 100))
         spec = PerturbationSpec(bases=[(base, 1.0)], node_flip_rate=0.05, S=500, seed=0)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import atomic_text_file, int_lines
-from .partitions import Partition, _int64_values, _ints, canonicalize
+from .partitions import Partition, _int64_values, _ints, _real, canonicalize
 
 
 @dataclass
@@ -50,6 +50,8 @@ def planted_partition(N: int, q: int, p_in: float, p_out: float,
     q, = _ints([q], "group count must be an integer")
     if q < 1 or N % q != 0:
         raise ValueError("group count must divide node count")
+    p_in, p_out = (_real(p, "mixing probabilities must be in [0, 1]")
+                   for p in (p_in, p_out))
     return sbm([N // q] * q, np.where(np.eye(q, dtype=bool), p_in, p_out), seed)
 
 

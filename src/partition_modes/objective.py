@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cache import PairCache, _cache_for, _members
-from .partitions import PartitionSet, _ints
+from .partitions import PartitionSet, _ints, _real
 from .tables import _log2_binom
 
 _LN2 = math.log(2.0)
@@ -94,16 +93,10 @@ def cluster_label_entropy(cluster_sizes, S: int) -> float:
 
 def _penalty(lam, message) -> float:
     """The penalty weight λ as a float64, so that a float32 λ cannot round
-    the totals it enters.  A bool or ``np.bool_`` (a flag), a value that
-    is not a real number (a string, None), NaN, a negative value, or one
-    past the float range (infinity, or an int such as 10**400) raises
-    ``ValueError(message)``."""
-    if isinstance(lam, (bool, np.bool_)) or not isinstance(lam, numbers.Real):
-        raise ValueError(message)
-    try:
-        lam = float(lam)
-    except OverflowError:
-        lam = math.inf
+    the totals it enters.  A value that ``partitions._real`` refuses, NaN,
+    a negative value, or one past the float range (infinity, or an int
+    such as 10**400) raises ``ValueError(message)``."""
+    lam = _real(lam, message)
     if not 0 <= lam < math.inf:
         raise ValueError(message)
     return lam

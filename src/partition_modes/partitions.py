@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 import operator
 from array import array
 from collections.abc import Iterator
@@ -64,15 +66,18 @@ def _ints(values, message) -> list[int]:
         raise ValueError(message) from None
 
 
-def _chunks(rows) -> Iterator[np.ndarray]:
-    """The equal-length label rows of an iterable, stacked into S x N
-    chunks of about ``_PASS_LABELS`` labels, one numpy pass of
-    ``canonicalize_rows`` each, so rows are read as they are consumed."""
-    rows = iter(rows)
-    for first in rows:
-        size = max(1, _PASS_LABELS // first.shape[0])
-        chunk = [first, *itertools.islice(rows, size - 1)]
-        yield np.concatenate(chunk).reshape(len(chunk), -1)
+def _real(value, message) -> float:
+    """A caller's weight, rate, probability or temperature as a Python
+    float.  A bool or ``np.bool_`` (a flag), or a value that is not a
+    real number (a string, None), raises ``ValueError(message)``; an int
+    past the float range, such as 10**400, is an infinity.  Each site
+    checks its own range."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValueError(message)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def canonicalize(raw_labels) -> Partition:
@@ -81,42 +86,40 @@ def canonicalize(raw_labels) -> Partition:
     arr = np.asarray(raw_labels)
     if arr.ndim != 1:
         raise ValueError("partition labels must be a 1-D sequence")
-    return canonicalize_rows(arr[None, :]).partitions[0]
+    return canonicalize_rows([arr]).partitions[0]
 
 
-def _blocks(raw_rows) -> Iterator[np.ndarray]:
-    """The int64 blocks of rows of ``canonicalize_rows``' input, about
-    ``_PASS_LABELS`` labels each: views of a matrix, or of each chunk
-    of an iterator in turn."""
-    N = None
-    for chunk in raw_rows if isinstance(raw_rows, Iterator) else [raw_rows]:
-        raw = _int64_values(chunk)
-        if raw.ndim != 2:
-            raise ValueError("partition rows must be a 2-D S x N label matrix")
-        if N is not None and raw.shape[1] != N:
+def _blocks(rows) -> Iterator[np.ndarray]:
+    """``canonicalize_rows``' label rows, read as they are consumed and
+    stacked into int64 blocks of about ``_PASS_LABELS`` labels each.
+    Every row must have the first row's shape: one label per node."""
+    rows = map(np.asarray, rows)
+    first = next(rows, np.empty(0))
+    if first.ndim != 1:
+        raise ValueError("partition rows must be a 2-D S x N label matrix")
+    if not first.size:
+        raise ValueError("empty partition")
+    rows = itertools.chain([first], rows)
+    while block := list(itertools.islice(rows, max(1, _PASS_LABELS // first.size))):
+        if any(row.shape != first.shape for row in block):
             raise ValueError("incompatible partitions")
-        N = raw.shape[1]
-        if not N:
-            raise ValueError("empty partition")
-        rows = max(1, _PASS_LABELS // N)
-        for lo in range(0, raw.shape[0], rows):
-            yield raw[lo:lo + rows]
+        yield _int64_values(np.concatenate(block)).reshape(len(block), -1)
 
 
-def canonicalize_rows(raw_rows) -> PartitionSet:
-    """The ``PartitionSet`` of an S x N label matrix, or of an iterator
-    of such matrices (chunks) of one N, taken in order, as ``_chunks``
-    yields them: every row canonicalized as ``canonicalize`` does one, a
-    block of rows per numpy pass, and interned as its block is done.  A
+def canonicalize_rows(rows) -> PartitionSet:
+    """The ``PartitionSet`` of any iterable of 1-D label rows of one
+    length N (an S x N matrix, a list, a generator), taken in order:
+    every row canonicalized as ``canonicalize`` does one, a block of rows
+    per numpy pass (``_blocks``), and interned as its block is done.  A
     row whose content was seen before takes that content's id; a new
     content becomes one ``Partition`` whose labels and counts are copied
     out of its block with the block's other new contents, and its margin
     signature is interned.  So the set holds its distinct contents and no
-    block, an iterator's chunks are read one at a time, and the sample
+    block, a generator's rows are read a block at a time, and the sample
     ids take 8 bytes each, in an int64 buffer that becomes ``cid``."""
     ids, sigs = {}, {}      # content keys and margin signatures, to ids
     cid, contents, rep, margin_id = array("q"), [], [], []
-    for block in _blocks(raw_rows):
+    for block in _blocks(rows):
         N = block.shape[1]
         idx = np.arange(block.size)
         # flat positions in row-wise stable label order: each label's
@@ -165,8 +168,6 @@ def canonicalize_rows(raw_rows) -> PartitionSet:
                 sig = tuple(sorted(counts[e - k:e].tolist()))
                 margin_id.append(sigs.setdefault(sig, len(sigs)))
         cid.extend(block_cid)
-    if not cid:
-        raise ValueError("empty partition")
     return PartitionSet(partitions=[contents[c] for c in cid], N=N,
                         cid=np.frombuffer(cid, dtype=np.int64),
                         rep=np.array(rep, dtype=np.int64),
@@ -195,15 +196,13 @@ class PartitionSet:
 
     @classmethod
     def from_partitions(cls, partitions: list[Partition]) -> "PartitionSet":
-        """The set of ``partitions``, whose labels reach
-        ``canonicalize_rows`` a chunk at a time: no S x N matrix is
-        built, and equal contents become one shared ``Partition``."""
+        """The set of ``partitions``, whose label rows stream into
+        ``canonicalize_rows``, which checks that they share one node
+        count: no S x N matrix is built, and equal contents become one
+        shared ``Partition``."""
         if not partitions:
             raise ValueError("empty partition set")
-        N = partitions[0].N
-        if any(p.N != N for p in partitions):
-            raise ValueError("incompatible partitions")
-        return canonicalize_rows(_chunks(p.labels for p in partitions))
+        return canonicalize_rows(p.labels for p in partitions)
 
     @property
     def S(self) -> int:

@@ -11,8 +11,7 @@ import numpy as np
 
 from .fileio import atomic_text_file, int_lines
 from .graphs import Graph
-from .partitions import (Partition, PartitionSet, _chunks, _ints,
-                         canonicalize_rows)
+from .partitions import Partition, PartitionSet, _ints, _real, canonicalize_rows
 
 # Moves per block of generator draws in mcmc_sample: large enough that
 # small graphs pay little numpy call overhead, small enough that the
@@ -21,12 +20,11 @@ _BLOCK = 2048
 
 
 def load_partitions(path) -> PartitionSet:
-    """Read one partition per line, canonicalizing the lines as they are
-    read, a chunk of rows at a time (``partitions._chunks``), so the file
-    is never held whole.  A line holds one integer label per node, as
-    Python's ``int`` reads it, within int64; blank lines and '#' comment
-    lines are skipped, and an error names its line
-    (``fileio.int_lines``)."""
+    """Read one partition per line, each line's labels streaming into
+    ``partitions.canonicalize_rows`` as it is read, so the file is never
+    held whole.  A line holds one integer label per node, as Python's
+    ``int`` reads it, within int64; blank lines and '#' comment lines are
+    skipped, and an error names its line (``fileio.int_lines``)."""
     def rows():
         N = None
         for lineno, labels in int_lines(path, "label"):
@@ -38,7 +36,7 @@ def load_partitions(path) -> PartitionSet:
             yield labels
         if N is None:
             raise ValueError("no partitions in %s" % path)
-    return canonicalize_rows(_chunks(rows()))
+    return canonicalize_rows(rows())
 
 
 def write_partitions(pset: PartitionSet, path) -> None:
@@ -64,13 +62,15 @@ class PerturbationSpec:
     def __post_init__(self):
         if not self.bases:
             raise ValueError("need at least one base partition")
-        weights = [w for _, w in self.bases]
+        message = "mixture weights must be positive and sum to 1"
+        weights = [_real(w, message) for _, w in self.bases]
         # NaN fails every comparison, so finiteness is tested on its own
         if (not all(math.isfinite(w) and w > 0 for w in weights)
                 or abs(sum(weights) - 1.0) > 1e-9):
-            raise ValueError("mixture weights must be positive and sum to 1")
-        if not (0 <= self.node_flip_rate < 1):
-            raise ValueError("node_flip_rate must be in [0, 1)")
+            raise ValueError(message)
+        message = "node_flip_rate must be in [0, 1)"
+        if not (0 <= _real(self.node_flip_rate, message) < 1):
+            raise ValueError(message)
         message = ("ensemble size must be positive and the seed non-negative, "
                    "both integers")
         S, seed = _ints((self.S, self.seed), message)
@@ -83,17 +83,20 @@ class PerturbationSpec:
 
 def perturb_ensemble(spec: PerturbationSpec) -> tuple[PartitionSet, np.ndarray]:
     """Draw the ensemble described by ``spec``; also returns the true
-    base index of every sample for scoring."""
+    base index of every sample for scoring.  Each sample's row is drawn
+    as ``canonicalize_rows`` reads it, so no S x N matrix is built."""
     rng = np.random.default_rng(spec.seed)
     weights = np.array([w for _, w in spec.bases])
     base_idx = rng.choice(len(spec.bases), size=spec.S, p=weights)
-    samples = np.empty((spec.S, spec.bases[0][0].N), dtype=np.int64)
-    for labels, b in zip(samples, base_idx):
-        base = spec.bases[int(b)][0]
-        labels[:] = base.labels
-        flip = rng.random(base.N) < spec.node_flip_rate
-        labels[flip] = rng.integers(0, base.n, size=int(flip.sum()))
-    return canonicalize_rows(samples), base_idx
+
+    def rows():
+        for b in base_idx.tolist():
+            base = spec.bases[b][0]
+            labels = base.labels.copy()
+            flip = rng.random(base.N) < spec.node_flip_rate
+            labels[flip] = rng.integers(0, base.n, size=int(flip.sum()))
+            yield labels
+    return canonicalize_rows(rows()), base_idx
 
 
 def mcmc_sample(graph: Graph, S: int, sweeps_between: int = 1, beta: float = 1.0,
@@ -101,9 +104,12 @@ def mcmc_sample(graph: Graph, S: int, sweeps_between: int = 1, beta: float = 1.0
     """Single-node Metropolis sampler with stationary weight
     exp(beta * modularity); records a partition every ``sweeps_between``
     sweeps after a burn-in of 10x that many sweeps.  The samples depend
-    only on the arguments: one seed gives the same samples every time."""
+    only on the arguments: one seed gives the same samples every time.
+    The arguments are checked before the first move, and each record
+    streams into ``canonicalize_rows``, so no S x N matrix is built."""
     S, sweeps_between, q_max, seed = _ints((S, sweeps_between, q_max, seed),
                                            "invalid sampler parameters")
+    beta = _real(beta, "invalid sampler parameters")
     if S < 1:
         raise ValueError("need at least one sample")
     if graph.N < 1:
@@ -111,6 +117,12 @@ def mcmc_sample(graph: Graph, S: int, sweeps_between: int = 1, beta: float = 1.0
     # NaN would reject every downhill move; inf is the zero-temperature limit
     if sweeps_between < 1 or q_max < 1 or seed < 0 or math.isnan(beta):
         raise ValueError("invalid sampler parameters")
+    return canonicalize_rows(_metropolis(graph, S, sweeps_between, beta, q_max, seed))
+
+
+def _metropolis(graph, S, sweeps_between, beta, q_max, seed):
+    """The S records of ``mcmc_sample``'s chain in order, each an int64
+    copy of the labels."""
     N = graph.N
     adj = [[] for _ in range(N)]
     for u, v in graph.edges:
@@ -124,8 +136,6 @@ def mcmc_sample(graph: Graph, S: int, sweeps_between: int = 1, beta: float = 1.0
     deg_sums = [0] * q_max
     for node, label in enumerate(labels):
         deg_sums[label] += degrees[node]
-    samples = np.empty((S, N), dtype=np.int64)
-    recorded = 0
     record_every = sweeps_between * N
     # moves until the next record: the first ends the first sweeps_between
     # sweeps after the burn-in, the last ends the last move
@@ -141,8 +151,7 @@ def mcmc_sample(graph: Graph, S: int, sweeps_between: int = 1, beta: float = 1.0
         uniforms = rng.random(size).tolist()
         for node, new, u in zip(nodes, news, uniforms):
             if not until_record:
-                samples[recorded] = labels
-                recorded += 1
+                yield np.array(labels)
                 until_record = record_every
             until_record -= 1
             old = labels[node]
@@ -163,5 +172,4 @@ def mcmc_sample(graph: Graph, S: int, sweeps_between: int = 1, beta: float = 1.0
             labels[node] = new
             deg_sums[old] -= k
             deg_sums[new] += k
-    samples[recorded] = labels
-    return canonicalize_rows(samples)
+    yield np.array(labels)

@@ -19,7 +19,7 @@ from partition_modes.graphs import Graph, planted_partition, ring_of_cliques, sb
 from partition_modes.objective import Clustering
 from partition_modes.partitions import _int64_values, canonicalize_rows
 from partition_modes.sampler import (PerturbationSpec, load_partitions,
-                                     mcmc_sample)
+                                     mcmc_sample, perturb_ensemble)
 from partition_modes.tables import Margin
 
 from conftest import random_partition
@@ -85,7 +85,7 @@ def test_canonicalize_takes_only_integral_labels():
     assert canonicalize([-2.0 ** 63, 2 ** 62]).labels.tolist() == [0, 1]
     assert canonicalize([INT64_MIN, INT64_MAX, INT64_MIN]).labels.tolist() == [0, 1, 0]
     assert canonicalize(np.array([9, 2, 9], dtype=np.uint8)).labels.tolist() == [0, 1, 0]
-    # an int64 matrix, as load_partitions passes, is read in place
+    # an int64 block of rows is read in place
     rows = np.array([[4, 4, 1], [1, 2, 3]], dtype=np.int64)
     assert _int64_values(rows) is rows
 
@@ -143,6 +143,34 @@ def test_integer_arguments_follow_one_rule(site, call, message, good):
         with pytest.raises(ValueError, match=message):
             call(bad)
     call(np.int64(good))
+
+
+# every caller argument that must be a real number, as _INT_SITES
+_REAL_SITES = [
+    ("PerturbationSpec.weight",
+     lambda v: PerturbationSpec(**{**_SPEC, "bases": [(_SPEC["bases"][0][0], v)]}),
+     "mixture weights must be positive", 1),
+    ("PerturbationSpec.node_flip_rate",
+     lambda v: PerturbationSpec(**{**_SPEC, "node_flip_rate": v}),
+     "node_flip_rate must be in", 0),
+    ("mcmc_sample.beta", lambda v: mcmc_sample(_CLIQUES, S=2, beta=v), "invalid sampler", 1),
+    ("planted_partition.p_in", lambda v: planted_partition(4, 2, v, 0.0),
+     "mixing probabilities", 1),
+    ("planted_partition.p_out", lambda v: planted_partition(4, 2, 1.0, v),
+     "mixing probabilities", 0),
+]
+
+
+@pytest.mark.parametrize("site, call, message, good", _REAL_SITES,
+                         ids=[site[0] for site in _REAL_SITES])
+def test_real_arguments_follow_one_rule(site, call, message, good):
+    # a string or None raised TypeError, or numpy's DTypePromotionError,
+    # and a bool was read as 1: each raises the site's own ValueError
+    for bad in ("x", None, True, np.True_):
+        with pytest.raises(ValueError, match=message):
+            call(bad)
+    for value in (good, float(good), np.float32(good), np.int64(good)):
+        call(value)
 
 
 @given(label_lists)
@@ -212,6 +240,17 @@ def test_partition_set_validation():
             PartitionSet.from_partitions(parts)
     with pytest.raises(ValueError, match="empty partition set"):
         PartitionSet.from_partitions([])
+    # rows of another length raise wherever they come: within a block,
+    # where stacking rows of lengths 3 and 5 could make a 2 x 4 block, or
+    # as the first row of a later block
+    with pytest.raises(ValueError, match="incompatible partitions"):
+        canonicalize_rows([[0, 0, 1], [0, 1, 1, 2, 2]])
+    with mock.patch.object(partitions_module, "_PASS_LABELS", 6):
+        for rows in ([[0, 0, 1]] * 2 + [[0, 1]], [[0, 0, 1]] * 3 + [[0, 1, 1, 2, 2]]):
+            with pytest.raises(ValueError, match="incompatible partitions"):
+                canonicalize_rows(iter(rows))
+        with pytest.raises(ValueError, match="incompatible partitions"):
+            PartitionSet.from_partitions([a, a, b])
     pset = PartitionSet.from_partitions([a, canonicalize([4, 4, 2])])
     assert pset.S == 2 and pset.N == 3
     # equal contents are one content: one id, one shared Partition
@@ -234,21 +273,20 @@ def repeated_label_matrices(draw):
     relabels = draw(st.lists(relabel, min_size=len(picks), max_size=len(picks)))
     rows = [[perm[x] + shift for x in bases[b]]
             for b, (perm, shift) in zip(picks, relabels)]
-    return (rows, draw(st.integers(min_value=1, max_value=40)),
-            draw(st.integers(min_value=1, max_value=len(rows) + 2)))
+    return rows, draw(st.integers(min_value=1, max_value=40))
 
 
 @given(repeated_label_matrices())
 def test_canonicalize_rows_interns_contents(case):
-    rows, pass_labels, n_chunks = case
+    rows, pass_labels = case
     with mock.patch.object(partitions_module, "_PASS_LABELS", pass_labels):
         pset = canonicalize_rows(np.array(rows, dtype=np.int64))
-        # the same rows as an iterator of chunks, some of them empty
-        chunked = canonicalize_rows(iter(np.array_split(rows, n_chunks)))
-    assert chunked.S == pset.S and chunked.N == pset.N
-    assert np.array_equal(chunked.cid, pset.cid) and np.array_equal(chunked.rep, pset.rep)
+        # the same rows as a generator of lists
+        streamed = canonicalize_rows(list(row) for row in rows)
+    assert streamed.S == pset.S and streamed.N == pset.N
+    assert np.array_equal(streamed.cid, pset.cid) and np.array_equal(streamed.rep, pset.rep)
     assert all(a == b and a.n == b.n and np.array_equal(a.counts, b.counts)
-               for a, b in zip(chunked.partitions, pset.partitions))
+               for a, b in zip(streamed.partitions, pset.partitions))
     # reference ids: canonical label tuples numbered by first appearance
     ids, rep = {}, []
     for i, row in enumerate(rows):
@@ -265,7 +303,7 @@ def test_canonicalize_rows_interns_contents(case):
     sigs = {}
     margin_id = [sigs.setdefault(tuple(sorted(pset.partitions[r].counts.tolist())),
                                  len(sigs)) for r in rep]
-    for s in (pset, chunked):
+    for s in (pset, streamed):
         assert s.margin_id.dtype == np.int64 and s.margin_id.tolist() == margin_id
         assert [tuple(m) for m in s.margins] == list(sigs)
         assert all(isinstance(m, Margin) for m in s.margins)
@@ -349,6 +387,27 @@ def test_from_partitions_builds_no_label_matrix():
     pset, _, peak = _traced(lambda: PartitionSet.from_partitions(parts))
     assert peak < 4e6, peak
     assert pset.S == 50_000 and pset.rep.tolist() == [0] and pset.partitions[-1] == p
+
+
+def test_perturb_ensemble_builds_no_label_matrix():
+    # 20,000 unflipped copies of one base of 100 nodes: the S x N label
+    # matrix peaked at 16.7 MB
+    base = canonicalize(np.arange(100) % 7)
+    spec = PerturbationSpec(bases=[(base, 1.0)], node_flip_rate=0.0, S=20_000)
+    (pset, idx), _, peak = _traced(lambda: perturb_ensemble(spec))
+    assert peak < 3e6, peak
+    assert pset.S == 20_000 and pset.rep.tolist() == [0] and pset.partitions[-1] == base
+    assert idx.tolist() == [0] * 20_000
+
+
+def test_mcmc_sample_builds_no_label_matrix():
+    # without edges and with one label every record is one content, so
+    # the S x N int64 label matrix, 2.4 MB, was most of the peak
+    S, N = 3000, 100
+    pset, _, peak = _traced(lambda: mcmc_sample(Graph(N=N, edges=set()), S=S, q_max=1))
+    assert peak < S * N * 8 / 2, peak
+    assert pset.S == S and pset.rep.tolist() == [0]
+    assert pset.partitions[0] == canonicalize(np.zeros(N))
 
 
 def test_entropy_examples():
