@@ -15,6 +15,13 @@ lines mean the same sets and runs to the bit.  The package comes from
 repository's ``perfbench/workloads.py``, so both checkouts cluster the
 same inputs.
 
+The package adds every float total left to right (``tables._fold``),
+not by builtin ``sum`` or a BLAS dot, so the lines also compare across
+Python versions and across OpenBLAS kernels (``OPENBLAS_CORETYPE``,
+e.g. ``Haswell`` or ``Prescott``).  The exact-encoding digest moved once,
+when L1 and L4 stopped being BLAS dot products; the set and run
+digests did not.
+
 The inputs: ``distinct_bimodal`` and ``repeated_unimodal`` at sub-seeds
 1001-1010, written as the benchmark writes them and read back with
 ``load_partitions``, each run at its sub-seed; the README's ring

@@ -53,6 +53,7 @@ from .cache import PairCache, _cache_for, _members, _Members
 from .objective import (Clustering, ObjectiveBreakdown, _penalty,
                         cluster_label_entropy, description_length)
 from .partitions import Partition, PartitionSet, _ints
+from .tables import _fold
 
 MOVE_NAMES = ("reassign", "merge", "split", "merge_split")
 
@@ -130,8 +131,8 @@ class EngineState:
     def total(self) -> float:
         N, S = self.cache.pset.N, self.cache.pset.S
         sizes = [c.members.size for c in self.clusters]
-        mode_term = N / S * sum(c.mode_entropy for c in self.clusters)
-        cond_term = N / S * sum(c.cond_sum for c in self.clusters)
+        mode_term = N / S * _fold(c.mode_entropy for c in self.clusters)
+        cond_term = N / S * _fold(c.cond_sum for c in self.clusters)
         label_term = cluster_label_entropy(sizes, S)
         return mode_term + label_term + cond_term + self.params.lam * self.K
 

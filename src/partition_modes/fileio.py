@@ -30,20 +30,21 @@ def atomic_text_file(path):
         raise
 
 
-def int_lines(path, what: str):
-    """Yield ``(line number, int64 array)`` per line of ``path``, skipping
-    blank lines and those whose first token starts with '#'.  A token is
-    read as Python's ``int`` reads it; one that is not an integer, or lies
-    past int64, raises ValueError naming the line and ``what``."""
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens or tokens[0].startswith("#"):
-                continue
-            try:
-                values = np.array(tokens, dtype=np.int64)
-            except ValueError:
-                raise ValueError("line %d: non-integer %s" % (lineno, what)) from None
-            except OverflowError:
-                raise ValueError("line %d: %s out of range" % (lineno, what)) from None
-            yield lineno, values
+def int_lines(lines, what: str):
+    """Yield ``(line number, int64 array)`` per line of ``lines``, an
+    iterable of text lines such as an open file, skipping blank lines and
+    those whose first token starts with '#'.  A token is read as Python's
+    ``int`` reads it; one that is not an integer, or lies past int64,
+    raises ValueError naming the line and ``what``.  The caller opens its
+    file, once, so a pipe is read as it streams."""
+    for lineno, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        try:
+            values = np.array(tokens, dtype=np.int64)
+        except ValueError:
+            raise ValueError("line %d: non-integer %s" % (lineno, what)) from None
+        except OverflowError:
+            raise ValueError("line %d: %s out of range" % (lineno, what)) from None
+        yield lineno, values

@@ -124,25 +124,27 @@ def read_edge_list(path) -> Graph:
     ``write_edge_list`` writes, gives the node count, so isolated nodes
     survive a round trip; without it the count is the largest id + 1.
     Duplicate edges, self-loops, negative ids, ids past the header's count
-    and lines of other than two ids are errors."""
-    with open(path) as fh:
-        header = _HEADER.fullmatch(fh.readline().strip())
-    N = int(header.group(1)) if header else None
+    and lines of other than two ids are errors.  The file is opened and
+    read once, so ``path`` may be a pipe such as ``/dev/stdin``."""
     edges = set()
-    for lineno, ids in int_lines(path, "node id"):
-        if len(ids) != 2:
-            raise ValueError("line %d: expected two node ids" % lineno)
-        u, v = edge = tuple(sorted(ids.tolist()))
-        if u < 0:
-            raise ValueError("line %d: negative node id" % lineno)
-        if N is not None and v >= N:
-            raise ValueError("line %d: node id past the %d nodes of the header"
-                             % (lineno, N))
-        if u == v:
-            raise ValueError("line %d: self-loop" % lineno)
-        if edge in edges:
-            raise ValueError("line %d: duplicate edge %s" % (lineno, edge))
-        edges.add(edge)
+    with open(path) as fh:
+        first = fh.readline()
+        header = _HEADER.fullmatch(first.strip())
+        N = int(header.group(1)) if header else None
+        for lineno, ids in int_lines(itertools.chain([first], fh), "node id"):
+            if len(ids) != 2:
+                raise ValueError("line %d: expected two node ids" % lineno)
+            u, v = edge = tuple(sorted(ids.tolist()))
+            if u < 0:
+                raise ValueError("line %d: negative node id" % lineno)
+            if N is not None and v >= N:
+                raise ValueError("line %d: node id past the %d nodes of the header"
+                                 % (lineno, N))
+            if u == v:
+                raise ValueError("line %d: self-loop" % lineno)
+            if edge in edges:
+                raise ValueError("line %d: duplicate edge %s" % (lineno, edge))
+            edges.add(edge)
     if N is None:
         if not edges:
             raise ValueError("edge list is empty")

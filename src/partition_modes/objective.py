@@ -17,7 +17,7 @@ import numpy as np
 
 from .cache import PairCache, _cache_for, _members
 from .partitions import PartitionSet, _ints, _real
-from .tables import _log2_binom
+from .tables import _fold, _log2_binom
 
 _LN2 = math.log(2.0)
 
@@ -113,12 +113,10 @@ def description_length(pset: PartitionSet, clustering: Clustering,
     N, S = pset.N, pset.S
     sizes = clustering.cluster_sizes()
 
-    mode_term = N / S * sum(cache.entropy(m) for m in clustering.mode_index)
+    mode_term = N / S * _fold(cache.entropy(m) for m in clustering.mode_index)
     label_term = cluster_label_entropy(sizes, S)
-    cond = 0.0
-    for k, m in enumerate(clustering.mode_index):
-        cond += cache.hmod_given_mode(clustering.members(k), m).sum()
-    cond_term = N / S * cond
+    cond_term = N / S * _fold(cache.hmod_given_mode(clustering.members(k), m).sum()
+                              for k, m in enumerate(clustering.mode_index))
     penalty = lam * clustering.K
     return ObjectiveBreakdown(
         mode_entropy_term=mode_term,
@@ -150,7 +148,8 @@ def full_description_length(pset: PartitionSet, clustering: Clustering,
     budget of ``log2_omega`` they are estimates, so L4 is then approximate.
     L1 scores each distinct content of the ensemble, and L4 each distinct
     content of a cluster, once, weighted by its copies, so either can
-    differ from a per-member sum in its last bits.
+    differ from a per-member sum in its last bits.  Each stage is a left
+    fold (``tables._fold``), the same bits on every Python and CPU.
     """
     clustering.validate(pset)
     cache = _cache_for(pset, cache)
@@ -158,10 +157,10 @@ def full_description_length(pset: PartitionSet, clustering: Clustering,
     sizes = clustering.cluster_sizes()
     lf = _log2_factorials(max(N, S))
 
-    L1 = float(np.bincount(pset.cid) @ [_log2_binom(N - 1, pset.partitions[r].n - 1)
-                                        for r in pset.rep.tolist()])
-    L2 = float(sum(lf[N] - lf[pset.partitions[m].counts].sum()
-                   for m in clustering.mode_index))
+    L1 = _fold((np.bincount(pset.cid) * [_log2_binom(N - 1, pset.partitions[r].n - 1)
+                                         for r in pset.rep.tolist()]).tolist())
+    L2 = _fold(lf[N] - lf[pset.partitions[m].counts].sum()
+               for m in clustering.mode_index)
     L3 = _log2_binom(S - 1, K - 1) + float(lf[S] - lf[sizes].sum())
     L4 = 0.0
     for k, m in enumerate(clustering.mode_index):
@@ -169,6 +168,6 @@ def full_description_length(pset: PartitionSet, clustering: Clustering,
         bits = lf[pset.partitions[m].counts].sum() + cache.omega_block(m, reps)
         for lo, t in cache._tables(cache.cid[m], cache.cid[reps]):
             bits[lo:lo + len(t)] -= lf[t].reshape(len(t), -1).sum(axis=1)
-        L4 += float(copies @ bits)
+        L4 += _fold((copies * bits).tolist())
     return {"L1": L1, "L2": L2, "L3": L3, "L4": L4,
             "total": L1 + L2 + L3 + L4}

@@ -92,8 +92,10 @@ def canonicalize(raw_labels) -> Partition:
 def _blocks(rows) -> Iterator[np.ndarray]:
     """``canonicalize_rows``' label rows, read as they are consumed and
     stacked into int64 blocks of about ``_PASS_LABELS`` labels each.
-    Every row must have the first row's shape: one label per node."""
-    rows = map(np.asarray, rows)
+    Every row must have the first row's shape: one label per node.  Each
+    row is made int64 on its own, so rows of mixed integer types are not
+    stacked as float64, which would merge labels past 2**53."""
+    rows = map(_int64_values, rows)
     first = next(rows, np.empty(0))
     if first.ndim != 1:
         raise ValueError("partition rows must be a 2-D S x N label matrix")
@@ -103,7 +105,7 @@ def _blocks(rows) -> Iterator[np.ndarray]:
     while block := list(itertools.islice(rows, max(1, _PASS_LABELS // first.size))):
         if any(row.shape != first.shape for row in block):
             raise ValueError("incompatible partitions")
-        yield _int64_values(np.concatenate(block)).reshape(len(block), -1)
+        yield np.concatenate(block).reshape(len(block), -1)
 
 
 def canonicalize_rows(rows) -> PartitionSet:

@@ -12,6 +12,7 @@ import numpy as np
 from .fileio import atomic_text_file, int_lines
 from .graphs import Graph
 from .partitions import Partition, PartitionSet, _ints, _real, canonicalize_rows
+from .tables import _fold
 
 # Moves per block of generator draws in mcmc_sample: large enough that
 # small graphs pay little numpy call overhead, small enough that the
@@ -27,13 +28,14 @@ def load_partitions(path) -> PartitionSet:
     skipped, and an error names its line (``fileio.int_lines``)."""
     def rows():
         N = None
-        for lineno, labels in int_lines(path, "label"):
-            if N is None:
-                N = len(labels)
-            elif len(labels) != N:
-                raise ValueError("line %d: expected %d labels, got %d"
-                                 % (lineno, N, len(labels)))
-            yield labels
+        with open(path) as fh:
+            for lineno, labels in int_lines(fh, "label"):
+                if N is None:
+                    N = len(labels)
+                elif len(labels) != N:
+                    raise ValueError("line %d: expected %d labels, got %d"
+                                     % (lineno, N, len(labels)))
+                yield labels
         if N is None:
             raise ValueError("no partitions in %s" % path)
     return canonicalize_rows(rows())
@@ -66,7 +68,7 @@ class PerturbationSpec:
         weights = [_real(w, message) for _, w in self.bases]
         # NaN fails every comparison, so finiteness is tested on its own
         if (not all(math.isfinite(w) and w > 0 for w in weights)
-                or abs(sum(weights) - 1.0) > 1e-9):
+                or abs(_fold(weights) - 1.0) > 1e-9):
             raise ValueError(message)
         message = "node_flip_rate must be in [0, 1)"
         if not (0 <= _real(self.node_flip_rate, message) < 1):

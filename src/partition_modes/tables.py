@@ -25,6 +25,7 @@ standard library's ``math.lgamma``.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections import Counter
@@ -52,6 +53,14 @@ _CLOSED_FORM_WEIGHT = 64
 # Largest temporary array, in elements, of one step of the exact
 # counter; a level past it is taken in chunks.
 _CHUNK = 1 << 16
+
+
+def _fold(values) -> float:
+    """``values`` added left to right from 0.0, as builtin ``sum`` did up
+    to Python 3.11: the one order of every float total, where ``sum``
+    compensates from 3.12 and ``@`` takes a BLAS kernel picked per CPU.
+    Integer totals keep ``sum``, which is exact."""
+    return float(functools.reduce(operator.add, values, 0.0))
 
 
 def _log2_int(x: int) -> float:
@@ -127,8 +136,8 @@ class Margin(tuple):
         composed over R rows."""
         out = self._column_terms.get(R)
         if out is None:
-            out = self._column_terms[R] = sum(_log2_binom(c + R - 1, R - 1)
-                                              for c in self)
+            out = self._column_terms[R] = _fold(_log2_binom(c + R - 1, R - 1)
+                                                for c in self)
         return out
 
 
@@ -398,7 +407,7 @@ def _effective_columns(rows, cols) -> float:
     alpha = (N * N - N + (N * N - sq) / R) / (sq - N)
     row_term = {r: _log2_binom(r + alpha - 1, alpha - 1) for r, _ in rows.runs}
     return (cols.column_term(R)
-            + sum(map(row_term.__getitem__, rows))
+            + _fold(map(row_term.__getitem__, rows))
             - _log2_binom(N + R * alpha - 1, R * alpha - 1))
 
 

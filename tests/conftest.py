@@ -1,5 +1,9 @@
 """Shared oracles and generators for the test suite."""
 
+import functools
+import math
+import operator
+
 import numpy as np
 
 from partition_modes import canonicalize
@@ -108,3 +112,20 @@ def margin_vectors(N, max_parts):
 def random_partition(N, max_groups, rng):
     labels = rng.integers(0, max_groups, size=N)
     return canonicalize(labels)
+
+
+def compensated_sum(iterable, /, start=0):
+    """Builtin ``sum`` as Python 3.12 and later add floats: a total of
+    Python floats and ints is Neumaier-compensated (CPython gh-100425);
+    any other total, such as one of numpy scalars or of ints alone, is
+    added left to right as before."""
+    values = list(iterable)
+    kinds = {type(v) for v in values} | {type(start)}
+    if float not in kinds or not kinds <= {int, float}:
+        return functools.reduce(operator.add, values, start)
+    total, comp = float(start), 0.0
+    for x in map(float, values):
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total

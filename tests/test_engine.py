@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 import json
 from unittest.mock import patch
@@ -17,7 +18,7 @@ from partition_modes.engine import (_MOVES, EngineState, _find_mode,
                                     propose_reassign, propose_split)
 from partition_modes.sampler import PerturbationSpec, perturb_ensemble
 
-from conftest import random_partition
+from conftest import compensated_sum, random_partition
 
 
 def _state_from_assignment(pset, cache, params, assignment):
@@ -574,14 +575,17 @@ def _repeated_ensemble():
             EngineParams(seed=0, k0=2, mode_sample_size=10))
 
 
-@pytest.mark.parametrize("ensemble, expected", [
+_FROZEN_RUNS = [
     (_three_family_ensemble,
      (3, [25, 0, 12], "488e2c0ef4e7b35ce876431ddd025caafdfece4a7922cc76b04a14eb9e825c6f",
       167, "0x1.fb7771f02adfbp+4")),
     (_repeated_ensemble,
      (2, [0, 1], "99e9f142de6f6804a1cc1de952e11c268664ab5e83b0589ed84f3a983f9bd92a",
       135, "0x1.1fbadd95b4c36p+4")),
-])
+]
+
+
+@pytest.mark.parametrize("ensemble, expected", _FROZEN_RUNS)
 def test_run_reproduces_frozen_trajectories(ensemble, expected):
     # K, the modes, the assignment, the number of steps and the final
     # tracked total of two seeded runs, bit for bit
@@ -592,6 +596,15 @@ def test_run_reproduces_frozen_trajectories(ensemble, expected):
            hashlib.sha256(np.asarray(c.assignment, dtype=np.int64).tobytes()).hexdigest(),
            len(res.trace), float(res.trace[-1][3]).hex())
     assert got == expected
+
+
+@pytest.mark.parametrize("ensemble, expected", _FROZEN_RUNS)
+def test_frozen_trajectories_hold_under_a_compensated_sum(monkeypatch, ensemble,
+                                                          expected):
+    # from Python 3.12 builtin sum adds floats with compensation; the
+    # tracked totals add their cluster terms left to right (tables._fold)
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    test_run_reproduces_frozen_trajectories(ensemble, expected)
 
 
 def _assert_unique_vectors(got, members, cache):

@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -149,6 +152,37 @@ def test_edge_list_round_trip_keeps_isolated_nodes(tmp_path, graph):
     path = tmp_path / "g.edges"
     write_edge_list(graph, path)
     back = read_edge_list(path)
+    assert back.N == graph.N and back.edges == graph.edges
+
+
+def test_edge_list_reads_a_pipe_once(tmp_path):
+    # a pipe yields its data once: a header read that opened the path on
+    # its own took the edges with it, and a second open read none
+    graph, _ = ring_of_cliques(8, 6)
+    source, fifo = tmp_path / "g.edges", tmp_path / "fifo"
+    write_edge_list(graph, source)
+    os.mkfifo(fifo)
+    done = threading.Event()
+
+    def feed():
+        with open(fifo, "w") as fh:
+            fh.write(source.read_text())
+        # a reader that opens the pipe again gets end of file, not a hang
+        while not done.wait(0.01):
+            try:
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:     # no reader waiting
+                pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        back = read_edge_list(fifo)
+    finally:
+        done.set()
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert graph.num_edges == 128
     assert back.N == graph.N and back.edges == graph.edges
 
 

@@ -1,10 +1,15 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import partition_modes
 from partition_modes import (Clustering, EngineParams, PairCache,
                              PartitionSet, canonicalize,
                              cluster_label_entropy, contingency_table,
@@ -209,6 +214,39 @@ def test_exact_encoding_l4_takes_table_counts_at_the_cache_budget(budget,
                        - sum(math.log2(math.factorial(x)) for x in t.ravel())
                        + log2_omega(mode.counts, p.counts))
         assert enc["L4"] == pytest.approx(expect, rel=1e-12)
+
+
+# the stages of one exact encoding as float.hex, in a fresh interpreter:
+# two clusters of a perturbed ensemble of 159 distinct contents
+_STAGES = """
+import json
+import numpy as np
+from partition_modes import Clustering, canonicalize, full_description_length
+from partition_modes.sampler import PerturbationSpec, perturb_ensemble
+bases = [(canonicalize(np.repeat(np.arange(3), 8)), 0.5),
+         (canonicalize(np.arange(24) % 4), 0.5)]
+spec = PerturbationSpec(bases=bases, node_flip_rate=0.1, S=200, seed=0)
+pset, base = perturb_ensemble(spec)
+modes = [int(np.flatnonzero(base == k)[0]) for k in (0, 1)]
+enc = full_description_length(pset, Clustering(base, modes, 2))
+print(json.dumps({k: v.hex() for k, v in enc.items()}))
+"""
+
+
+def test_exact_encoding_is_the_same_under_every_blas_kernel():
+    # OPENBLAS_CORETYPE sets OpenBLAS's kernel for the process it is set
+    # in, and a BLAS dot adds its terms in each kernel's own order; the
+    # stages are left folds (tables._fold), so their bits do not depend on
+    # it.  Where numpy does not use OpenBLAS the variable is ignored.
+    src = str(Path(partition_modes.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = [subprocess.run([sys.executable, "-c", _STAGES], capture_output=True,
+                          text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=path,
+                                   OPENBLAS_CORETYPE=core)).stdout
+           for core in ("Prescott", "Haswell")]
+    assert out[0] == out[1] and json.loads(out[0]).keys() == {"L1", "L2", "L3",
+                                                               "L4", "total"}
 
 
 def test_per_sample_objective_tracks_exact_encoding():

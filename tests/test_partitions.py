@@ -85,6 +85,11 @@ def test_canonicalize_takes_only_integral_labels():
     assert canonicalize([-2.0 ** 63, 2 ** 62]).labels.tolist() == [0, 1]
     assert canonicalize([INT64_MIN, INT64_MAX, INT64_MIN]).labels.tolist() == [0, 1, 0]
     assert canonicalize(np.array([9, 2, 9], dtype=np.uint8)).labels.tolist() == [0, 1, 0]
+    # each row is made int64 on its own: a uint64 row stacked with an
+    # int64 one became float64, where 2**53 + 1 and 2**53 are one label
+    big = np.array([2 ** 53 + 1, 2 ** 53], dtype=np.uint64)
+    pset = canonicalize_rows([big, np.array([0, 1])])
+    assert pset.partitions[0].labels.tolist() == canonicalize(big).labels.tolist() == [0, 1]
     # an int64 block of rows is read in place
     rows = np.array([[4, 4, 1], [1, 2, 3]], dtype=np.int64)
     assert _int64_values(rows) is rows

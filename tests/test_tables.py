@@ -1,3 +1,4 @@
+import builtins
 import math
 import random
 import tracemalloc
@@ -16,7 +17,7 @@ from partition_modes.tables import (DEFAULT_MAX_COST, Margin, _clean_margins,
                                     _count_exact_int, _exact_orientation,
                                     _log2_int, _recursion_cost)
 
-from conftest import (brute_force_table_count, margin_vectors,
+from conftest import (brute_force_table_count, compensated_sum, margin_vectors,
                       reference_count_exact)
 
 
@@ -313,6 +314,14 @@ def test_log2_omega_reproduces_frozen_values():
             assert (oriented is not None) == within, (rows, cols)
             assert log2_omega(rows, cols).hex() == value, (rows, cols)
             assert log2_omega(cols, rows).hex() == value, (rows, cols)
+
+
+def test_frozen_values_hold_under_a_compensated_sum(monkeypatch):
+    # from Python 3.12 builtin sum adds floats with compensation; the
+    # estimator adds its terms left to right itself (tables._fold), so
+    # the frozen values hold on every supported Python
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    test_log2_omega_reproduces_frozen_values()
 
 
 # (rows, cols, exact log2 count as float.hex) of margin pairs that
