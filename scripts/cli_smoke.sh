@@ -3,26 +3,30 @@
 # temporary directory that is removed on exit: generate a ring of
 # cliques, sample partitions of it twice with one seed, cluster them
 # twice under two hash seeds and once more from a copy with a comment
-# and a blank line inserted, and describe the stored clustering; then
-# sample a planted graph with an isolated node, and run seven commands
-# on bad input: a block model whose mixing matrix is a JSON object, a
-# ring of two cliques, zero samples, a mode search over zero samples, a
-# partition file with a label "x" on line 2, and a 250-line copy of the
-# ring's samples with an "x" on line 230, past the first chunk of 204
-# lines that the loader reads at 20 nodes.
+# and a blank line inserted, and describe the stored clustering; sample
+# Zachary's karate club from tests/data at beta = 8m (m = 78 edges),
+# cluster it and describe it; then sample a planted graph with an
+# isolated node, and run seven commands on bad input: a block model
+# whose mixing matrix is a JSON object, a ring of two cliques, zero
+# samples, a mode search over zero samples, a partition file with a
+# label "x" on line 2, and a 250-line copy of the ring's samples with
+# an "x" on line 230, past the first chunk of 204 lines that the loader
+# reads at 20 nodes.
 # Fails if a step but the bad-input ones exits non-zero, if the two
 # samples or the three clusterings and two agreement tables differ, if
-# describe does not score the stored clustering as cluster did, to
-# within 1e-9, if the agreement table lacks its header, a line per node
-# or values in [0, 1], if a sampled partition of the planted graph does
-# not cover its 40 nodes, or if a bad-input command does not exit 1 with
-# one stderr line, starting "error:" ("error: invalid engine parameters"
-# for the mode search, "error: line 2: non-integer label" for the short
-# file), and no traceback; the long file must fail with exactly
-# "error: line 230: non-integer label" and leave no result file.
+# describe does not score the ring's or the karate club's stored
+# clustering as cluster did, to within 1e-9, if the agreement table
+# lacks its header, a line per node or values in [0, 1], if a sampled
+# partition of the planted graph does not cover its 40 nodes, or if a
+# bad-input command does not exit 1 with one stderr line, starting
+# "error:" ("error: invalid engine parameters" for the mode search,
+# "error: line 2: non-integer label" for the short file), and no
+# traceback; the long file must fail with exactly "error: line 230:
+# non-integer label" and leave no result file.
 #
 #   bash scripts/cli_smoke.sh
 set -euo pipefail
+karate="$(cd "$(dirname "$0")/.." && pwd)/tests/data/karate.edges"
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 cd "$work"
@@ -41,12 +45,20 @@ cmp agree.tsv again.tsv
 partition-modes cluster --partitions commented.parts --out commented.json
 cmp result.json commented.json
 partition-modes describe --partitions ring.parts --clustering result.json > described.json
+partition-modes sample --graph "$karate" --s 500 --sweeps-between 5 --beta 624 \
+    --out karate.parts
+partition-modes cluster --partitions karate.parts --out karate.json
+partition-modes describe --partitions karate.parts --clustering karate.json \
+    > karate-described.json
 python - <<'PY'
 import json
-stored = json.load(open("result.json"))["objective"]["total"]
-described = json.load(open("described.json"))["objective"]["total"]
-if abs(stored - described) > 1e-9:
-    raise SystemExit("describe total %r != cluster total %r" % (described, stored))
+for result, described in (("result.json", "described.json"),
+                          ("karate.json", "karate-described.json")):
+    stored = json.load(open(result))["objective"]["total"]
+    total = json.load(open(described))["objective"]["total"]
+    if abs(stored - total) > 1e-9:
+        raise SystemExit("describe total %r != cluster total %r in %s"
+                         % (total, stored, result))
 K = json.load(open("result.json"))["K"]
 lines = open("agree.tsv").read().splitlines()
 if lines[0].split("\t") != ["node"] + ["mode%d" % k for k in range(K)]:

@@ -5,7 +5,7 @@
 Prints one line per input: its name and three sha256 digests, of
 
   * the set: ``cid``, ``rep``, each content's labels and counts, and
-    the ``PairCache``'s margin ids and signatures;
+    its own margin ids and signatures (``margin_id``, ``margins``);
   * ``json.dumps(run(pset, EngineParams(seed=s)).to_json_dict())``;
   * ``full_description_length`` of that run's clustering.
 
@@ -30,8 +30,16 @@ pipeline sample (``mcmc_sample`` of ``ring_of_cliques(8, 6)``, S=2000,
 N=100 bases, 4 groups of 25 and 5 interleaved groups of 20 (weights
 0.5, flip rate 0.05, S=300, seed 0); and a perturbed N=2000, S=500
 ensemble of 20 groups of 100 (flip rate 0.05, seed 0), where every
-Omega is estimated.  ``--quick`` keeps sub-seeds 1001-1002 and drops
-the N=2000 input.
+Omega is estimated; and two real networks from ``tests/data``, as
+``tests/test_real_networks.py`` samples them (``mcmc_sample``, S=2000,
+``sweeps_between=5``, ``q_max=10``, seed 0): Zachary's karate club at
+beta = 8m and Les Miserables at beta = 16m, m being the edge count,
+where a few dozen margin signatures meet.  ``--quick`` keeps sub-seeds
+1001-1002 and the real networks, and drops the N=2000 input.
+
+The set digest reads the set's own margin ids and signatures; until
+they moved to the set, it read the same arrays from a ``PairCache``,
+so the lines of the older inputs kept their digests.
 """
 
 from __future__ import annotations
@@ -49,15 +57,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import workloads  # noqa: E402
 
-from partition_modes.cache import PairCache  # noqa: E402
 from partition_modes.engine import EngineParams, run  # noqa: E402
-from partition_modes.graphs import ring_of_cliques  # noqa: E402
+from partition_modes.graphs import read_edge_list, ring_of_cliques  # noqa: E402
 from partition_modes.objective import full_description_length  # noqa: E402
 from partition_modes.partitions import canonicalize  # noqa: E402
 from partition_modes.sampler import (PerturbationSpec, load_partitions,  # noqa: E402
                                      mcmc_sample, perturb_ensemble)
 
 SUB_SEEDS = range(1001, 1011)
+DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 
 
 def _digest(*parts) -> str:
@@ -68,14 +76,13 @@ def _digest(*parts) -> str:
 
 
 def set_digest(pset) -> str:
-    cache = PairCache(pset)
     contents = [pset.partitions[r] for r in pset.rep.tolist()]
     return _digest(
         np.asarray(pset.cid, np.int64).tobytes(), np.asarray(pset.rep, np.int64).tobytes(),
         *(np.asarray(p.labels, np.int64).tobytes() + np.asarray(p.counts, np.int64).tobytes()
           for p in contents),
-        np.asarray(cache._margin_id, np.int64).tobytes(),
-        [tuple(m) for m in cache._margins])
+        np.asarray(pset.margin_id, np.int64).tobytes(),
+        [tuple(m) for m in pset.margins])
 
 
 def line(name: str, pset, seed: int) -> str:
@@ -100,6 +107,10 @@ def inputs(quick: bool, work: Path):
              (canonicalize(np.arange(100) % 5), 0.5)]
     spec = PerturbationSpec(bases=bases, node_flip_rate=0.05, S=300, seed=0)
     yield "perturbed", perturb_ensemble(spec)[0], 0
+    for name, beta_per_edge in (("karate", 8), ("lesmis", 16)):
+        graph = read_edge_list(DATA / (name + ".edges"))
+        yield name, mcmc_sample(graph, S=2000, sweeps_between=5, q_max=10, seed=0,
+                                beta=beta_per_edge * graph.num_edges), 0
     if not quick:
         base = canonicalize(np.repeat(np.arange(20), 100))
         spec = PerturbationSpec(bases=[(base, 1.0)], node_flip_rate=0.05, S=500, seed=0)

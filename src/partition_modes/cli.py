@@ -167,7 +167,10 @@ def build_parser() -> argparse.ArgumentParser:
     smp.add_argument("--graph", required=True)
     smp.add_argument("--s", type=int, required=True, help="number of samples")
     smp.add_argument("--sweeps-between", type=int, default=1)
-    smp.add_argument("--beta", type=float, default=1.0)
+    smp.add_argument("--beta", type=float, default=1.0,
+                     help="multiplies modularity in the weight exp(beta Q); "
+                          "a useful beta is of the order of the edge count "
+                          "m (default: 1.0)")
     smp.add_argument("--qmax", type=int, default=10)
     smp.add_argument("--seed", type=int, default=0)
     smp.add_argument("--out", required=True)

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import atomic_text_file, int_lines
-from .partitions import Partition, _int64_values, _ints, _real, canonicalize
+from .partitions import Partition, _ints, _real, canonicalize
+from .tables import _int64_values
 
 
 @dataclass
@@ -58,7 +59,7 @@ def planted_partition(N: int, q: int, p_in: float, p_out: float,
 def sbm(group_sizes, omega: np.ndarray, seed: int = 0) -> tuple[Graph, Partition]:
     """General stochastic block model with mixing matrix ``omega``:
     each pair i < j gets an edge with probability omega[g_i][g_j]."""
-    sizes = _int64_values(group_sizes, "group sizes")
+    sizes = _int64_values(group_sizes, "group sizes must be integers")
     seed, = _ints([seed], "seed must be an integer")
     if np.any(sizes < 0):
         raise ValueError("group sizes must be non-negative")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tables import Margin, log2_omega
+from .tables import Margin, _int64_values, log2_omega
 
 # Labels per numpy pass of canonicalize_rows: bounds the pass's
 # temporary arrays to a few hundred kilobytes whatever the ensemble size.
@@ -41,17 +41,6 @@ class Partition:
 
     def __hash__(self) -> int:
         return hash(self.key())
-
-
-def _int64_values(raw, what="partition labels") -> np.ndarray:
-    """``raw`` as int64, int64 input not copied.  A float is taken only
-    at an integral value within int64: truncated, two labels could merge
-    their communities."""
-    arr = np.asarray(raw)
-    if arr.dtype.kind not in "bi" and not (arr.dtype.kind in "fu" and np.all(
-            (arr == np.floor(arr)) & (arr >= -2 ** 63) & (arr < 2 ** 63))):
-        raise ValueError(what + " must be integers")
-    return arr.astype(np.int64, copy=False)
 
 
 def _ints(values, message) -> list[int]:
@@ -95,7 +84,7 @@ def _blocks(rows) -> Iterator[np.ndarray]:
     Every row must have the first row's shape: one label per node.  Each
     row is made int64 on its own, so rows of mixed integer types are not
     stacked as float64, which would merge labels past 2**53."""
-    rows = map(_int64_values, rows)
+    rows = (_int64_values(row, "partition labels must be integers") for row in rows)
     first = next(rows, np.empty(0))
     if first.ndim != 1:
         raise ValueError("partition rows must be a 2-D S x N label matrix")

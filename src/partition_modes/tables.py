@@ -64,13 +64,11 @@ def _fold(values) -> float:
 
 
 def _log2_int(x: int) -> float:
-    """log2 of a (possibly huge) positive Python integer."""
+    """log2 of a (possibly huge) positive Python integer: ``math.log2``
+    takes an int of any size."""
     if x <= 0:
         raise ValueError("log2 of non-positive count")
-    if x.bit_length() <= 900:
-        return math.log2(x)
-    shift = x.bit_length() - 64
-    return shift + math.log2(x >> shift)
+    return math.log2(x)
 
 
 def _saturating_float(x: int) -> float:
@@ -82,18 +80,17 @@ def _saturating_float(x: int) -> float:
         return math.inf
 
 
-def _integral(v) -> int:
-    """A margin sum as a Python int: any integer passes, as does a float
-    of integral value; anything else raises ValueError rather than being
-    truncated."""
-    try:
-        return operator.index(v)
-    except TypeError:
-        pass
-    f = float(v)
-    if not f.is_integer():
-        raise ValueError(f"margin sum {v!r} is not a finite integer")
-    return int(f)
+def _int64_values(raw, message) -> np.ndarray:
+    """``raw`` as int64, int64 input not copied: the one rule of integral
+    data, which labels, group sizes and margin sums follow.  A float or
+    unsigned value is taken only at an integral value within int64;
+    anything else raises ``ValueError(message)``: truncated, two labels
+    could merge their communities."""
+    arr = np.asarray(raw)
+    if arr.dtype.kind not in "bi" and not (arr.dtype.kind in "fu" and np.all(
+            (arr == np.floor(arr)) & (arr >= -2 ** 63) & (arr < 2 ** 63))):
+        raise ValueError(message)
+    return arr.astype(np.int64, copy=False)
 
 
 class Margin(tuple):
@@ -101,13 +98,14 @@ class Margin(tuple):
     pieces of the table count that depend on this margin alone.
 
     Zero sums are dropped: they force a zero row or column and do not
-    affect the count.  A negative sum, or one that is not a finite
-    integral value, raises ValueError; a ``Margin`` is returned as is."""
+    affect the count.  A negative sum, or one that is not an integral
+    value within int64 (``_int64_values``), raises ValueError; a
+    ``Margin`` is returned as is."""
 
     def __new__(cls, values):
         if isinstance(values, Margin):
             return values
-        values = [_integral(v) for v in values]
+        values = _int64_values(list(values), "margin sum is not a finite integer").tolist()
         if any(v < 0 for v in values):
             raise ValueError("negative margin")
         self = super().__new__(cls, sorted(v for v in values if v > 0))

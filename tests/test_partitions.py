@@ -92,7 +92,7 @@ def test_canonicalize_takes_only_integral_labels():
     assert pset.partitions[0].labels.tolist() == canonicalize(big).labels.tolist() == [0, 1]
     # an int64 block of rows is read in place
     rows = np.array([[4, 4, 1], [1, 2, 3]], dtype=np.int64)
-    assert _int64_values(rows) is rows
+    assert _int64_values(rows, "partition labels must be integers") is rows
 
 
 _SET = PartitionSet.from_partitions([canonicalize([0, 0, 1])] * 4)

@@ -2,6 +2,7 @@ import builtins
 import math
 import random
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -95,10 +96,18 @@ def test_margin_rejects_sums_that_are_not_integers():
             log2_omega(rows, cols)
     with pytest.raises(ValueError, match="not a finite integer"):
         Margin([math.inf])
+    # margin sums follow the data rule of labels and group sizes: a sum
+    # past int64, or one of a type that is not an int or a float, is not
+    # counted
+    for values in ([2 ** 63, 1], np.array([2 ** 63], np.uint64), [Decimal(2), 2],
+                   [Fraction(4, 2), 2]):
+        with pytest.raises(ValueError, match="margin sum is not a finite integer"):
+            log2_omega(values, [sum(int(v) for v in values)])
     # integers of any kind, and floats of integral value, still count
     expect = math.log2(3)
     assert log2_omega(np.array([2, 2], np.int8), [np.uint64(2), 2]) == expect
     assert count_tables_exact([2.0, np.float32(2)], [True + 1, 2]) == expect
+    assert log2_omega((v for v in (2, 2)), [2, 2]) == expect
 
 
 def test_exact_cost_guard(monkeypatch):
