@@ -37,6 +37,13 @@ beta = 8m and Les Miserables at beta = 16m, m being the edge count,
 where a few dozen margin signatures meet.  ``--quick`` keeps sub-seeds
 1001-1002 and the real networks, and drops the N=2000 input.
 
+A last line, ``omega``, digests ``log2_omega(a, b).hex()`` for a fixed
+list of margin pairs, each in both orientations: small pairs within the
+exact-count budget, larger ones past it, and 60 pairs of margin
+signatures drawn at random (``default_rng(0)``) from the karate club
+sampled at beta = m, where most are estimated.  It moves only when a
+table count does, whatever the search does.
+
 The set digest reads the set's own margin ids and signatures; until
 they moved to the set, it read the same arrays from a ``PairCache``,
 so the lines of the older inputs kept their digests.
@@ -63,6 +70,7 @@ from partition_modes.objective import full_description_length  # noqa: E402
 from partition_modes.partitions import canonicalize  # noqa: E402
 from partition_modes.sampler import (PerturbationSpec, load_partitions,  # noqa: E402
                                      mcmc_sample, perturb_ensemble)
+from partition_modes.tables import log2_omega  # noqa: E402
 
 SUB_SEEDS = range(1001, 1011)
 DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
@@ -117,6 +125,26 @@ def inputs(quick: bool, work: Path):
         yield "n2000", perturb_ensemble(spec)[0], 0
 
 
+# (rows, cols) within the exact-count budget, then past it
+OMEGA_PAIRS = [
+    ([2, 3, 5], [4, 6]), ([1] * 7, [3, 2, 2]), ([10], [3, 3, 4]), ([5, 5], [5, 5]),
+    ([14, 10, 9, 3, 20, 12, 13], [37, 13, 31]), ([2] * 20, [2] * 20),
+    ([60] * 8, [60] * 8), ([19, 23, 26, 32], [25, 25, 25, 25]),
+    ([25, 25, 25, 25], [10] * 10), ([3] * 600 + [600] * 3, [3] * 600 + [600] * 3),
+]
+
+
+def omega_line() -> str:
+    graph = read_edge_list(DATA / "karate.edges")
+    pset = mcmc_sample(graph, S=2000, sweeps_between=5, q_max=10, seed=0,
+                       beta=graph.num_edges)
+    margins = [list(m) for m in pset.margins]
+    drawn = np.random.default_rng(0).integers(len(margins), size=(60, 2)).tolist()
+    pairs = OMEGA_PAIRS + [(margins[i], margins[j]) for i, j in drawn]
+    return " ".join(["omega", _digest(*(log2_omega(a, b).hex() + log2_omega(b, a).hex()
+                                        for a, b in pairs))])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--quick", action="store_true",
@@ -125,6 +153,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as work:
         for name, pset, seed in inputs(args.quick, Path(work)):
             print(line(name, pset, seed), flush=True)
+    print(omega_line(), flush=True)
     return 0
 
 

@@ -16,7 +16,10 @@ a seed's draws of cluster indices and so its trajectory.
 The k-means split works on the distinct contents of a cluster: its two
 seeds differ in content, every copy of a partition goes to the same
 part, and each part keeps its mode's content, so the two modes never
-coincide.  A cluster of one content is not split at all.
+coincide.  A cluster of one content is not split at all.  As in
+mini-batch k-means (Sculley 2010), the iterations run on a sample, the
+cluster's search sample below; the whole cluster is assigned once, to
+the two modes they end with.
 
 The sampled mode search is coordinated across clusters.  Each run
 first draws one priority per partition, iid uniform, and a cluster's
@@ -26,10 +29,15 @@ likely, so this is a uniform sample without replacement, as the paper's
 Monte Carlo estimate asks for.  Across clusters the samples are
 coordinated (permanent random numbers: Ohlsson 1995; bottom-k sketches:
 Cohen & Kaplan 2007): clusters that share most of their members share
-most of their sample.  The k-means iterations of one split, repeated
-proposals on an unchanged cluster and the two clusters of a reassign
-therefore score against the same terms, and their H_mod rows are cache
-hits.
+most of their sample.  A split's k-means iterations, which score only
+the cluster's sample against itself, repeated proposals on an unchanged
+cluster and the two clusters of a reassign therefore score against the
+same terms, and their H_mod rows are cache hits.  Each restart draws
+the priorities from its own generator, spawned from the seed
+(``SeedSequence(seed + r).spawn(1)``), not seeded with it: an input
+drawn from a generator seeded alike (``perturb_ensemble(seed=s)``
+picks each sample's base from the uniforms such a generator draws
+first) would otherwise put one base in every sample.
 
 Each cluster holds its members as a sorted int64 array together with
 two vectors over the cache's content ids: the number of copies of each
@@ -196,12 +204,19 @@ def find_mode_sampled(cluster_members, sample_size: int, priority: np.ndarray,
     if sample_size < 1:
         raise ValueError("sample size must be at least 1")
     group = _given_members(cluster_members, cache)
-    members = group.index
+    terms, weights = _search_sample(group.index, sample_size, priority, cache)
+    return _weighted_argmin(group.candidates()[0], terms, weights, cache)
+
+
+def _search_sample(members: np.ndarray, sample_size: int, priority: np.ndarray,
+                   cache: PairCache) -> tuple[np.ndarray, np.ndarray]:
+    """The sample X of a sampled search over ``members``: the contents
+    of its ``sample_size`` members of lowest priority, as their lowest
+    members in increasing order, each weighing |C|/|X| per copy."""
     k = min(sample_size, members.size)
     sample = members[np.argpartition(priority[members], k - 1)[:k]]
     terms, counts = _members(sample, cache).candidates()
-    weights = members.size / k * np.asarray(counts, dtype=np.float64)
-    return _weighted_argmin(group.candidates()[0], terms, weights, cache)
+    return terms, members.size / k * np.asarray(counts, dtype=np.float64)
 
 
 def _find_mode(members, state: EngineState) -> int:
@@ -256,59 +271,77 @@ def propose_merge(state: EngineState, rng: np.random.Generator) -> EngineState |
     return state.replaced(k1, [merged], drop=k2)
 
 
+def _sides(reps: np.ndarray, m1: int, m2: int, cache: PairCache,
+           rng: np.random.Generator) -> np.ndarray:
+    """True where the content of ``reps`` goes to the part of mode m1:
+    the closer mode by H_mod, one coin per exact tie, and each mode's
+    own content in its own part."""
+    d1 = cache.hmod_given_mode(reps, m1)
+    d2 = cache.hmod_given_mode(reps, m2)
+    side = d1 < d2
+    ties = d1 == d2
+    side[ties] = rng.random(int(ties.sum())) < 0.5
+    cids = cache.cid[reps]
+    side[cids == cache.cid[m1]] = True
+    side[cids == cache.cid[m2]] = False
+    return side
+
+
 def _kmeans_split(members, state: EngineState, rng: np.random.Generator):
-    """Two-way k-means-style split over the distinct contents of a
-    cluster, or None when the cluster holds a single content: two equal
-    modes cannot lower the description length, since the label entropy,
-    the mode entropy and the penalty all grow.
+    """Two-way k-means split of a cluster on its search sample, as
+    mini-batch k-means runs on a batch (Sculley 2010), or None when the
+    cluster holds a single content: two equal modes cannot lower the
+    description length, since the label entropy, the mode entropy and
+    the penalty all grow.
 
-    Two random members seed the parts; when they share a content, the
-    second seed is redrawn among the members of the other contents.
-    Each iteration sends every content, with all its copies, to the
-    part with the closer mode.  An exact distance tie gets one coin per
-    content: with the modes fixed the label entropy is concave in how
-    the copies are divided, so keeping them together is never worse
-    than dividing them.  Each mode's content stays in its own part, the
-    modes are recomputed, and the loop ends when the content assignment
-    repeats or after ``MAX_KMEANS_ITERS`` iterations.
+    The sample X is the one the cluster's own mode search scores
+    against, its ``mode_sample_size`` members of lowest priority, so for
+    a cluster of the state its H_mod rows are cache hits.  Two of its contents, drawn at random,
+    seed the modes; a sample of one content takes the second seed among
+    the cluster's other contents.  Each iteration sends every content
+    of X, with all its copies, to the part with the closer mode, and
+    takes each part's mode by the exact search over that part of X,
+    weighted as the sampled search weighs it; a part that holds no
+    content of X keeps its seed.  The loop ends when the assignment of
+    X repeats or after ``MAX_KMEANS_ITERS`` iterations.  Then every
+    content of the cluster is assigned once against the two modes, and
+    each part takes its mode by the sampled search.
 
-    The two parts never share a content and each mode is a member of
-    its part, so the two modes never coincide: the loop cannot stall on
-    two halves of one content that both pick it as their mode."""
+    An exact distance tie gets one coin per content: with the modes
+    fixed the label entropy is concave in how the copies are divided,
+    so keeping them together is never worse than dividing them.  Each
+    mode's content stays in its own part, so the two parts never share
+    a content, and so their modes never coincide."""
     cache = state.cache
     group = _members(members, cache)
     contents = np.flatnonzero(group.count)
     if contents.size == 1:
         return None
-    reps = cache.rep[contents]
-    arr = group.index
-    arr_cid = cache.cid[arr]
-    i1, i2 = (int(i) for i in rng.choice(arr.size, size=2, replace=False))
-    if arr_cid[i1] == arr_cid[i2]:
-        others = np.flatnonzero(arr_cid != arr_cid[i1])
-        i2 = int(others[rng.integers(others.size)])
-    m1, m2 = int(arr[i1]), int(arr[i2])
+    terms, weights = _search_sample(group.index, state.params.mode_sample_size,
+                                    state.priority, cache)
+    i1 = int(rng.integers(terms.size))
+    m1 = int(terms[i1])
+    if terms.size > 1:
+        i2 = int(rng.integers(terms.size - 1))
+        m2 = int(terms[i2 + (i2 >= i1)])
+    else:
+        others = group.candidates()[0]
+        others = others[cache.cid[others] != cache.cid[m1]]
+        m2 = int(others[rng.integers(others.size)])
     assign = None
-    keep = np.zeros(cache.n_cid, dtype=bool)
     for _ in range(MAX_KMEANS_ITERS):
-        d1 = cache.hmod_given_mode(reps, m1)
-        d2 = cache.hmod_given_mode(reps, m2)
-        side = d1 < d2
-        ties = d1 == d2
-        side[ties] = rng.random(int(ties.sum())) < 0.5
-        side[np.searchsorted(contents, cache.cid[m1])] = True
-        side[np.searchsorted(contents, cache.cid[m2])] = False
+        side = _sides(terms, m1, m2, cache, rng)
         if assign is not None and np.array_equal(side, assign):
             break
         assign = side
-        keep[contents] = assign
-        part1 = _members(arr[keep[arr_cid]], cache)
-        part2 = _members(arr[~keep[arr_cid]], cache)
-        m1 = _find_mode(part1, state)
-        m2 = _find_mode(part2, state)
-    c1 = _make_cluster(part1, state, mode=m1)
-    c2 = _make_cluster(part2, state, mode=m2)
-    return c1, c2
+        m1 = _weighted_argmin(terms[side], terms[side], weights[side], cache)
+        if not side.all():
+            m2 = _weighted_argmin(terms[~side], terms[~side], weights[~side], cache)
+    keep = np.zeros(cache.n_cid, dtype=bool)
+    keep[contents] = _sides(cache.rep[contents], m1, m2, cache, rng)
+    part = keep[cache.cid[group.index]]
+    return (_make_cluster(group.index[part], state),
+            _make_cluster(group.index[~part], state))
 
 
 def propose_split(state: EngineState, rng: np.random.Generator) -> EngineState | None:
@@ -397,7 +430,8 @@ def run(pset: PartitionSet, params: EngineParams | None = None,
     if params is None:
         params = EngineParams()
     cache = _cache_for(pset, cache)
-    runs = (_run_once(cache, params, np.random.default_rng(params.seed + r), keep_states)
+    runs = (_run_once(cache, params, np.random.default_rng(
+                np.random.SeedSequence(params.seed + r).spawn(1)[0]), keep_states)
             for r in range(params.restarts))
     state, trace, accepted = min(runs, key=lambda r: r[0].total)
     clustering = state.to_clustering()

@@ -391,6 +391,60 @@ def test_estimate_within_its_stated_band_on_engine_pairs():
         assert abs(est - truth) <= _ENGINE_BAND * truth, (rows, cols, est, truth)
 
 
+# (rows, cols, exact log2 count as float.hex) of 30 margin signature pairs
+# past the budget, drawn at random (default_rng(0)) from the 620 of the
+# karate club ensemble at beta = m: mcmc_sample(S=2000, sweeps_between=5,
+# q_max=10, seed=0), 8-10 parts and N=34, the many-signature regime.
+_KARATE_ESTIMATED = [
+    ([2, 2, 2, 3, 4, 4, 5, 5, 7], [1, 4, 4, 4, 4, 5, 6, 6], "0x1.972e39d5276e9p+5"),
+    ([1, 2, 2, 2, 3, 3, 3, 5, 6, 7], [1, 1, 1, 2, 3, 4, 4, 4, 6, 8], "0x1.b14518bf3a8bcp+5"),
+    ([1, 1, 2, 2, 3, 3, 4, 4, 5, 9], [1, 2, 2, 2, 3, 3, 3, 4, 6, 8], "0x1.b1e7d41d8c152p+5"),
+    ([1, 1, 2, 2, 2, 3, 3, 4, 6, 10], [2, 3, 3, 3, 3, 4, 4, 4, 8], "0x1.a278df7495ca7p+5"),
+    ([1, 1, 3, 3, 3, 3, 3, 4, 6, 7], [2, 2, 3, 3, 4, 4, 5, 5, 6], "0x1.bdd9515f88037p+5"),
+    ([1, 2, 3, 3, 3, 4, 4, 6, 8], [1, 1, 1, 3, 4, 4, 4, 4, 5, 7], "0x1.a7befaa844092p+5"),
+    ([1, 1, 1, 3, 3, 4, 4, 4, 5, 8], [1, 1, 2, 2, 3, 3, 3, 4, 4, 11], "0x1.a0186ce4b2b9bp+5"),
+    ([1, 3, 3, 3, 5, 6, 6, 7], [2, 2, 2, 3, 3, 3, 3, 5, 5, 6], "0x1.a69179d51a901p+5"),
+    ([1, 1, 1, 3, 3, 3, 4, 4, 5, 9], [1, 2, 2, 2, 3, 4, 4, 6, 10], "0x1.8dddea4b6209fp+5"),
+    ([1, 2, 2, 3, 3, 4, 4, 5, 5, 5], [1, 2, 2, 2, 4, 4, 4, 6, 9], "0x1.ad9c8e8530430p+5"),
+    ([2, 2, 2, 2, 3, 3, 4, 4, 6, 6], [1, 1, 2, 2, 3, 3, 3, 4, 7, 8], "0x1.bec6402d9f079p+5"),
+    ([1, 1, 2, 3, 3, 3, 3, 4, 7, 7], [1, 1, 1, 3, 3, 3, 5, 6, 11], "0x1.83ec9170a65e6p+5"),
+    ([1, 1, 3, 3, 4, 4, 4, 4, 5, 5], [1, 1, 2, 3, 3, 3, 3, 4, 5, 9], "0x1.c135828161cc9p+5"),
+    ([1, 2, 4, 4, 5, 5, 6, 7], [1, 1, 1, 2, 3, 3, 4, 6, 6, 7], "0x1.8a04b7d0df0b8p+5"),
+    ([1, 1, 2, 2, 3, 3, 4, 4, 7, 7], [1, 2, 2, 2, 3, 3, 4, 5, 5, 7], "0x1.bb4710f2072b1p+5"),
+    ([1, 3, 3, 3, 5, 6, 6, 7], [1, 1, 3, 4, 4, 6, 6, 9], "0x1.60ac077842dfap+5"),
+    ([1, 1, 3, 3, 3, 3, 4, 5, 5, 6], [1, 2, 3, 4, 4, 6, 7, 7], "0x1.984b3229a1a34p+5"),
+    ([1, 1, 3, 3, 4, 4, 4, 7, 7], [1, 1, 2, 4, 5, 5, 5, 5, 6], "0x1.92637b5e8d4efp+5"),
+    ([1, 3, 3, 4, 4, 5, 6, 8], [1, 2, 2, 2, 2, 2, 3, 5, 7, 8], "0x1.8ab7cc2d1c3b8p+5"),
+    ([1, 1, 4, 5, 5, 5, 5, 8], [2, 2, 2, 2, 3, 3, 5, 5, 10], "0x1.7368c40ce1529p+5"),
+    ([2, 2, 2, 2, 3, 4, 5, 7, 7], [2, 2, 2, 3, 5, 6, 6, 8], "0x1.81c10a9010b9fp+5"),
+    ([1, 1, 3, 4, 4, 4, 4, 4, 4, 5], [1, 2, 2, 3, 3, 3, 6, 7, 7], "0x1.b1dec46f4ae60p+5"),
+    ([2, 2, 3, 4, 5, 5, 5, 8], [1, 1, 2, 3, 3, 4, 6, 7, 7], "0x1.7dbd98846e33fp+5"),
+    ([1, 2, 2, 2, 2, 2, 3, 5, 6, 9], [1, 1, 3, 4, 4, 6, 6, 9], "0x1.78c06d01ead4fp+5"),
+    ([1, 1, 1, 2, 3, 3, 4, 6, 6, 7], [1, 2, 3, 4, 4, 6, 6, 8], "0x1.83ec01249cd2bp+5"),
+    ([1, 2, 2, 2, 2, 3, 3, 5, 7, 7], [1, 2, 2, 3, 4, 5, 5, 6, 6], "0x1.a9779094e4c53p+5"),
+    ([2, 3, 3, 3, 3, 3, 4, 4, 9], [1, 2, 3, 3, 4, 4, 7, 10], "0x1.7bd88671fa3e4p+5"),
+    ([1, 1, 2, 2, 2, 5, 5, 5, 5, 6], [1, 2, 2, 4, 4, 4, 5, 5, 7], "0x1.abe720fbd8304p+5"),
+    ([1, 2, 4, 4, 4, 4, 5, 5, 5], [1, 1, 2, 2, 4, 4, 4, 4, 4, 8], "0x1.b59e139ea184ep+5"),
+    ([2, 2, 2, 2, 3, 3, 5, 7, 8], [1, 2, 3, 3, 3, 4, 4, 4, 4, 6], "0x1.b6900339a4d99p+5"),
+]
+
+# the band count_tables_gaussian's docstring states for these pairs
+_KARATE_BAND = 0.002
+
+
+def test_estimate_within_its_stated_band_on_karate_pairs():
+    assert "within %.1f%%" % (100 * _KARATE_BAND) in count_tables_gaussian.__doc__
+    for rows, cols, exact in _KARATE_ESTIMATED:
+        assert _exact_orientation(*_clean_margins(rows, cols)) is None, (rows, cols)
+        # each pair counted once, in the cheaper orientation: 0.6 s in all
+        if _recursion_cost(cols, rows) < _recursion_cost(rows, cols):
+            rows, cols = cols, rows
+        truth = _log2_int(_count_exact_int(rows, cols))
+        assert truth.hex() == exact, (rows, cols)
+        est = log2_omega(rows, cols)
+        assert abs(est - truth) <= _KARATE_BAND * truth, (rows, cols, est, truth)
+
+
 def test_exact_counter_merges_states_split_across_chunks(monkeypatch):
     # one composition and one state per chunk: every level is merged from
     # single-transition parts; the margins and zero pads are those of the
