@@ -1,6 +1,7 @@
 """Fingerprint the partition sets, runs and exact encodings of fixed inputs.
 
     PYTHONPATH=path/to/checkout/src python scripts/fingerprint.py [--quick]
+    PYTHONPATH=src python scripts/fingerprint.py [--quick] --against DIR
 
 Prints one line per input: its name and three sha256 digests, of
 
@@ -13,7 +14,12 @@ Run it against two checkouts' ``src`` and ``diff`` the outputs: equal
 lines mean the same sets and runs to the bit.  The package comes from
 ``PYTHONPATH``; only the input generators are read from this
 repository's ``perfbench/workloads.py``, so both checkouts cluster the
-same inputs.
+same inputs.  ``--against DIR`` does both in one command, and is how a
+change shows the same sets and runs to the bit as the checkout ``DIR``
+(say, a ``git archive`` of its parent commit): it runs this script
+again in a child process with ``PYTHONPATH=DIR/src``, alongside its own
+run, prints both lines of each input whose digests differ (``<`` this
+package's, ``>`` DIR's) and a count, and exits 1 if any differ.
 
 The package adds every float total left to right (``tables._fold``),
 not by builtin ``sum`` or a BLAS dot, so the lines also compare across
@@ -53,7 +59,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -145,15 +154,45 @@ def omega_line() -> str:
                                         for a, b in pairs))])
 
 
+def lines(quick: bool):
+    """Every line, computed as it is reached."""
+    with tempfile.TemporaryDirectory() as work:
+        for name, pset, seed in inputs(quick, Path(work)):
+            yield line(name, pset, seed)
+    yield omega_line()
+
+
+def against(quick: bool, other: Path) -> int:
+    """Compare this package's lines with those of ``other``'s package,
+    computed by a child process of this script; 1 if any differ."""
+    child = subprocess.Popen([sys.executable, __file__] + ["--quick"] * quick,
+                             env=dict(os.environ, PYTHONPATH=str(other / "src")),
+                             stdout=subprocess.PIPE, text=True)
+    ours = list(lines(quick))
+    theirs = child.communicate()[0].splitlines()
+    if child.returncode:
+        raise SystemExit("fingerprint.py failed on %s" % other)
+    differ = [(a, b) for a, b in itertools.zip_longest(ours, theirs, fillvalue="")
+              if a != b]
+    for a, b in differ:
+        print("<", a)
+        print(">", b)
+    print("%d of %d lines differ" % (len(differ), max(len(ours), len(theirs))))
+    return 1 if differ else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--quick", action="store_true",
                         help="two sub-seeds per workload, no N=2000 input")
+    parser.add_argument("--against", metavar="DIR", type=Path,
+                        help="compare with the package in DIR/src, printing "
+                             "the lines that differ")
     args = parser.parse_args(argv)
-    with tempfile.TemporaryDirectory() as work:
-        for name, pset, seed in inputs(args.quick, Path(work)):
-            print(line(name, pset, seed), flush=True)
-    print(omega_line(), flush=True)
+    if args.against:
+        return against(args.quick, args.against)
+    for text in lines(args.quick):
+        print(text, flush=True)
     return 0
 
 

@@ -203,6 +203,9 @@ def find_mode_sampled(cluster_members, sample_size: int, priority: np.ndarray,
     sample_size, = _ints([sample_size], "sample size must be an integer")
     if sample_size < 1:
         raise ValueError("sample size must be at least 1")
+    priority = np.asarray(priority, dtype=np.float64)
+    if priority.shape != (cache.pset.S,):
+        raise ValueError("priority must hold one value per partition")
     group = _given_members(cluster_members, cache)
     terms, weights = _search_sample(group.index, sample_size, priority, cache)
     return _weighted_argmin(group.candidates()[0], terms, weights, cache)
@@ -219,18 +222,11 @@ def _search_sample(members: np.ndarray, sample_size: int, priority: np.ndarray,
     return terms, members.size / k * np.asarray(counts, dtype=np.float64)
 
 
-def _find_mode(members, state: EngineState) -> int:
-    """Mode of a member set under the run's priorities: the sampled
-    search, exact for a set of at most ``params.mode_sample_size``."""
-    return find_mode_sampled(members, state.params.mode_sample_size,
-                             state.priority, state.cache)
-
-
-def _make_cluster(members, state: EngineState, mode: int | None = None) -> _Cluster:
-    group = _members(members, state.cache)
-    if mode is None:
-        mode = _find_mode(group, state)
+def _make_cluster(members, state: EngineState) -> _Cluster:
+    """The cluster of ``members``, its mode by the run's sampled search."""
     cache = state.cache
+    group = _members(members, cache)
+    mode = find_mode_sampled(group, state.params.mode_sample_size, state.priority, cache)
     cond = float(cache.hmod_given_mode(group.index, mode).sum())
     return _Cluster(group=group, mode=mode, mode_entropy=cache.entropy(mode),
                     cond_sum=cond)

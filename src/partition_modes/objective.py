@@ -33,12 +33,13 @@ class Clustering:
 
     def validate(self, pset: PartitionSet) -> None:
         S = pset.S
-        if self.assignment.shape != (S,):
-            raise ValueError("assignment length does not match ensemble size")
-        # numpy raises TypeError or IndexError on non-integers further down
-        if (self.assignment.dtype.kind not in "iu"
+        # a list has no shape; non-integers reach numpy's bincount below
+        if (not isinstance(self.assignment, np.ndarray)
+                or self.assignment.dtype.kind not in "iu"
                 or not np.can_cast(self.assignment.dtype, np.int64)):
             raise ValueError("cluster ids must be integers")
+        if self.assignment.shape != (S,):
+            raise ValueError("assignment length does not match ensemble size")
         K, *modes = _ints(itertools.chain([self.K], self.mode_index),
                           "K and the mode indices must be integers")
         # K and the cluster ids are bounded before bincount allocates K counts

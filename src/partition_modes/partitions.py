@@ -22,11 +22,14 @@ _PASS_LABELS = 1 << 12
 @dataclass(frozen=True, eq=False)
 class Partition:
     """A division of N nodes into communities, with canonical labels
-    0..n-1 assigned in order of first appearance."""
+    0..n-1 assigned in order of first appearance and sizes ``counts``."""
 
     labels: np.ndarray
-    n: int
     counts: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.counts.size
 
     @property
     def N(self) -> int:
@@ -101,13 +104,13 @@ def canonicalize_rows(rows) -> PartitionSet:
     """The ``PartitionSet`` of any iterable of 1-D label rows of one
     length N (an S x N matrix, a list, a generator), taken in order:
     every row canonicalized as ``canonicalize`` does one, a block of rows
-    per numpy pass (``_blocks``), and interned as its block is done.  A
-    row whose content was seen before takes that content's id; a new
-    content becomes one ``Partition`` whose labels and counts are copied
-    out of its block with the block's other new contents, and its margin
-    signature is interned.  So the set holds its distinct contents and no
-    block, a generator's rows are read a block at a time, and the sample
-    ids take 8 bytes each, in an int64 buffer that becomes ``cid``."""
+    per numpy pass (``_blocks``), then interned row by row.  A row whose
+    content was seen before takes that content's id; a new content
+    becomes one ``Partition`` whose labels and counts are copied out of
+    its block as the row is reached, and its margin signature is
+    interned.  So the set holds its distinct contents and no block, a
+    generator's rows are read a block at a time, and the sample ids take
+    8 bytes each, in an int64 buffer that becomes ``cid``."""
     ids, sigs = {}, {}      # content keys and margin signatures, to ids
     cid, contents, rep, margin_id = array("q"), [], [], []
     for block in _blocks(rows):
@@ -129,36 +132,24 @@ def canonicalize_rows(rows) -> PartitionSet:
         # communities numbered from 1 across the block by first
         # appearance; a row's first node opens its first community
         rank = np.cumsum(first == idx, dtype=np.int64)
-        labels = rank[first]
-        counts = np.bincount(labels)
+        labels = rank[first].reshape(block.shape)
+        counts = np.bincount(labels.ravel())
         row_first = rank[::N]
-        labels = labels.reshape(block.shape)
         labels -= row_first[:, None]
-        n = rank[N - 1::N] - row_first + 1
         # a row's key: its canonical labels, all below N, as bytes of the
         # narrowest type that holds N - 1
         key_type = np.min_scalar_type(N - 1)
         keys = labels.astype(key_type).view((np.void, key_type.itemsize * N))
-        block_cid = [ids.setdefault(k, len(ids)) for k in keys.ravel().tolist()]
-        # the first row of each content new in this block, in id order
-        new = []
-        for i, c in enumerate(block_cid):
-            if c == len(contents) + len(new):
-                new.append(i)
-        if new:
-            # their communities' counts, row after row, in one gather
-            new = np.array(new)
-            n_new = n[new]
-            ends = np.cumsum(n_new)
-            counts = counts[np.arange(ends[-1])
-                            + np.repeat(row_first[new] - ends + n_new, n_new)]
-            for i, row, k, e in zip(new.tolist(), labels[new], n_new.tolist(),
-                                    ends.tolist()):
-                contents.append(Partition(labels=row, n=k, counts=counts[e - k:e]))
-                rep.append(len(cid) + i)
-                sig = tuple(sorted(counts[e - k:e].tolist()))
-                margin_id.append(sigs.setdefault(sig, len(sigs)))
-        cid.extend(block_cid)
+        # a row's communities' counts are counts[start:end]
+        bounds = zip(row_first.tolist(), (rank[N - 1::N] + 1).tolist())
+        for i, (k, (start, end)) in enumerate(zip(keys.ravel().tolist(), bounds)):
+            c = ids.setdefault(k, len(ids))
+            if c == len(contents):
+                sizes = counts[start:end].copy()
+                contents.append(Partition(labels=labels[i].copy(), counts=sizes))
+                rep.append(len(cid))
+                margin_id.append(sigs.setdefault(tuple(sorted(sizes.tolist())), len(sigs)))
+            cid.append(c)
     return PartitionSet(partitions=[contents[c] for c in cid], N=N,
                         cid=np.frombuffer(cid, dtype=np.int64),
                         rep=np.array(rep, dtype=np.int64),

@@ -63,14 +63,6 @@ def _fold(values) -> float:
     return float(functools.reduce(operator.add, values, 0.0))
 
 
-def _log2_int(x: int) -> float:
-    """log2 of a (possibly huge) positive Python integer: ``math.log2``
-    takes an int of any size."""
-    if x <= 0:
-        raise ValueError("log2 of non-positive count")
-    return math.log2(x)
-
-
 def _saturating_float(x: int) -> float:
     """float(x) for a non-negative integer, or inf past the float range,
     so that a cost too large to represent exceeds every budget."""
@@ -386,7 +378,7 @@ def count_tables_exact(row_sums, col_sums) -> float:
     oriented = _exact_orientation(*_clean_margins(row_sums, col_sums))
     if oriented is None:
         raise ValueError("table too large for exact count")
-    return _log2_int(_count_exact_int(*oriented))
+    return math.log2(_count_exact_int(*oriented))
 
 
 def _log2_binom(n: float, k: float) -> float:
@@ -434,7 +426,7 @@ def count_tables_gaussian(row_sums, col_sums) -> float:
     catch-up")."""
     rows, cols = _clean_margins(row_sums, col_sums)
     if len(rows) <= 1 or len(cols) <= 1 or rows[-1] == 1 or cols[-1] == 1:
-        return _log2_int(_count_exact_int(rows, cols))  # 1 or the multinomial
+        return math.log2(_count_exact_int(rows, cols))  # 1 or the multinomial
     est = 0.5 * (_effective_columns(rows, cols) + _effective_columns(cols, rows))
     return max(0.0, est)
 

@@ -12,10 +12,10 @@ from partition_modes import (Clustering, EngineParams, PairCache, PartitionSet,
                              canonicalize, description_length, engine, entropy,
                              find_mode_exact, find_mode_sampled, log2_omega,
                              modified_conditional_entropy, run, tables)
-from partition_modes.engine import (_MOVES, EngineState, _find_mode,
-                                    _initial_state, _kmeans_split,
-                                    _make_cluster, _members, propose_merge,
-                                    propose_reassign, propose_split)
+from partition_modes.engine import (_MOVES, EngineState, _initial_state,
+                                    _kmeans_split, _make_cluster, _members,
+                                    propose_merge, propose_reassign,
+                                    propose_split)
 from partition_modes.sampler import PerturbationSpec, perturb_ensemble
 
 from conftest import compensated_sum, random_partition
@@ -76,6 +76,21 @@ def test_engine_params_validation():
             find_mode_exact(bad, cache)
         with pytest.raises(ValueError, match=msg):
             find_mode_sampled(bad, 2, np.zeros(3), cache)
+
+
+def test_find_mode_sampled_checks_its_priorities():
+    # a list reached numpy as an index, a 2-D array raised "object too
+    # deep", and a longer array was read silently
+    rng = np.random.default_rng(4)
+    pset = PartitionSet.from_partitions([random_partition(12, 3, rng) for _ in range(9)])
+    cache = PairCache(pset)
+    priority = rng.random(pset.S)
+    members = list(range(pset.S))
+    assert (find_mode_sampled(members, 3, priority.tolist(), cache)
+            == find_mode_sampled(members, 3, priority, cache))
+    for bad in (priority[:-1], np.append(priority, 0.5), priority[None, :]):
+        with pytest.raises(ValueError, match="one value per partition"):
+            find_mode_sampled(members, 3, bad, cache)
 
 
 def test_find_mode_singleton_and_ties():
@@ -547,18 +562,19 @@ def test_kmeans_split_modes_never_coincide(monkeypatch):
     pset_once, _ = perturb_ensemble(spec)
     pset = PartitionSet.from_partitions(pset_once.partitions * 4)
     cache = PairCache(pset)
-    # every iteration asks for the modes of both parts, so the mode
-    # queries come in pairs
+    # the k-means iterations score X by _weighted_argmin, and only the
+    # two parts' clusters search for a mode, so the mode queries come
+    # in pairs
     params = EngineParams(mode_sample_size=5)
     state = EngineState(cache, params, np.random.default_rng(0).random(pset.S), [])
     searches = []
 
     def counted(members, *args):
-        mode = _find_mode(members, *args)
+        mode = find_mode_sampled(members, *args)
         searches.append(mode)
         return mode
 
-    monkeypatch.setattr(engine, "_find_mode", counted)
+    monkeypatch.setattr(engine, "find_mode_sampled", counted)
     members = np.arange(pset.S)
     shared_seeds = 0
     for seed in range(20):

@@ -104,6 +104,15 @@ def test_clustering_validation():
             description_length(pset, _uniform_clustering(6), lam=lam)
 
 
+def test_clustering_validation_refuses_an_assignment_that_is_no_array():
+    # a list reached ``.shape`` and raised AttributeError
+    pset = PartitionSet.from_partitions([canonicalize(np.arange(4) % 2)] * 3)
+    for assignment in ([0, 0, 0], (0, 0, 0), None):
+        with pytest.raises(ValueError, match="cluster ids must be integers"):
+            description_length(pset, Clustering(assignment=assignment, mode_index=[0], K=1))
+    description_length(pset, Clustering(np.zeros(3, dtype=np.int64), [0], 1))
+
+
 def _engine_lambda(lam, tmp_path, capsys):
     return EngineParams(lam=lam).lam
 

@@ -16,7 +16,7 @@ from partition_modes import (EngineParams, PartitionSet, canonicalize,
                              log2_omega, run, tables)
 from partition_modes.tables import (DEFAULT_MAX_COST, Margin, _clean_margins,
                                     _count_exact_int, _exact_orientation,
-                                    _log2_int, _recursion_cost)
+                                    _recursion_cost)
 
 from conftest import (brute_force_table_count, compensated_sum, margin_vectors,
                       reference_count_exact)
@@ -152,7 +152,7 @@ def test_gaussian_accurate_on_mid_sized_balanced_margins():
     # [15, 10, 15, 10] is past the budget, so the reference is the
     # counter itself rather than count_tables_exact
     for margin in ([12, 12, 12, 12], [20, 20, 20], [15, 10, 15, 10]):
-        truth = _log2_int(_count_exact_int(margin, margin))
+        truth = math.log2(_count_exact_int(margin, margin))
         est = count_tables_gaussian(margin, margin)
         assert abs(est - truth) / truth <= 0.01, (margin, est, truth)
 
@@ -165,7 +165,7 @@ def test_gaussian_accurate_on_mid_sized_balanced_margins():
 def test_estimate_within_one_percent_past_the_budget(rows, cols):
     # margin pairs of the benchmark ensembles that log2_omega estimates
     assert _exact_orientation(rows, cols) is None
-    truth = _log2_int(_count_exact_int(rows, cols))
+    truth = math.log2(_count_exact_int(rows, cols))
     est = log2_omega(rows, cols)
     assert est == count_tables_gaussian(cols[::-1], rows)
     assert abs(est - truth) / truth <= 0.01, (est, truth)
@@ -175,7 +175,7 @@ def test_estimate_exact_on_unit_margins():
     # a margin of unit sums is the multinomial, either way round
     assert count_tables_gaussian([1, 1, 1], [1, 1, 1]) == pytest.approx(
         math.log2(6), rel=1e-12)
-    expect = _log2_int(_count_exact_int([3, 2, 2], [1] * 7))
+    expect = math.log2(_count_exact_int([3, 2, 2], [1] * 7))
     assert count_tables_gaussian([3, 2, 2], [1] * 7) == pytest.approx(expect, rel=1e-12)
     assert count_tables_gaussian([1] * 7, [3, 2, 2]) == pytest.approx(expect, rel=1e-12)
 
@@ -246,7 +246,7 @@ def test_exact_counter_on_rows_and_columns_of_two():
     # within 0.01% of the count
     assert _exact_orientation([2] * 60, [2] * 60) is None
     assert log2_omega([2] * 60, [2] * 60) == pytest.approx(
-        _log2_int(_a000681(60)), rel=1e-4)
+        math.log2(_a000681(60)), rel=1e-4)
     # a row of 1 over 1,102 columns is within the budget, and the count
     # must not nest a stack frame per column
     for m in range(2, 7):
@@ -254,7 +254,7 @@ def test_exact_counter_on_rows_and_columns_of_two():
         assert brute_force_table_count(rows, cols) == count
     rows, cols, count = _wide(1101)
     assert _exact_orientation(rows, cols) == (rows, cols)
-    assert log2_omega(rows, cols) == _log2_int(count)
+    assert log2_omega(rows, cols) == math.log2(count)
 
 
 _R1 = ([6, 7, 8, 9, 10, 10, 10, 10, 11, 11, 12, 12, 12, 12, 12, 12, 13, 13,
@@ -439,7 +439,7 @@ def test_estimate_within_its_stated_band_on_karate_pairs():
         # each pair counted once, in the cheaper orientation: 0.6 s in all
         if _recursion_cost(cols, rows) < _recursion_cost(rows, cols):
             rows, cols = cols, rows
-        truth = _log2_int(_count_exact_int(rows, cols))
+        truth = math.log2(_count_exact_int(rows, cols))
         assert truth.hex() == exact, (rows, cols)
         est = log2_omega(rows, cols)
         assert abs(est - truth) <= _KARATE_BAND * truth, (rows, cols, est, truth)
@@ -553,7 +553,7 @@ def test_exact_counter_matches_reference(margins, pad):
             val = log2_omega(r, c)
             assert log2_omega(c[::-1], r) == val
         if max_cost:
-            assert val == _log2_int(expect)
+            assert val == math.log2(expect)
 
 
 @settings(max_examples=100, deadline=None)
